@@ -109,6 +109,19 @@ class FittedQSpec:
     sweeps: int | None = None  # defaults to the dataset horizon
 
 
+def _action_blocks(states: np.ndarray, policy) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One ``(prob(a | s), [s, a])`` pair per action in the policy's
+    (constant) support, in support order."""
+    states = np.asarray(states, dtype=float)
+    support = policy.support(tuple(map(float, states[0])))
+    blocks = []
+    for action in support:
+        acts = np.full(states.shape[0], action)
+        z = np.column_stack([states, np.asarray(acts, dtype=float)[:, None]])
+        blocks.append((policy_probs(policy, states, acts), z))
+    return blocks
+
+
 class PolynomialQ:
     """Action-value function linear in polynomial features of (state, action)."""
 
@@ -122,12 +135,13 @@ class PolynomialQ:
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
         """E_{a ~ policy} Q(s, a) over the policy's (constant) support."""
-        states = np.asarray(states, dtype=float)
-        support = policy.support(tuple(map(float, states[0])))
-        total = np.zeros(states.shape[0])
-        for action in support:
-            acts = np.full(states.shape[0], action)
-            total += policy_probs(policy, states, acts) * self.q_values(states, acts)
+        return self.expectation(_action_blocks(states, policy))
+
+    def expectation(self, blocks) -> np.ndarray:
+        """Sum of prob(a | s) * Q(s, a) over ``_action_blocks`` output."""
+        total = np.zeros(blocks[0][0].shape[0])
+        for probs, z in blocks:
+            total += probs * (polynomial_features(z, self.degree) @ self.coef)
         return total
 
 
@@ -156,7 +170,6 @@ def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
         term[-1] = True
         terminal.append(term)
     if extra is not None:
-        mask = extra.step_mask()
         for i in range(extra.size):
             L = int(extra.lengths[i])
             s = extra.states[i, :L]
@@ -167,7 +180,6 @@ def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
             term = np.zeros(L, dtype=bool)
             term[-1] = True
             terminal.append(term)
-        del mask
     return (
         np.concatenate(states),
         np.concatenate(actions),
@@ -187,7 +199,10 @@ def fit_q(
 
     Each sweep regresses r + gamma * E_{a' ~ target} Q(s', a') (zero beyond
     each trajectory's last step) onto polynomial features of (s, a).
-    Synthetic rollouts, when given, join the regression data only.
+    Synthetic rollouts, when given, join the regression data only.  The
+    target-policy probabilities of the next states, and their per-action
+    inputs (s', a'), are computed once per fit; each sweep then only builds
+    features, multiplies and solves.
     """
     states, actions, rewards, next_states, terminal = _transition_rows(
         dataset, synthetic
@@ -198,10 +213,11 @@ def fit_q(
     sweeps = spec.sweeps if spec.sweeps is not None else dataset.horizon
     q = PolynomialQ(np.zeros(feats.shape[1]), spec.degree)
     cont = ~terminal
+    blocks = _action_blocks(next_states[cont], target) if cont.any() else None
     for _ in range(sweeps):
         targets = rewards.copy()
-        if cont.any():
-            targets[cont] += dataset.discount * q.expected_q(next_states[cont], target)
+        if blocks is not None:
+            targets[cont] += dataset.discount * q.expectation(blocks)
         q = PolynomialQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
     return q
 

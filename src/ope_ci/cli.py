@@ -288,7 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    alpha = getattr(args, "alpha", None)
     try:
+        if alpha is not None and not 0.0 < alpha < 1.0:
+            raise OpeCiError(f"--alpha must lie in (0, 1), got {alpha}")
         return args.fn(args)
     except OpeCiError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,8 +178,21 @@ def ground_truth_value(
     )
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(json.dumps({"value": value}) + "\n")
+        _write_atomic(cache_file, json.dumps({"value": value}) + "\n")
     return value
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    into place: a concurrent reader sees no file or the whole file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def make_model_factory(env_spec: EnvSpec, config: StudyConfig, ground_truth: float):

@@ -4,6 +4,9 @@ Everything here is deliberately written from scratch with a different
 construction than the library paths it verifies: backward-induction values
 instead of path enumeration, order statistics instead of grid inversion,
 brute-force nearest neighbors, and the stdlib-independent scipy quantile.
+The per-sweep fitted-Q iteration is the library's former straightforward
+path, kept as the reference its precomputed action blocks must match bit for
+bit.
 """
 from __future__ import annotations
 
@@ -12,8 +15,11 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
+from ope_ci.baselines import FittedQSpec, _transition_rows
 from ope_ci.envs import FiniteMdp, enumerate_trajectories
 from ope_ci.mdp import likelihood_ratio, trajectory_return
+from ope_ci.models import polynomial_features, solve_least_squares
+from ope_ci.policies import policy_probs
 
 
 def normal_quantile_oracle(p: float) -> float:
@@ -110,3 +116,47 @@ def exact_pair_weights(
         for key, (num, den) in grouped.items():
             weights[(s0, key)] = num / den
     return weights, atoms
+
+
+class PerSweepQ:
+    """Polynomial action-value function whose expectation rebuilds the
+    policy's probabilities and per-action features on every call."""
+
+    def __init__(self, coef: np.ndarray, degree: int):
+        self.coef = np.asarray(coef, dtype=float)
+        self.degree = degree
+
+    def q_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        z = np.column_stack([states, np.asarray(actions, dtype=float)[:, None]])
+        return polynomial_features(z, self.degree) @ self.coef
+
+    def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
+        states = np.asarray(states, dtype=float)
+        support = policy.support(tuple(map(float, states[0])))
+        total = np.zeros(states.shape[0])
+        for action in support:
+            acts = np.full(states.shape[0], action)
+            total += policy_probs(policy, states, acts) * self.q_values(states, acts)
+        return total
+
+
+def per_sweep_fit_q(
+    dataset, target, spec: FittedQSpec = FittedQSpec(), synthetic=None
+) -> PerSweepQ:
+    """Fitted-Q iteration that evaluates E_{a' ~ target} Q(s', a') from
+    scratch on every sweep."""
+    states, actions, rewards, next_states, terminal = _transition_rows(
+        dataset, synthetic
+    )
+    feats = polynomial_features(
+        np.column_stack([states, actions[:, None]]), spec.degree
+    )
+    sweeps = spec.sweeps if spec.sweeps is not None else dataset.horizon
+    q = PerSweepQ(np.zeros(feats.shape[1]), spec.degree)
+    cont = ~terminal
+    for _ in range(sweeps):
+        targets = rewards.copy()
+        if cont.any():
+            targets[cont] += dataset.discount * q.expected_q(next_states[cont], target)
+        q = PerSweepQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
+    return q

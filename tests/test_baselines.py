@@ -23,6 +23,8 @@ from ope_ci.reweighting import (
     pdis_returns,
 )
 
+from oracles import per_sweep_fit_q
+
 
 class TestIsBaseline:
     def test_identity_policy_equals_plain_return_interval(self, finite_fixture, rng):
@@ -226,3 +228,50 @@ class TestFittedQ:
         # a very biased Q-fit changes the interval, but both stay finite
         assert augmented != plain
         assert math.isfinite(augmented.lower) and math.isfinite(augmented.upper)
+
+
+class TestFittedQMatchesPerSweepOracle:
+    """The once-per-fit action blocks reproduce per-sweep fitted Q bit for bit."""
+
+    @pytest.fixture(params=["inventory", "inventory-synthetic", "finite"])
+    def case(self, request, inventory_env, inventory_policies, finite_fixture):
+        if request.param == "finite":
+            mdp, behavior, target = finite_fixture
+            data = mdp.sample_dataset(behavior, 80, np.random.default_rng(21), 0.9)
+            return data, behavior, target, None
+        behavior, target = inventory_policies
+        data = inventory_env.sample_dataset(
+            behavior, 40, np.random.default_rng(22), 1.0
+        )
+        n_synth = 100 if request.param == "inventory-synthetic" else 0
+        return data, behavior, target, (OracleModel(inventory_env), n_synth)
+
+    @staticmethod
+    def synthetic_rollouts(data, target, augment, seed):
+        # the same draws dr_baseline makes from its generator
+        if augment is None or augment[1] == 0:
+            return None
+        model, n_synth = augment
+        rng = np.random.default_rng(seed)
+        starts = data.initial_states()[rng.integers(0, len(data), size=n_synth)]
+        return model.rollout_batch(target, starts, data.horizon, rng)
+
+    def test_coefficients_identical(self, case):
+        data, _, target, augment = case
+        synthetic = self.synthetic_rollouts(data, target, augment, 23)
+        q = fit_q(data, target, FittedQSpec(), synthetic)
+        want = per_sweep_fit_q(data, target, FittedQSpec(), synthetic)
+        assert np.array_equal(q.coef, want.coef)
+
+    def test_dr_interval_identical(self, case):
+        data, behavior, target, augment = case
+        synthetic = self.synthetic_rollouts(data, target, augment, 23)
+        want = dr_baseline(
+            data, behavior, target, 0.05,
+            q=per_sweep_fit_q(data, target, FittedQSpec(), synthetic),
+        )
+        got = dr_baseline(
+            data, behavior, target, 0.05,
+            augment=augment, rng=np.random.default_rng(23),
+        )
+        assert np.array_equal([got.lower, got.upper], [want.lower, want.upper])

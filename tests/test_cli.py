@@ -182,3 +182,26 @@ class TestCoverageCommand:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, "nan"])
+    @pytest.mark.parametrize("command", ["cpgen", "drppi", "baseline", "coverage"])
+    def test_out_of_range_alpha_exits_two_before_any_work(
+        self, tmp_path, capsys, command, alpha
+    ):
+        # the dataset path does not exist, so only an up-front check can
+        # produce the alpha message
+        extra = {
+            "cpgen": ["--data", tmp_path / "missing.jsonl", "--s0", "5.0"],
+            "drppi": ["--data", tmp_path / "missing.jsonl"],
+            "baseline": ["--data", tmp_path / "missing.jsonl", "--method", "dr"],
+            "coverage": ["--method", "is:clt", "--n", 10, "--trials", 1],
+        }[command]
+        out = tmp_path / "out.json"
+        code = run_cli(command, *extra, "--alpha", alpha, "--seed", 1, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --alpha must lie in (0, 1)")
+        assert err.count("\n") == 1
+        assert not out.exists()

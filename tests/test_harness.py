@@ -48,7 +48,23 @@ class TestGroundTruth:
         fresh = ground_truth_value(spec, 5, cache_dir=tmp_path)
         cached = ground_truth_value(spec, 5, cache_dir=tmp_path)
         assert fresh == cached
-        assert len(list(tmp_path.glob("ground_truth_*.json"))) == 1
+        # one complete entry and no temporary file left beside it
+        files = list(tmp_path.iterdir())
+        assert len(files) == 1
+        assert files[0].match("ground_truth_*.json")
+        assert json.loads(files[0].read_text())["value"] == fresh
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        spec = make_env_spec("inventory")
+        spec = type(spec)(**{**spec.__dict__, "value_rollouts": 1000})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ope_ci.harness.os.replace", fail)
+        with pytest.raises(OSError):
+            ground_truth_value(spec, 6, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_conditional_ground_truth_differs(self, tmp_path):
         spec_pop = make_env_spec("finite", discount=0.9)
