@@ -20,8 +20,6 @@ from .cpgen import (
     WeightedScoreDistribution,
     conformal_band,
     cp_gen_detailed,
-    cp_gen_interval,
-    estimate_weight_eps,
     weighted_distribution,
     weighted_quantile,
 )
@@ -38,6 +36,7 @@ from .envs import (
     FiniteMdp,
     InventoryEnv,
     InventoryParams,
+    Simulator,
     enumerate_trajectories,
     inventory_policy_pair,
     inventory_step,
@@ -71,21 +70,16 @@ from .harness import (
 from .mdp import (
     ConfidenceInterval,
     RolloutBatch,
-    StochasticPolicy,
     Trajectory,
     TrajectoryDataset,
     Transition,
-    likelihood_ratio,
-    pair_likelihood_ratio,
     read_jsonl_dataset,
-    trajectory_return,
     write_jsonl_dataset,
 )
 from .models import (
     GaussianRegressionModel,
     OracleModel,
     RewardOffsetModel,
-    paired_generation,
 )
 from .policies import SoftmaxOrderUpToPolicy, TabularPolicy
 from .reweighting import (
@@ -96,7 +90,6 @@ from .reweighting import (
     clt_interval,
     is_returns,
     normal_quantile,
-    pdis_return,
     pdis_returns,
     wis_returns,
 )

@@ -156,37 +156,13 @@ class ZeroQ:
 
 
 def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
-    states, actions, rewards, next_states, terminal = [], [], [], [], []
-    for traj in dataset:
-        s = traj.states()
-        a = np.asarray(traj.actions(), dtype=float)
-        r = traj.rewards()
-        states.append(s)
-        actions.append(a)
-        rewards.append(r)
-        nxt = np.vstack([s[1:], np.zeros((1, s.shape[1]))])
-        next_states.append(nxt)
-        term = np.zeros(len(traj), dtype=bool)
-        term[-1] = True
-        terminal.append(term)
+    """Dataset steps, then those of ``extra``, as ``(states, actions,
+    rewards, next_states, terminal)`` with float actions."""
+    rows = dataset.batch.flatten()
     if extra is not None:
-        for i in range(extra.size):
-            L = int(extra.lengths[i])
-            s = extra.states[i, :L]
-            states.append(s)
-            actions.append(extra.actions[i, :L].astype(float))
-            rewards.append(extra.rewards[i, :L])
-            next_states.append(np.vstack([s[1:], np.zeros((1, s.shape[1]))]))
-            term = np.zeros(L, dtype=bool)
-            term[-1] = True
-            terminal.append(term)
-    return (
-        np.concatenate(states),
-        np.concatenate(actions),
-        np.concatenate(rewards),
-        np.concatenate(next_states),
-        np.concatenate(terminal),
-    )
+        rows = [np.concatenate(pair) for pair in zip(rows, extra.flatten())]
+    states, actions, rewards, next_states, terminal = rows
+    return states, actions.astype(float), rewards, next_states, terminal
 
 
 def fit_q(
@@ -234,28 +210,21 @@ def stepwise_dr_values(
     sum_t gamma^(t-1) [ rho_{1:t} (r_t - Q(s_t, a_t)) + rho_{1:t-1} E_pi Q(s_t, .) ]
     with rho_{1:0} = 1 and every prefix product clipped at sqrt(n).
     """
-    ratios, rewards, lengths = step_ratio_table(dataset, target, behavior)
+    ratios, rewards, _ = step_ratio_table(dataset, target, behavior)
     n, T = ratios.shape
     cap = clip.threshold(n)
     prefixes = np.minimum(np.cumprod(ratios, axis=1), cap)
     prev = np.column_stack([np.ones(n), prefixes[:, :-1]])
 
-    flat_states = np.concatenate([t.states() for t in dataset])
-    flat_actions = np.concatenate(
-        [np.asarray(t.actions(), dtype=float) for t in dataset]
-    )
-    q_sa_flat = q.q_values(flat_states, flat_actions)
-    eq_flat = q.expected_q(flat_states, target)
+    b = dataset.batch
+    mask = b.step_mask()[:, :T]
+    flat_states = b.states[:, :T][mask]
     q_sa = np.zeros((n, T))
+    q_sa[mask] = q.q_values(flat_states, b.actions[:, :T][mask].astype(float))
     eq = np.zeros((n, T))
-    pos = 0
-    for i, L in enumerate(lengths):
-        q_sa[i, :L] = q_sa_flat[pos : pos + L]
-        eq[i, :L] = eq_flat[pos : pos + L]
-        pos += L
+    eq[mask] = q.expected_q(flat_states, target)
 
     gammas = dataset.discount ** np.arange(T)
-    mask = np.arange(T)[None, :] < lengths[:, None]
     terms = gammas[None, :] * (prefixes * (rewards - q_sa) + prev * eq) * mask
     return terms.sum(axis=1)
 

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import aug_is_baseline, dm_baseline, dr_baseline, is_baseline
 from .cpgen import EpsConfig, cp_gen_detailed
 from .drppi import DrPpiConfig, dr_ppi_estimate, interval_from_estimate
 from .errors import OpeCiError
@@ -22,6 +21,7 @@ from .harness import (
     StudyConfig,
     emit_results,
     make_env_spec,
+    make_method,
     make_model_factory,
     run_coverage_study,
 )
@@ -123,39 +123,17 @@ def _cmd_drppi(args) -> int:
 def _cmd_baseline(args) -> int:
     env_spec = make_env_spec(args.env)
     dataset = read_jsonl_dataset(args.data)
-    rng = np.random.default_rng(args.seed)
-    clip = ClipPolicy(mode=args.clip)
-    factory = _model_factory(args, env_spec)
-    if args.method in ("is", "wis", "pdis"):
-        interval = is_baseline(
-            dataset, env_spec.behavior, env_spec.target, args.alpha,
-            CorrectionKind(args.method), args.bound, clip, rng, args.nboot,
-        )
-    elif args.method == "augis":
-        model = factory().fit(dataset)
-        interval = aug_is_baseline(
-            dataset, model, env_spec.behavior, env_spec.target,
-            args.nsynth if args.nsynth is not None else 10 * len(dataset),
-            args.alpha, args.bound, clip, rng,
-            d0_sampler=env_spec.d0_sampler(), n_boot=args.nboot,
-        )
-    elif args.method == "dm":
-        model = factory().fit(dataset)
-        interval = dm_baseline(
-            model, env_spec.target, env_spec.d0_sampler(), args.rollouts,
-            args.alpha, rng, dataset.horizon, dataset.discount, args.nboot,
-        )
-    elif args.method in ("dr", "augdr"):
-        augment = None
-        if args.method == "augdr":
-            n_synth = args.nsynth if args.nsynth is not None else 10 * len(dataset)
-            augment = (factory().fit(dataset), n_synth)
-        interval = dr_baseline(
-            dataset, env_spec.behavior, env_spec.target, args.alpha,
-            augment=augment, clip=clip, rng=rng,
-        )
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    config = StudyConfig(
+        model=args.model,
+        model_degree=args.degree,
+        clip=args.clip,
+        n_synth=args.nsynth,
+        dm_rollouts=args.rollouts,
+        n_boot=args.nboot,
+    )
+    # ground_truth only sets the offset of the "biased" model, not offered here
+    run = make_method(f"{args.method}:{args.bound}", env_spec, config, ground_truth=0.0)
+    interval, _ = run(dataset, args.alpha, np.random.default_rng(args.seed))
     _write_json(
         args.out,
         {
@@ -293,7 +271,7 @@ def main(argv=None) -> int:
         if alpha is not None and not 0.0 < alpha < 1.0:
             raise OpeCiError(f"--alpha must lie in (0, 1), got {alpha}")
         return args.fn(args)
-    except OpeCiError as exc:
+    except (OpeCiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

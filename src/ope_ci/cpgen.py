@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DatasetTooSmall, DegenerateWeights, EmptyBand, NoTrainingPairs
 from .mdp import ConfidenceInterval, State, TrajectoryDataset
-from .reweighting import step_ratio_table
+from .reweighting import trajectory_ratios
 
 _EPS_FLOOR = 1e-9
 _MASS_TOL = 1e-9
@@ -163,31 +163,6 @@ def _eps_ball_weights(
     return out
 
 
-def estimate_weight_eps(
-    query_state: State,
-    query_score: float,
-    train_pairs,
-    cfg: EpsConfig = EpsConfig(),
-) -> float:
-    """Shift weight at one (initial state, score) query point."""
-    if len(train_pairs) == 0:
-        raise NoTrainingPairs("weight estimation needs at least one training pair")
-    eps_s, eps_r = resolve_eps(train_pairs, cfg)
-    states, scores, ratios = _pair_arrays(train_pairs)
-    return float(
-        _eps_ball_weights(
-            np.asarray([query_state], dtype=float),
-            np.asarray([query_score], dtype=float),
-            states,
-            scores,
-            ratios,
-            eps_s,
-            eps_r,
-            cfg.k_nearest,
-        )[0]
-    )
-
-
 def weighted_distribution(
     cal_pairs, cal_weights, query_weight: float
 ) -> WeightedScoreDistribution:
@@ -327,39 +302,27 @@ def generation_score_pairs(
     model,
     behavior,
     target,
-    trajectories,
+    dataset: TrajectoryDataset,
     per_trajectory: int,
-    horizon: int,
-    discount: float,
     rng: np.random.Generator,
     clip_cap: float = math.inf,
 ) -> list[ScorePair]:
-    """Pair each real trajectory with model rollouts from its initial state
-    under the behavior policy and reduce each pair to a ScorePair."""
-    trajectories = list(trajectories)
-    real = TrajectoryDataset(tuple(trajectories), discount, horizon)
-    real_ratio = step_ratio_table(real, target, behavior)[0].prod(axis=1)
-    real_return = real.returns()
-
-    starts = np.repeat(real.initial_states(), per_trajectory, axis=0)
-    batch = model.rollout_batch(behavior, starts, horizon, rng)
-    gen_dataset = TrajectoryDataset(tuple(batch.trajectories()), discount, horizon)
-    gen_ratio = step_ratio_table(gen_dataset, target, behavior)[0].prod(axis=1)
-    gen_return = batch.returns(discount)
-
-    pairs = []
-    for i, traj in enumerate(trajectories):
-        for m in range(per_trajectory):
-            j = i * per_trajectory + m
-            ratio = min(real_ratio[i] * gen_ratio[j], clip_cap)
-            pairs.append(
-                ScorePair(
-                    traj.initial_state,
-                    float(real_return[i] - gen_return[j]),
-                    float(ratio),
-                )
-            )
-    return pairs
+    """Pair each real trajectory with ``per_trajectory`` model rollouts from
+    its initial state under the behavior policy, in (trajectory, rollout)
+    order, and reduce each pair to a ScorePair."""
+    starts = np.repeat(dataset.initial_states(), per_trajectory, axis=0)
+    batch = model.rollout_batch(behavior, starts, dataset.horizon, rng)
+    generated = TrajectoryDataset(batch, dataset.discount, dataset.horizon)
+    ratios = np.minimum(
+        np.repeat(trajectory_ratios(dataset, target, behavior), per_trajectory)
+        * trajectory_ratios(generated, target, behavior),
+        clip_cap,
+    )
+    scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
+    return [
+        ScorePair(tuple(state), float(score), float(ratio))
+        for state, score, ratio in zip(starts.tolist(), scores, ratios)
+    ]
 
 
 def cp_gen_detailed(
@@ -392,12 +355,10 @@ def cp_gen_detailed(
         train_cap = math.sqrt(len(train_data) * M)
         cal_cap = math.sqrt(len(cal_data) * N_gen)
     train_pairs = generation_score_pairs(
-        model, behavior, target, train_data.trajectories,
-        M, dataset.horizon, dataset.discount, rng_train, train_cap,
+        model, behavior, target, train_data, M, rng_train, train_cap
     )
     cal_pairs = generation_score_pairs(
-        model, behavior, target, cal_data.trajectories,
-        N_gen, dataset.horizon, dataset.discount, rng_cal, cal_cap,
+        model, behavior, target, cal_data, N_gen, rng_cal, cal_cap
     )
 
     eps_s, eps_r = resolve_eps(train_pairs, cfg)
@@ -418,25 +379,3 @@ def cp_gen_detailed(
     return CpGenResult(
         interval, band_lo, band_hi, point, len(cal_pairs), eps_s, eps_r
     )
-
-
-def cp_gen_interval(
-    dataset: TrajectoryDataset,
-    behavior,
-    target,
-    initial_state: State,
-    alpha: float,
-    M: int = 4,
-    N_gen: int = 4,
-    n_pe_rollouts: int = 256,
-    cfg: EpsConfig = EpsConfig(),
-    model_factory=None,
-    rng: np.random.Generator | None = None,
-    grid: GridSpec = GridSpec(),
-) -> ConfidenceInterval:
-    """Conformal interval for the value of ``initial_state`` under the target
-    policy: model-based point estimate plus the shifted score band."""
-    return cp_gen_detailed(
-        dataset, behavior, target, initial_state, alpha,
-        M, N_gen, n_pe_rollouts, cfg, model_factory, rng, grid,
-    ).interval

@@ -56,8 +56,36 @@ def inventory_step(
     return x_next, reward
 
 
+class Simulator:
+    """Sampling shared by the environments.  A subclass provides
+    ``horizon``, ``sample_initial_states(rng, n)`` and
+    ``rollout_batch(policy, initial_states, horizon, rng)``."""
+
+    def sample_dataset(
+        self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
+    ) -> TrajectoryDataset:
+        batch = self.rollout_batch(
+            policy, self.sample_initial_states(rng, n), self.horizon, rng
+        )
+        return TrajectoryDataset(batch, discount, self.horizon)
+
+    def sample_returns(
+        self,
+        policy,
+        n: int,
+        rng: np.random.Generator,
+        discount: float = 1.0,
+        initial_state: State | None = None,
+    ) -> np.ndarray:
+        if initial_state is None:
+            starts = self.sample_initial_states(rng, n)
+        else:
+            starts = np.tile(np.asarray(initial_state, dtype=float), (n, 1))
+        return self.rollout_batch(policy, starts, self.horizon, rng).returns(discount)
+
+
 @dataclass(frozen=True)
-class InventoryEnv:
+class InventoryEnv(Simulator):
     params: InventoryParams = field(default_factory=InventoryParams)
 
     @property
@@ -74,14 +102,6 @@ class InventoryEnv:
 
     def sample_initial_states(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(self.params.capacity), size=(n, 1))
-
-    def initial_state(self, rng: np.random.Generator) -> State:
-        return (float(self.sample_initial_states(rng, 1)[0, 0]),)
-
-    def step(self, state: State, action: int, rng: np.random.Generator):
-        demand = rng.normal(self.params.demand_mean, self.params.demand_sd)
-        x_next, reward = inventory_step(state[0], action, demand, self.params)
-        return (x_next,), reward
 
     def step_batch(self, stock: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         p = self.params
@@ -116,37 +136,9 @@ class InventoryEnv:
             x, rewards[:, t] = self.step_batch(x, a, rng)
         return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
 
-    def sample_trajectory(self, policy, rng: np.random.Generator) -> Trajectory:
-        batch = self.rollout_batch(
-            policy, self.sample_initial_states(rng, 1), self.horizon, rng
-        )
-        return batch.trajectory(0)
-
-    def sample_dataset(
-        self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
-    ) -> TrajectoryDataset:
-        batch = self.rollout_batch(
-            policy, self.sample_initial_states(rng, n), self.horizon, rng
-        )
-        return TrajectoryDataset(tuple(batch.trajectories()), discount, self.horizon)
-
-    def sample_returns(
-        self,
-        policy,
-        n: int,
-        rng: np.random.Generator,
-        discount: float = 1.0,
-        initial_state: State | None = None,
-    ) -> np.ndarray:
-        if initial_state is None:
-            starts = self.sample_initial_states(rng, n)
-        else:
-            starts = np.tile(np.asarray(initial_state, dtype=float), (n, 1))
-        return self.rollout_batch(policy, starts, self.horizon, rng).returns(discount)
-
 
 @dataclass(frozen=True, eq=False)
-class FiniteMdp:
+class FiniteMdp(Simulator):
     """Tabular MDP small enough for exact path enumeration (horizon <= 4).
 
     ``transition_probs[s, a]`` is a distribution over next states and
@@ -202,15 +194,6 @@ class FiniteMdp:
         draws = (cdf < rng.random((n, 1))).sum(axis=1)
         return draws.astype(float)[:, None]
 
-    def initial_state(self, rng: np.random.Generator) -> State:
-        return (float(self.sample_initial_states(rng, 1)[0, 0]),)
-
-    def step(self, state: State, action: int, rng: np.random.Generator):
-        s = int(state[0])
-        cdf = np.cumsum(self.transition_probs[s, int(action)])
-        nxt = int((cdf < rng.random()).sum())
-        return (float(nxt),), float(self.rewards[s, int(action), nxt])
-
     def rollout_batch(
         self,
         policy,
@@ -243,34 +226,6 @@ class FiniteMdp:
             s = np.where(active, nxt, s)
             active = active & ~absorbing[s]
         return RolloutBatch(states, actions, rewards, lengths)
-
-    def sample_trajectory(self, policy, rng: np.random.Generator) -> Trajectory:
-        batch = self.rollout_batch(
-            policy, self.sample_initial_states(rng, 1), self.horizon, rng
-        )
-        return batch.trajectory(0)
-
-    def sample_dataset(
-        self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
-    ) -> TrajectoryDataset:
-        batch = self.rollout_batch(
-            policy, self.sample_initial_states(rng, n), self.horizon, rng
-        )
-        return TrajectoryDataset(tuple(batch.trajectories()), discount, self.horizon)
-
-    def sample_returns(
-        self,
-        policy,
-        n: int,
-        rng: np.random.Generator,
-        discount: float = 1.0,
-        initial_state: State | None = None,
-    ) -> np.ndarray:
-        if initial_state is None:
-            starts = self.sample_initial_states(rng, n)
-        else:
-            starts = np.tile(np.asarray(initial_state, dtype=float), (n, 1))
-        return self.rollout_batch(policy, starts, self.horizon, rng).returns(discount)
 
 
 def _enumeration_bound(mdp: FiniteMdp) -> int:

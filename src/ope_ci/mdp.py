@@ -1,10 +1,14 @@
-"""Trajectory, policy, and dataset primitives shared by every estimator.
+"""Trajectory datasets, rollout batches, intervals and JSONL persistence.
 
-Conventions: a transition stores the state an action was taken from, the
-action, and the reward it produced, so ``transitions[0].state`` is the
-initial state and the first reward belongs to step one.  All types are
-immutable after construction and all functions are pure; randomness always
-enters through an explicit generator argument.
+A dataset is one padded ``RolloutBatch`` plus its discount and horizon:
+``states[b, t]`` is the state action ``actions[b, t]`` was taken from and
+``rewards[b, t]`` the reward it produced, so ``states[:, 0]`` holds the
+initial states and the first reward belongs to step one.  Steps at or beyond
+``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
+trajectory by trajectory through ``step_mask()``; ``Trajectory`` and
+``Transition`` are a read-only per-step view of one row.  Actions are
+integers.  All types are immutable after construction and all functions are
+pure; randomness always enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -12,20 +16,17 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ZeroBehaviorProbability
-
 State = tuple[float, ...]
-Action = "int | tuple[float, ...]"
 
 
 @dataclass(frozen=True)
 class Transition:
     state: State
-    action: int | tuple[float, ...]
+    action: int
     reward: float
 
     def __post_init__(self) -> None:
@@ -71,55 +72,138 @@ class Trajectory:
         return cls(transitions)
 
 
-@runtime_checkable
-class StochasticPolicy(Protocol):
-    """Conditional action distribution: queryable density/pmf plus sampling."""
+@dataclass(frozen=True)
+class RolloutBatch:
+    """Padded arrays for a batch of rollouts.
 
-    def prob(self, state: State, action) -> float: ...
+    ``states[b, t]`` is the state action ``actions[b, t]`` was taken from;
+    entries at or beyond ``lengths[b]`` are padding and must be ignored.
+    """
 
-    def sample(self, state: State, rng: np.random.Generator): ...
+    states: np.ndarray  # (B, T, d)
+    actions: np.ndarray  # (B, T) integer actions
+    rewards: np.ndarray  # (B, T)
+    lengths: np.ndarray  # (B,)
+
+    @classmethod
+    def pad(cls, states, actions, rewards) -> "RolloutBatch":
+        """Batch of per-trajectory ``(L, d)`` states, ``(L,)`` integer
+        actions and ``(L,)`` rewards, zero-padded to the longest one."""
+        lengths = np.array([len(a) for a in actions], dtype=np.int64)
+        if lengths.size == 0:
+            raise ValueError("dataset must hold at least one trajectory")
+        if not lengths.size == len(states) == len(rewards):
+            raise ValueError("states, actions and rewards must list the same trajectories")
+        d = next((np.shape(s)[-1] for s in states if len(s)), 0)
+        shape = (lengths.size, int(lengths.max()))
+        out = cls(
+            np.zeros((*shape, d)), np.zeros(shape, dtype=np.int64),
+            np.zeros(shape), lengths,
+        )
+        for i, L in enumerate(lengths):
+            s = np.asarray(states[i], dtype=float)
+            if L and s.shape != (L, d) or len(rewards[i]) != L:
+                raise ValueError(
+                    f"trajectory {i}: expected ({L}, {d}) states and {L} rewards "
+                    f"for its {L} actions"
+                )
+            out.states[i, :L] = s
+            out.actions[i, :L] = actions[i]
+            out.rewards[i, :L] = rewards[i]
+        return out
+
+    @property
+    def size(self) -> int:
+        return self.states.shape[0]
+
+    def step_mask(self) -> np.ndarray:
+        t = np.arange(self.states.shape[1])
+        return t[None, :] < self.lengths[:, None]
+
+    def returns(self, discount: float) -> np.ndarray:
+        gammas = discount ** np.arange(self.states.shape[1])
+        return (self.rewards * self.step_mask() * gammas[None, :]).sum(axis=1)
+
+    def flatten(self):
+        """Valid steps in trajectory-major order as ``(states, actions,
+        rewards, next_states, terminal)``; ``next_states`` is zero on each
+        trajectory's last step, which ``terminal`` marks."""
+        mask = self.step_mask()
+        has_next = np.zeros_like(mask)
+        has_next[:, :-1] = mask[:, 1:]
+        next_states = np.zeros_like(self.states)
+        next_states[:, :-1] = self.states[:, 1:]
+        next_states[~has_next] = 0.0
+        return (
+            self.states[mask],
+            self.actions[mask],
+            self.rewards[mask],
+            next_states[mask],
+            ~has_next[mask],
+        )
+
+    def trajectory(self, i: int) -> Trajectory:
+        n = int(self.lengths[i])
+        return Trajectory.from_arrays(
+            self.states[i, :n], (int(a) for a in self.actions[i, :n]), self.rewards[i, :n]
+        )
+
+    def trajectories(self) -> list[Trajectory]:
+        return [self.trajectory(i) for i in range(self.size)]
 
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    trajectories: tuple[Trajectory, ...]
+    """A batch of behavior trajectories with the discount and horizon they
+    are evaluated under; iterating yields the per-step ``Trajectory`` view."""
+
+    batch: RolloutBatch
     discount: float
     horizon: int
 
     def __post_init__(self) -> None:
-        if len(self.trajectories) == 0:
+        b = self.batch
+        if b.size == 0:
             raise ValueError("dataset must hold at least one trajectory")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must lie in (0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
-        dim = len(self.trajectories[0].initial_state)
-        for traj in self.trajectories:
-            if len(traj) > self.horizon:
-                raise ValueError("trajectory longer than the dataset horizon")
-            if len(traj.initial_state) != dim:
-                raise ValueError("trajectories must share state dimensionality")
+        if b.lengths.min() < 1 or b.lengths.max() > min(self.horizon, b.states.shape[1]):
+            raise ValueError(f"trajectory lengths must lie in 1..{self.horizon}")
+        mask = b.step_mask()
+        if not (np.isfinite(b.states[mask]).all() and np.isfinite(b.rewards[mask]).all()):
+            raise ValueError("states and rewards must be finite")
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.batch.size
 
     def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self.trajectories)
+        return iter(self.batch.trajectories())
 
     @property
     def state_dim(self) -> int:
-        return len(self.trajectories[0].initial_state)
+        return self.batch.states.shape[2]
 
     def returns(self) -> np.ndarray:
-        return np.array(
-            [trajectory_return(t, self.discount) for t in self.trajectories]
-        )
+        """Discounted returns.  Rewards are added one time step at a time, as
+        a per-trajectory loop adds them; a row sum would group the additions
+        differently and change the last bits."""
+        rewards = np.where(self.batch.step_mask(), self.batch.rewards, 0.0)
+        total = np.zeros(len(self))
+        gamma_t = 1.0
+        for t in range(int(self.batch.lengths.max())):
+            total += gamma_t * rewards[:, t]
+            gamma_t *= self.discount
+        return total
 
     def initial_states(self) -> np.ndarray:
-        return np.array([t.initial_state for t in self.trajectories], dtype=float)
+        return self.batch.states[:, 0]
 
     def subset(self, indices) -> "TrajectoryDataset":
-        picked = tuple(self.trajectories[i] for i in indices)
+        idx = np.asarray(indices, dtype=np.int64)
+        b = self.batch
+        picked = RolloutBatch(b.states[idx], b.actions[idx], b.rewards[idx], b.lengths[idx])
         return TrajectoryDataset(picked, self.discount, self.horizon)
 
     def split_half(self) -> tuple["TrajectoryDataset", "TrajectoryDataset"]:
@@ -151,83 +235,6 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class RolloutBatch:
-    """Padded arrays for a batch of rollouts.
-
-    ``states[b, t]`` is the state action ``actions[b, t]`` was taken from;
-    entries at or beyond ``lengths[b]`` are padding and must be ignored.
-    """
-
-    states: np.ndarray  # (B, T, d)
-    actions: np.ndarray  # (B, T) integer actions
-    rewards: np.ndarray  # (B, T)
-    lengths: np.ndarray  # (B,)
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    def step_mask(self) -> np.ndarray:
-        t = np.arange(self.states.shape[1])
-        return t[None, :] < self.lengths[:, None]
-
-    def returns(self, discount: float) -> np.ndarray:
-        gammas = discount ** np.arange(self.states.shape[1])
-        return (self.rewards * self.step_mask() * gammas[None, :]).sum(axis=1)
-
-    def trajectory(self, i: int) -> Trajectory:
-        n = int(self.lengths[i])
-        return Trajectory.from_arrays(
-            self.states[i, :n], (int(a) for a in self.actions[i, :n]), self.rewards[i, :n]
-        )
-
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(self.size)]
-
-
-def trajectory_return(traj: Trajectory, discount: float) -> float:
-    """Discounted return over the trajectory's own length."""
-    if not 0.0 < discount <= 1.0:
-        raise ValueError("discount must lie in (0, 1]")
-    total = 0.0
-    gamma_t = 1.0
-    for tr in traj.transitions:
-        total += gamma_t * tr.reward
-        gamma_t *= discount
-    return total
-
-
-def likelihood_ratio(
-    traj: Trajectory, target: StochasticPolicy, behavior: StochasticPolicy
-) -> float:
-    """Product over steps of target/behavior action probabilities.
-
-    Raises ZeroBehaviorProbability on an exactly-zero behavior denominator.
-    """
-    ratio = 1.0
-    for tr in traj.transitions:
-        denom = behavior.prob(tr.state, tr.action)
-        if denom == 0.0:
-            raise ZeroBehaviorProbability(
-                f"behavior probability is zero at state {tr.state}, action {tr.action}"
-            )
-        ratio *= target.prob(tr.state, tr.action) / denom
-    return ratio
-
-
-def pair_likelihood_ratio(
-    real_traj: Trajectory,
-    gen_traj: Trajectory,
-    target: StochasticPolicy,
-    behavior: StochasticPolicy,
-) -> float:
-    """Joint ratio for a (real, generated) pair, each over its own length."""
-    return likelihood_ratio(real_traj, target, behavior) * likelihood_ratio(
-        gen_traj, target, behavior
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON Lines persistence.  One trajectory per line plus a sidecar metadata
 # file; floats go through repr so a write/read round trip is bit exact.
@@ -237,26 +244,15 @@ def dataset_meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _encode_action(action):
-    if isinstance(action, tuple):
-        return list(action)
-    return action
-
-
-def _decode_action(raw):
-    if isinstance(raw, list):
-        return tuple(float(x) for x in raw)
-    return raw
-
-
 def write_jsonl_dataset(dataset: TrajectoryDataset, path) -> None:
     path = Path(path)
+    b = dataset.batch
     lines = []
-    for traj in dataset:
+    for i, L in enumerate(b.lengths):
         record = {
-            "states": [list(t.state) for t in traj.transitions],
-            "actions": [_encode_action(t.action) for t in traj.transitions],
-            "rewards": [t.reward for t in traj.transitions],
+            "states": b.states[i, :L].tolist(),
+            "actions": b.actions[i, :L].tolist(),
+            "rewards": b.rewards[i, :L].tolist(),
         }
         lines.append(json.dumps(record, separators=(",", ":")))
     path.write_text("\n".join(lines) + "\n")
@@ -271,16 +267,18 @@ def write_jsonl_dataset(dataset: TrajectoryDataset, path) -> None:
 def read_jsonl_dataset(path) -> TrajectoryDataset:
     path = Path(path)
     meta = json.loads(dataset_meta_path(path).read_text())
-    trajectories = []
-    for line in path.read_text().splitlines():
+    states, actions, rewards = [], [], []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         record = json.loads(line)
-        transitions = tuple(
-            Transition(tuple(float(x) for x in s), _decode_action(a), float(r))
-            for s, a, r in zip(record["states"], record["actions"], record["rewards"])
-        )
-        trajectories.append(Trajectory(transitions))
+        if not all(type(a) is int for a in record["actions"]):
+            raise ValueError(f"{path} line {lineno}: actions must be integers")
+        states.append(record["states"])
+        actions.append(record["actions"])
+        rewards.append(record["rewards"])
     return TrajectoryDataset(
-        tuple(trajectories), float(meta["gamma"]), int(meta["horizon"])
+        RolloutBatch.pad(states, actions, rewards),
+        float(meta["gamma"]),
+        int(meta["horizon"]),
     )

@@ -1,5 +1,5 @@
-"""Pluggable generative dynamics models: fit from trajectories, then roll
-out conditional trajectories from a requested initial state under a policy.
+"""Pluggable generative dynamics models: fit from a trajectory dataset, then
+roll out a batch of trajectories from requested initial states under a policy.
 
 A fitted model is immutable in practice and safe to share; rollouts with
 independent generator streams may run concurrently.
@@ -9,22 +9,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import SingularDesign
-from .mdp import RolloutBatch, State, Trajectory, TrajectoryDataset
+from .mdp import RolloutBatch, TrajectoryDataset
 from .policies import policy_sample
-
-
-@runtime_checkable
-class DynamicsModel(Protocol):
-    def fit(self, dataset: TrajectoryDataset) -> "DynamicsModel": ...
-
-    def rollout(
-        self, policy, initial_state: State, horizon: int, rng: np.random.Generator
-    ) -> Trajectory: ...
 
 
 def polynomial_features(z: np.ndarray, degree: int) -> np.ndarray:
@@ -39,13 +29,6 @@ def polynomial_features(z: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _encode_actions(actions) -> np.ndarray:
-    first = actions[0]
-    if isinstance(first, tuple):
-        return np.array([list(a) for a in actions], dtype=float)
-    return np.array(actions, dtype=float)[:, None]
-
-
 def solve_least_squares(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
     if X.shape[0] == 0:
         raise SingularDesign("no rows available for the regression")
@@ -55,6 +38,15 @@ def solve_least_squares(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarra
         gram = X.T @ X + ridge * np.eye(X.shape[1])
         coef = np.linalg.solve(gram, X.T @ Y)
     return coef
+
+
+def _fit_rows(dataset: TrajectoryDataset):
+    """``(Zr, yr, Zs, Ys)``: ``[s, a]`` inputs with their rewards over every
+    step, and the inputs of the steps that have a successor with that
+    successor state, all in trajectory-major order."""
+    states, actions, rewards, next_states, terminal = dataset.batch.flatten()
+    z = np.column_stack([states, actions.astype(float)])
+    return z, rewards, z[~terminal], next_states[~terminal]
 
 
 @dataclass
@@ -90,23 +82,9 @@ class GaussianRegressionModel:
         Consecutive transitions within each trajectory supply the dynamics
         rows, so trajectories of length one contribute to the reward fit only.
         """
-        reward_inputs, rewards = [], []
-        dyn_inputs, next_states = [], []
-        for traj in dataset:
-            states = traj.states()
-            acts = _encode_actions(traj.actions())
-            z = np.column_stack([states, acts])
-            reward_inputs.append(z)
-            rewards.append(traj.rewards())
-            if len(traj) > 1:
-                dyn_inputs.append(z[:-1])
-                next_states.append(states[1:])
-        Zr = np.concatenate(reward_inputs)
-        if not dyn_inputs:
+        Zr, yr, Zs, Ys = _fit_rows(dataset)
+        if Zs.shape[0] == 0:
             raise SingularDesign("no consecutive transitions to fit dynamics from")
-        Zs = np.concatenate(dyn_inputs)
-        Ys = np.concatenate(next_states)
-        yr = np.concatenate(rewards)
 
         Xr = polynomial_features(Zr, self.degree)
         Xs = polynomial_features(Zs, self.degree)
@@ -155,14 +133,6 @@ class GaussianRegressionModel:
             if self.state_box is not None:
                 np.clip(x, self.state_box[0], self.state_box[1], out=x)
         return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
-
-    def rollout(
-        self, policy, initial_state: State, horizon: int, rng: np.random.Generator
-    ) -> Trajectory:
-        batch = self.rollout_batch(
-            policy, np.asarray([initial_state], dtype=float), horizon, rng
-        )
-        return batch.trajectory(0)
 
     def to_json(self) -> str:
         self._require_fitted()
@@ -222,12 +192,6 @@ class OracleModel:
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
         return self.env.rollout_batch(policy, initial_states, horizon, rng)
 
-    def rollout(self, policy, initial_state, horizon, rng) -> Trajectory:
-        batch = self.rollout_batch(
-            policy, np.asarray([initial_state], dtype=float), horizon, rng
-        )
-        return batch.trajectory(0)
-
 
 @dataclass
 class RewardOffsetModel:
@@ -251,33 +215,3 @@ class RewardOffsetModel:
             batch.rewards + self.reward_offset,
             batch.lengths,
         )
-
-    def rollout(self, policy, initial_state, horizon, rng) -> Trajectory:
-        batch = self.rollout_batch(
-            policy, np.asarray([initial_state], dtype=float), horizon, rng
-        )
-        return batch.trajectory(0)
-
-
-def paired_generation(
-    model,
-    policy,
-    real_trajs,
-    M: int,
-    rng: np.random.Generator,
-    horizon: int,
-) -> list[tuple[Trajectory, Trajectory]]:
-    """Generate M model trajectories per real trajectory, each conditioned on
-    the matching real initial state, in deterministic (i, m) order."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    real_trajs = list(real_trajs)
-    starts = np.repeat(
-        np.array([t.initial_state for t in real_trajs], dtype=float), M, axis=0
-    )
-    batch = model.rollout_batch(policy, starts, horizon, rng)
-    pairs = []
-    for i, real in enumerate(real_trajs):
-        for m in range(M):
-            pairs.append((real, batch.trajectory(i * M + m)))
-    return pairs

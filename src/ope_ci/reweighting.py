@@ -14,7 +14,7 @@ from .errors import (
     InsufficientSamples,
     ZeroBehaviorProbability,
 )
-from .mdp import ConfidenceInterval, Trajectory, TrajectoryDataset
+from .mdp import ConfidenceInterval, TrajectoryDataset
 from .policies import policy_probs
 
 
@@ -85,34 +85,22 @@ def normal_quantile(p: float) -> float:
 def step_ratio_table(
     dataset: TrajectoryDataset, target, behavior
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (ratios (n, T), rewards (n, T), lengths (n,))."""
-    n = len(dataset)
-    T = max(len(t) for t in dataset)
-    lengths = np.array([len(t) for t in dataset], dtype=np.int64)
-    d = dataset.state_dim
-    flat_states = np.empty((int(lengths.sum()), d))
-    flat_actions: list = []
-    rewards = np.zeros((n, T))
-    pos = 0
-    for i, traj in enumerate(dataset):
-        L = len(traj)
-        flat_states[pos : pos + L] = traj.states()
-        flat_actions.extend(traj.actions())
-        rewards[i, :L] = traj.rewards()
-        pos += L
-    p_behavior = policy_probs(behavior, flat_states, np.asarray(flat_actions))
+    """Returns (ratios (n, T), rewards (n, T), lengths (n,)), where T is the
+    longest trajectory's length."""
+    b = dataset.batch
+    T = int(b.lengths.max())
+    mask = b.step_mask()[:, :T]
+    states = b.states[:, :T][mask]
+    actions = b.actions[:, :T][mask]
+    p_behavior = policy_probs(behavior, states, actions)
     if (p_behavior == 0.0).any():
         raise ZeroBehaviorProbability(
             "behavior policy assigns zero probability to an observed action"
         )
-    p_target = policy_probs(target, flat_states, np.asarray(flat_actions))
-    flat_ratios = p_target / p_behavior
-    ratios = np.ones((n, T))
-    pos = 0
-    for i, L in enumerate(lengths):
-        ratios[i, :L] = flat_ratios[pos : pos + L]
-        pos += L
-    return ratios, rewards, lengths
+    p_target = policy_probs(target, states, actions)
+    ratios = np.ones((b.size, T))
+    ratios[mask] = p_target / p_behavior
+    return ratios, np.where(mask, b.rewards[:, :T], 0.0), b.lengths
 
 
 def trajectory_ratios(dataset: TrajectoryDataset, target, behavior) -> np.ndarray:
@@ -173,21 +161,6 @@ def pdis_returns(
     ratios, rewards, lengths = step_ratio_table(dataset, target, behavior)
     cap = clip.threshold(len(dataset))
     return _pdis_from_table(ratios, rewards, lengths, dataset.discount, cap)
-
-
-def pdis_return(
-    traj: Trajectory,
-    target,
-    behavior,
-    discount: float,
-    clip: ClipPolicy = ClipPolicy(),
-    n: int = 1,
-) -> float:
-    """Single-trajectory per-decision value; ``n`` sets the clip scale."""
-    single = TrajectoryDataset((traj,), discount, len(traj))
-    ratios, rewards, lengths = step_ratio_table(single, target, behavior)
-    cap = clip.threshold(n)
-    return float(_pdis_from_table(ratios, rewards, lengths, discount, cap)[0])
 
 
 def reweighted_returns(

@@ -6,7 +6,10 @@ instead of path enumeration, order statistics instead of grid inversion,
 brute-force nearest neighbors, and the stdlib-independent scipy quantile.
 The per-sweep fitted-Q iteration is the library's former straightforward
 path, kept as the reference its precomputed action blocks must match bit for
-bit.
+bit.  Likewise the per-trajectory returns, likelihood ratios, ratio table and
+regression rows walk ``Trajectory`` objects step by step, as the library did
+before its estimators read the padded batch arrays, and the columnar paths
+must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -17,9 +20,107 @@ from scipy.special import ndtri
 
 from ope_ci.baselines import FittedQSpec, _transition_rows
 from ope_ci.envs import FiniteMdp, enumerate_trajectories
-from ope_ci.mdp import likelihood_ratio, trajectory_return
+from ope_ci.errors import ZeroBehaviorProbability
 from ope_ci.models import polynomial_features, solve_least_squares
 from ope_ci.policies import policy_probs
+
+
+def trajectory_return(traj, discount: float) -> float:
+    """Discounted return over the trajectory's own length."""
+    if not 0.0 < discount <= 1.0:
+        raise ValueError("discount must lie in (0, 1]")
+    total = 0.0
+    gamma_t = 1.0
+    for tr in traj.transitions:
+        total += gamma_t * tr.reward
+        gamma_t *= discount
+    return total
+
+
+def likelihood_ratio(traj, target, behavior) -> float:
+    """Product over steps of target/behavior action probabilities.
+
+    Raises ZeroBehaviorProbability on an exactly-zero behavior denominator.
+    """
+    ratio = 1.0
+    for tr in traj.transitions:
+        denom = behavior.prob(tr.state, tr.action)
+        if denom == 0.0:
+            raise ZeroBehaviorProbability(
+                f"behavior probability is zero at state {tr.state}, action {tr.action}"
+            )
+        ratio *= target.prob(tr.state, tr.action) / denom
+    return ratio
+
+
+def per_trajectory_ratio_table(dataset, target, behavior):
+    """(ratios (n, T), rewards (n, T), lengths (n,)) filled one trajectory
+    at a time, T the longest trajectory's length."""
+    trajs = list(dataset)
+    n = len(trajs)
+    T = max(len(t) for t in trajs)
+    lengths = np.array([len(t) for t in trajs], dtype=np.int64)
+    flat_states = np.empty((int(lengths.sum()), dataset.state_dim))
+    flat_actions: list = []
+    rewards = np.zeros((n, T))
+    pos = 0
+    for i, traj in enumerate(trajs):
+        L = len(traj)
+        flat_states[pos : pos + L] = traj.states()
+        flat_actions.extend(traj.actions())
+        rewards[i, :L] = traj.rewards()
+        pos += L
+    p_behavior = policy_probs(behavior, flat_states, np.asarray(flat_actions))
+    flat_ratios = policy_probs(target, flat_states, np.asarray(flat_actions)) / p_behavior
+    ratios = np.ones((n, T))
+    pos = 0
+    for i, L in enumerate(lengths):
+        ratios[i, :L] = flat_ratios[pos : pos + L]
+        pos += L
+    return ratios, rewards, lengths
+
+
+def per_trajectory_fit_rows(dataset):
+    """(Zr, yr, Zs, Ys) of the Gaussian model fit: [s, a] inputs and rewards
+    over every step, and the inputs of consecutive steps with their next
+    states."""
+    reward_inputs, rewards = [], []
+    dyn_inputs, next_states = [], []
+    for traj in dataset:
+        states = traj.states()
+        z = np.column_stack([states, np.array(traj.actions(), dtype=float)[:, None]])
+        reward_inputs.append(z)
+        rewards.append(traj.rewards())
+        if len(traj) > 1:
+            dyn_inputs.append(z[:-1])
+            next_states.append(states[1:])
+    return (
+        np.concatenate(reward_inputs),
+        np.concatenate(rewards),
+        np.concatenate(dyn_inputs),
+        np.concatenate(next_states),
+    )
+
+
+def per_trajectory_transition_rows(dataset, extra=None):
+    """(states, actions, rewards, next_states, terminal) of fitted Q: every
+    step of the dataset, then of ``extra``; next states are zero on each
+    trajectory's last step."""
+    trajs = list(dataset) + ([] if extra is None else extra.trajectories())
+    states, actions, rewards, next_states, terminal = [], [], [], [], []
+    for traj in trajs:
+        s = traj.states()
+        states.append(s)
+        actions.append(np.asarray(traj.actions(), dtype=float))
+        rewards.append(traj.rewards())
+        next_states.append(np.vstack([s[1:], np.zeros((1, s.shape[1]))]))
+        term = np.zeros(len(traj), dtype=bool)
+        term[-1] = True
+        terminal.append(term)
+    return tuple(
+        np.concatenate(part)
+        for part in (states, actions, rewards, next_states, terminal)
+    )
 
 
 def normal_quantile_oracle(p: float) -> float:

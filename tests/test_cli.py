@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -204,4 +205,48 @@ class TestAlphaValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --alpha must lie in (0, 1)")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestValueErrorsExitTwo:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cpgen", "--s0", "5.0", "--eps-state", -1],
+            ["drppi", "--Nf", 1],
+            ["baseline", "--method", "is", "--bound", "bootstrap", "--nboot", 0],
+        ],
+        ids=["cpgen-eps-state", "drppi-nf", "baseline-nboot"],
+    )
+    def test_out_of_range_flag_exits_two(self, small_dataset, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        code = run_cli(*command, "--data", small_dataset, "--seed", 1, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["baseline", "--method", "is"], ["drppi", "--Nf", 100, "--M", 2]],
+        ids=["baseline-is", "drppi"],
+    )
+    def test_nonfinite_state_in_dataset_exits_two(
+        self, small_dataset, tmp_path, capsys, command
+    ):
+        lines = small_dataset.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["states"][5][0] = math.nan
+        lines[3] = json.dumps(record)  # written as the token NaN
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        bad.with_name("bad.jsonl.meta.json").write_text(
+            small_dataset.with_name("data.jsonl.meta.json").read_text()
+        )
+        out = tmp_path / "out.json"
+        code = run_cli(*command, "--data", bad, "--seed", 1, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: states and rewards must be finite\n"
         assert not out.exists()

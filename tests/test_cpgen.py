@@ -10,10 +10,10 @@ from ope_ci.cpgen import (
     GridSpec,
     ScorePair,
     WeightedScoreDistribution,
+    _eps_ball_weights,
+    _pair_arrays,
     conformal_band,
     cp_gen_detailed,
-    cp_gen_interval,
-    estimate_weight_eps,
     generation_score_pairs,
     resolve_eps,
     weighted_distribution,
@@ -21,6 +21,7 @@ from ope_ci.cpgen import (
 )
 from ope_ci.envs import oracle_value
 from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs
+from ope_ci.harness import StudyConfig, make_env_spec, make_method
 from ope_ci.models import GaussianRegressionModel, OracleModel
 
 from oracles import nearest_k_mean, split_conformal_band
@@ -28,6 +29,19 @@ from oracles import nearest_k_mean, split_conformal_band
 
 def pair(state, score, ratio=1.0):
     return ScorePair((float(state),), float(score), float(ratio))
+
+
+def estimate_weight_eps(query_state, query_score, train_pairs, cfg=EpsConfig()):
+    """The band's shift weight at one (initial state, score) query point."""
+    eps_s, eps_r = resolve_eps(train_pairs, cfg)
+    states, scores, ratios = _pair_arrays(train_pairs)
+    return float(
+        _eps_ball_weights(
+            np.asarray([query_state], dtype=float),
+            np.asarray([query_score], dtype=float),
+            states, scores, ratios, eps_s, eps_r, cfg.k_nearest,
+        )[0]
+    )
 
 
 class TestEstimateWeightEps:
@@ -252,15 +266,18 @@ class TestCpGenPipeline:
         assert result.n_cal_pairs == 20 * 2
 
     def test_public_interval_matches_detailed(self, inventory_env, inventory_policies):
+        # the harness (and so the coverage command) reports the detailed
+        # pipeline's interval unchanged
         behavior, target = inventory_policies
         ds = inventory_env.sample_dataset(behavior, 24, np.random.default_rng(4))
         factory = lambda: GaussianRegressionModel(
             degree=2, state_box=inventory_env.state_box
         )
-        ci = cp_gen_interval(
-            ds, behavior, target, (5.0,), 0.1, M=2, N_gen=2, n_pe_rollouts=16,
-            model_factory=factory, rng=np.random.default_rng(5),
+        run = make_method(
+            "cpgen", make_env_spec("inventory", s0=(5.0,)),
+            StudyConfig(cpgen_m=2, cpgen_n_gen=2, cpgen_rollouts=16), 0.0,
         )
+        ci, _ = run(ds, 0.1, np.random.default_rng(5))
         detail = cp_gen_detailed(
             ds, behavior, target, (5.0,), 0.1, M=2, N_gen=2, n_pe_rollouts=16,
             model_factory=factory, rng=np.random.default_rng(5),
@@ -272,20 +289,14 @@ class TestGenerationScorePairs:
     def test_pair_count_and_initial_states(self, finite_fixture, rng):
         mdp, behavior, target = finite_fixture
         ds = mdp.sample_dataset(behavior, 6, rng, 0.9)
-        pairs = generation_score_pairs(
-            OracleModel(mdp), behavior, target, ds.trajectories, 3,
-            mdp.horizon, 0.9, rng,
-        )
+        pairs = generation_score_pairs(OracleModel(mdp), behavior, target, ds, 3, rng)
         assert len(pairs) == 18
-        for i, traj in enumerate(ds.trajectories):
+        for i, traj in enumerate(ds):
             for m in range(3):
                 assert pairs[i * 3 + m].initial_state == traj.initial_state
 
     def test_identity_policies_give_unit_ratios(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture
         ds = mdp.sample_dataset(behavior, 5, rng, 0.9)
-        pairs = generation_score_pairs(
-            OracleModel(mdp), behavior, behavior, ds.trajectories, 2,
-            mdp.horizon, 0.9, rng,
-        )
+        pairs = generation_score_pairs(OracleModel(mdp), behavior, behavior, ds, 2, rng)
         assert all(p.pair_ratio == 1.0 for p in pairs)

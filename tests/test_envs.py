@@ -84,14 +84,15 @@ class TestInventoryStep:
 class TestInventoryEnv:
     def test_trajectory_has_full_horizon(self, inventory_env, inventory_policies, rng):
         behavior, _ = inventory_policies
-        traj = inventory_env.sample_trajectory(behavior, rng)
-        assert len(traj) == inventory_env.horizon
+        ds = inventory_env.sample_dataset(behavior, 3, rng)
+        assert ds.batch.lengths.tolist() == [inventory_env.horizon] * 3
+        assert [len(traj) for traj in ds] == [inventory_env.horizon] * 3
 
     def test_same_seed_same_trajectory(self, inventory_env, inventory_policies):
         behavior, _ = inventory_policies
-        t1 = inventory_env.sample_trajectory(behavior, np.random.default_rng(5))
-        t2 = inventory_env.sample_trajectory(behavior, np.random.default_rng(5))
-        assert t1 == t2
+        d1 = inventory_env.sample_dataset(behavior, 2, np.random.default_rng(5))
+        d2 = inventory_env.sample_dataset(behavior, 2, np.random.default_rng(5))
+        assert list(d1) == list(d2)
 
     def test_near_deterministic_demand_matches_hand_rollout(self, inventory_env):
         # sigma -> 0 with a single-action policy: dynamics reduce to the
@@ -99,7 +100,7 @@ class TestInventoryEnv:
         params = InventoryParams(demand_sd=1e-12)
         env = InventoryEnv(params)
         policy = SoftmaxOrderUpToPolicy(order_up_to=6.0, temperature=1e-9, capacity=10)
-        traj = env.sample_trajectory(policy, np.random.default_rng(0))
+        (traj,) = env.sample_dataset(policy, 1, np.random.default_rng(0))
         x = traj.initial_state[0]
         for tr in traj:
             a = int(round(max(0.0, 6.0 - x)))
@@ -127,7 +128,7 @@ class TestFiniteMdp:
         R = np.ones((2, 1, 2))
         mdp = FiniteMdp(P, R, np.array([1.0, 0.0]), horizon=3)
         policy = TabularPolicy(((1.0,), (1.0,)))
-        traj = mdp.sample_trajectory(policy, np.random.default_rng(0))
+        (traj,) = mdp.sample_dataset(policy, 1, np.random.default_rng(0))
         assert [int(t.state[0]) for t in traj] == [0, 1, 0]
         assert list(traj.rewards()) == [1.0, 1.0, 1.0]
 
@@ -140,8 +141,9 @@ class TestFiniteMdp:
             absorbing=frozenset({1}),
         )
         policy = TabularPolicy(((1.0,), (1.0,)))
-        traj = mdp.sample_trajectory(policy, np.random.default_rng(0))
-        assert len(traj) == 1
+        ds = mdp.sample_dataset(policy, 4, np.random.default_rng(0))
+        assert ds.batch.lengths.tolist() == [1, 1, 1, 1]
+        assert ds.returns().tolist() == [0.0] * 4
 
     def test_sampled_path_frequencies_match_enumeration(self, finite_fixture):
         # chi-square sanity on full-path frequencies at 1e5 samples

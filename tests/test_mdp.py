@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,19 +9,33 @@ from hypothesis import strategies as st
 from ope_ci.errors import ZeroBehaviorProbability
 from ope_ci.mdp import (
     ConfidenceInterval,
+    RolloutBatch,
     Trajectory,
     TrajectoryDataset,
     Transition,
-    likelihood_ratio,
-    pair_likelihood_ratio,
     read_jsonl_dataset,
-    trajectory_return,
     write_jsonl_dataset,
 )
+from ope_ci.reweighting import trajectory_ratios
+
+from oracles import likelihood_ratio, trajectory_return
 
 
 def traj_from_rewards(rewards, state=(0.0,)):
     return Trajectory(tuple(Transition(state, 0, float(r)) for r in rewards))
+
+
+def dataset_of(trajectories, discount=1.0, horizon=None):
+    """Dataset holding the given trajectories, padded by ``RolloutBatch.pad``."""
+    trajectories = list(trajectories)
+    batch = RolloutBatch.pad(
+        [t.states() for t in trajectories],
+        [t.actions() for t in trajectories],
+        [t.rewards() for t in trajectories],
+    )
+    if horizon is None:
+        horizon = int(batch.lengths.max())
+    return TrajectoryDataset(batch, discount, horizon)
 
 
 class RatioStubPolicy:
@@ -52,35 +67,49 @@ class TestTrajectoryTypes:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(())
+        with pytest.raises(ValueError):
+            TrajectoryDataset(RolloutBatch.pad([[]], [[]], [[]]), 1.0, 2)
 
     def test_nonfinite_reward_rejected(self):
         with pytest.raises(ValueError):
             Transition((0.0,), 0, math.nan)
+        with pytest.raises(ValueError):
+            TrajectoryDataset(RolloutBatch.pad([[[0.0]]], [[0]], [[math.inf]]), 1.0, 1)
 
     def test_initial_state_is_first_transition_state(self):
         traj = Trajectory(
             (Transition((3.0,), 1, 0.5), Transition((7.0,), 0, 0.25))
         )
         assert traj.initial_state == (3.0,)
+        assert dataset_of([traj]).initial_states().tolist() == [[3.0]]
 
     def test_dataset_rejects_mixed_state_dims(self):
-        t1 = Trajectory((Transition((0.0,), 0, 1.0),))
-        t2 = Trajectory((Transition((0.0, 1.0), 0, 1.0),))
         with pytest.raises(ValueError):
-            TrajectoryDataset((t1, t2), 1.0, 5)
+            RolloutBatch.pad([[[0.0]], [[0.0, 1.0]]], [[0], [0]], [[1.0], [1.0]])
 
     def test_dataset_rejects_overlong_trajectory(self):
         traj = traj_from_rewards([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            TrajectoryDataset((traj,), 1.0, 2)
+            dataset_of([traj], 1.0, 2)
 
     def test_split_half_gives_first_half_the_extra(self):
-        trajs = tuple(traj_from_rewards([float(i)]) for i in range(5))
-        ds = TrajectoryDataset(trajs, 1.0, 1)
+        ds = dataset_of([traj_from_rewards([float(i)]) for i in range(5)], 1.0, 1)
         first, second = ds.split_half()
         assert len(first) == 3 and len(second) == 2
-        assert first.trajectories[0].rewards()[0] == 0.0
-        assert second.trajectories[0].rewards()[0] == 3.0
+        assert first.batch.rewards[0, 0] == 0.0
+        assert second.batch.rewards[0, 0] == 3.0
+
+    def test_dataset_rejects_nonfinite_state(self):
+        for bad in (math.nan, math.inf):
+            batch = RolloutBatch.pad([[[0.0], [bad]]], [[0, 1]], [[1.0, 1.0]])
+            with pytest.raises(ValueError, match="finite"):
+                TrajectoryDataset(batch, 1.0, 2)
+        # padding beyond a trajectory's length is never read
+        batch = RolloutBatch(
+            np.array([[[0.0], [math.nan]]]), np.zeros((1, 2), dtype=np.int64),
+            np.array([[1.0, math.nan]]), np.array([1]),
+        )
+        assert TrajectoryDataset(batch, 1.0, 2).returns().tolist() == [1.0]
 
     def test_interval_orders_endpoints(self):
         with pytest.raises(ValueError):
@@ -99,6 +128,8 @@ class TestTrajectoryReturn:
         assert trajectory_return(traj_from_rewards([1, 2, 3]), 0.5) == pytest.approx(
             2.75, abs=1e-12
         )
+        ds = dataset_of([traj_from_rewards([1, 2, 3]), traj_from_rewards([4])], 0.5)
+        assert ds.returns().tolist() == [2.75, 4.0]
 
     def test_single_step_ignores_discount(self):
         for gamma in (0.1, 0.5, 1.0):
@@ -178,15 +209,20 @@ class TestReweightingIdentity:
 
 
 class TestPairLikelihoodRatio:
+    """A (real, generated) pair's ratio is the product of the two legs'
+    trajectory ratios, each over its own length, as the score pairs form it."""
+
     def test_identity(self):
         traj, _, behavior = ratio_pair([2.0, 3.0])
-        assert pair_likelihood_ratio(traj, traj, behavior, behavior) == 1.0
+        ratios = trajectory_ratios(dataset_of([traj, traj]), behavior, behavior)
+        assert ratios.prod() == 1.0
 
     def test_product_of_single_ratios(self):
         real, target, behavior = ratio_pair([2.0])
         gen = Trajectory((Transition((0.0,), 0, 1.0),))
         # both legs use action 0 with ratio 2: pair ratio 4
-        assert pair_likelihood_ratio(real, gen, target, behavior) == pytest.approx(4.0)
+        ratios = trajectory_ratios(dataset_of([real, gen]), target, behavior)
+        assert ratios.prod() == pytest.approx(4.0)
 
     def test_mixed_lengths_enumerate_steps(self):
         behavior = RatioStubPolicy({0: 0.2, 1: 0.2, 2: 0.2})
@@ -196,9 +232,12 @@ class TestPairLikelihoodRatio:
             (Transition((0.0,), 1, 1.0), Transition((0.0,), 2, 1.0))
         )
         expected = (0.4 / 0.2) * (0.1 / 0.2) * (0.6 / 0.2)
-        assert pair_likelihood_ratio(short, longer, target, behavior) == pytest.approx(
-            expected, rel=1e-12
-        )
+        ratios = trajectory_ratios(dataset_of([short, longer]), target, behavior)
+        assert ratios.tolist() == [
+            likelihood_ratio(short, target, behavior),
+            likelihood_ratio(longer, target, behavior),
+        ]
+        assert ratios.prod() == pytest.approx(expected, rel=1e-12)
 
 
 class TestJsonlRoundTrip:
@@ -218,7 +257,7 @@ class TestJsonlRoundTrip:
                     )
                 )
             )
-        ds = TrajectoryDataset(tuple(trajs), 0.97, 8)
+        ds = dataset_of(trajs, 0.97, 8)
         path = tmp_path / "data.jsonl"
         write_jsonl_dataset(ds, path)
         back = read_jsonl_dataset(path)
@@ -227,19 +266,34 @@ class TestJsonlRoundTrip:
         assert len(back) == len(ds)
         for a, b in zip(ds, back):
             assert a == b  # dataclass equality covers every float bit-exactly
+        for name in ("states", "actions", "rewards", "lengths"):
+            assert np.array_equal(getattr(back.batch, name), getattr(ds.batch, name))
 
-    def test_tuple_actions_survive(self, tmp_path):
-        traj = Trajectory((Transition((1.0,), (0.25, -0.5), 2.0),))
-        ds = TrajectoryDataset((traj,), 1.0, 1)
+    def test_vector_actions_rejected(self, tmp_path):
         path = tmp_path / "vec.jsonl"
-        write_jsonl_dataset(ds, path)
-        assert read_jsonl_dataset(path).trajectories[0].transitions[0].action == (
-            0.25,
-            -0.5,
+        good = {"states": [[1.0]], "actions": [1], "rewards": [2.0]}
+        bad = {"states": [[1.0]], "actions": [[0.25, -0.5]], "rewards": [2.0]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        path.with_name("vec.jsonl.meta.json").write_text(
+            '{"gamma":1.0,"horizon":1,"state_dim":1}\n'
         )
+        with pytest.raises(ValueError, match="line 2: actions must be integers"):
+            read_jsonl_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_state_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"states":[[1.0],[%s]],"actions":[0,1],"rewards":[2.0,3.0]}\n' % bad
+        )
+        path.with_name("nan.jsonl.meta.json").write_text(
+            '{"gamma":1.0,"horizon":2,"state_dim":1}\n'
+        )
+        with pytest.raises(ValueError, match="states and rewards must be finite"):
+            read_jsonl_dataset(path)
 
     def test_sidecar_metadata_written(self, tmp_path):
-        ds = TrajectoryDataset((traj_from_rewards([1.0]),), 0.9, 4)
+        ds = dataset_of([traj_from_rewards([1.0])], 0.9, 4)
         path = tmp_path / "data.jsonl"
         write_jsonl_dataset(ds, path)
         assert (tmp_path / "data.jsonl.meta.json").exists()

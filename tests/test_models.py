@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from ope_ci.cpgen import generation_score_pairs
 from ope_ci.envs import FiniteMdp, InventoryEnv
 from ope_ci.errors import SingularDesign
-from ope_ci.mdp import Trajectory, TrajectoryDataset, Transition
+from ope_ci.mdp import RolloutBatch, TrajectoryDataset
 from ope_ci.models import (
     GaussianRegressionModel,
     OracleModel,
     RewardOffsetModel,
-    paired_generation,
     polynomial_features,
 )
 from ope_ci.policies import TabularPolicy
@@ -42,17 +42,21 @@ def affine_dataset(rng, n_traj=40, length=6, noise=0.0):
     b = np.array([0.5, -0.25])
     c = np.array([0.1, 0.2])
     w = np.array([1.0, -2.0, 0.5])
-    trajs = []
+    states, actions, rewards = [], [], []
     for _ in range(n_traj):
         s = rng.normal(size=2)
-        transitions = []
+        states.append([])
+        actions.append([])
+        rewards.append([])
         for _ in range(length):
             a = int(rng.integers(0, 3))
             r = float(w @ np.array([s[0], s[1], a]) + noise * rng.standard_normal())
-            transitions.append(Transition(tuple(s), a, r))
+            states[-1].append(s)
+            actions[-1].append(a)
+            rewards[-1].append(r)
             s = A @ s + b * a + c + noise * rng.standard_normal(2)
-        trajs.append(Trajectory(tuple(transitions)))
-    return TrajectoryDataset(tuple(trajs), 1.0, length), (A, b, c, w)
+    batch = RolloutBatch.pad(states, actions, rewards)
+    return TrajectoryDataset(batch, 1.0, length), (A, b, c, w)
 
 
 class TestPolynomialFeatures:
@@ -92,33 +96,32 @@ class TestGaussianRegressionFit:
         assert model.fitted  # ridge fallback rather than an exception
 
     def test_no_dynamics_rows_raises(self):
-        traj = Trajectory((Transition((0.0,), 0, 1.0),))
-        dataset = TrajectoryDataset((traj,), 1.0, 1)
+        dataset = TrajectoryDataset(RolloutBatch.pad([[[0.0]]], [[0]], [[1.0]]), 1.0, 1)
         with pytest.raises(SingularDesign):
             GaussianRegressionModel().fit(dataset)
 
     def test_unfitted_rollout_rejected(self, rng):
         model = GaussianRegressionModel()
         with pytest.raises(SingularDesign):
-            model.rollout(ConstantPolicy(), (0.0, 0.0), 3, rng)
+            model.rollout_batch(ConstantPolicy(), np.zeros((1, 2)), 3, rng)
 
 
 class TestGaussianRegressionRollout:
     def test_initial_state_conditioning(self, rng):
         dataset, _ = affine_dataset(rng)
         model = GaussianRegressionModel(degree=1).fit(dataset)
-        for x0 in [(0.0, 0.0), (2.5, -1.0)]:
-            traj = model.rollout(ConstantPolicy(), x0, 4, np.random.default_rng(0))
-            assert traj.initial_state == x0
+        starts = np.array([[0.0, 0.0], [2.5, -1.0]])
+        batch = model.rollout_batch(ConstantPolicy(), starts, 4, np.random.default_rng(0))
+        assert np.array_equal(batch.states[:, 0], starts)
 
     def test_zero_residual_scale_is_deterministic_across_seeds(self, rng):
         dataset, _ = affine_dataset(rng, noise=0.0)
         model = GaussianRegressionModel(degree=1).fit(dataset)
-        t1 = model.rollout(ConstantPolicy(1), (1.0, 1.0), 5, np.random.default_rng(1))
-        t2 = model.rollout(ConstantPolicy(1), (1.0, 1.0), 5, np.random.default_rng(2))
-        for a, b in zip(t1, t2):
-            assert a.state == pytest.approx(b.state, abs=1e-12)
-            assert a.reward == pytest.approx(b.reward, abs=1e-12)
+        starts = np.ones((1, 2))
+        b1 = model.rollout_batch(ConstantPolicy(1), starts, 5, np.random.default_rng(1))
+        b2 = model.rollout_batch(ConstantPolicy(1), starts, 5, np.random.default_rng(2))
+        assert np.allclose(b1.states, b2.states, rtol=0, atol=1e-12)
+        assert np.allclose(b1.rewards, b2.rewards, rtol=0, atol=1e-12)
 
     def test_state_box_clamps_generated_states(self, rng):
         env = InventoryEnv()
@@ -180,7 +183,9 @@ class TestOracleModel:
         want = mdp.rollout_batch(
             policy, np.array([[0.0]]), 3, np.random.default_rng(4)
         ).trajectory(0)
-        got = model.rollout(policy, (0.0,), 3, np.random.default_rng(4))
+        got = model.rollout_batch(
+            policy, np.array([[0.0]]), 3, np.random.default_rng(4)
+        ).trajectory(0)
         assert got == want
 
 
@@ -198,38 +203,36 @@ class TestRewardOffsetModel:
 
 
 class TestPairedGeneration:
+    """Score pairs join each real trajectory to model rollouts from its own
+    initial state, in (trajectory, rollout) order."""
+
     def test_counting_and_conditioning_contract(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture
-        reals = [mdp.sample_trajectory(behavior, rng) for _ in range(3)]
-        pairs = paired_generation(
-            OracleModel(mdp), behavior, reals, 2, rng, horizon=mdp.horizon
+        reals = mdp.sample_dataset(behavior, 3, rng)
+        pairs = generation_score_pairs(
+            OracleModel(mdp), behavior, behavior, reals, 2, rng
         )
         assert len(pairs) == 6
         for i, real in enumerate(reals):
             for m in range(2):
-                got_real, got_gen = pairs[i * 2 + m]
-                assert got_real is real
-                assert got_gen.initial_state == real.initial_state
+                assert pairs[i * 2 + m].initial_state == real.initial_state
 
     def test_fixed_seed_reproduces_pair_set(self, finite_fixture):
-        mdp, behavior, _ = finite_fixture
-        reals = [
-            mdp.sample_trajectory(behavior, np.random.default_rng(i)) for i in range(3)
-        ]
-        p1 = paired_generation(
-            OracleModel(mdp), behavior, reals, 3, np.random.default_rng(9), mdp.horizon
+        mdp, behavior, target = finite_fixture
+        reals = mdp.sample_dataset(behavior, 3, np.random.default_rng(0))
+        p1 = generation_score_pairs(
+            OracleModel(mdp), behavior, target, reals, 3, np.random.default_rng(9)
         )
-        p2 = paired_generation(
-            OracleModel(mdp), behavior, reals, 3, np.random.default_rng(9), mdp.horizon
+        p2 = generation_score_pairs(
+            OracleModel(mdp), behavior, target, reals, 3, np.random.default_rng(9)
         )
         assert p1 == p2
 
     def test_oracle_model_identical_returns_on_flat_env(self, flat_reward_mdp, rng):
         # action-independent rewards: generated return equals real return
         mdp, behavior, _ = flat_reward_mdp
-        reals = [mdp.sample_trajectory(behavior, rng) for _ in range(4)]
-        pairs = paired_generation(
-            OracleModel(mdp), behavior, reals, 1, rng, mdp.horizon
+        reals = mdp.sample_dataset(behavior, 4, rng)
+        pairs = generation_score_pairs(
+            OracleModel(mdp), behavior, behavior, reals, 1, rng
         )
-        for real, gen in pairs:
-            assert sum(t.reward for t in real) == sum(t.reward for t in gen)
+        assert [p.score for p in pairs] == [0.0] * 4

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ope_ci.envs import oracle_value
 from ope_ci.errors import DegenerateWeights, InsufficientSamples
-from ope_ci.mdp import Trajectory, TrajectoryDataset, Transition
+from ope_ci.mdp import RolloutBatch, TrajectoryDataset
 from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
@@ -16,7 +16,6 @@ from ope_ci.reweighting import (
     clt_interval,
     is_returns,
     normal_quantile,
-    pdis_return,
     pdis_returns,
     reweighted_returns,
     wis_returns,
@@ -27,20 +26,18 @@ from test_mdp import RatioStubPolicy
 
 
 def ratio_dataset(per_traj_ratio_lists, rewards_lists, discount=1.0):
-    """Dataset plus stub policies realizing the given per-step ratios."""
+    """Dataset plus stub policies realizing the given per-step ratios: every
+    step takes its own action, numbered in trajectory-major order."""
     all_ratios = [r for lst in per_traj_ratio_lists for r in lst]
     behavior = RatioStubPolicy({a: 0.1 for a in range(len(all_ratios))})
     target = RatioStubPolicy({a: 0.1 * r for a, r in enumerate(all_ratios)})
-    trajs = []
-    action = 0
-    for ratios, rewards in zip(per_traj_ratio_lists, rewards_lists):
-        transitions = []
-        for _, reward in zip(ratios, rewards):
-            transitions.append(Transition((0.0,), action, float(reward)))
-            action += 1
-        trajs.append(Trajectory(tuple(transitions)))
-    horizon = max(len(t) for t in trajs)
-    return TrajectoryDataset(tuple(trajs), discount, horizon), target, behavior
+    starts = np.cumsum([0] + [len(r) for r in per_traj_ratio_lists])
+    batch = RolloutBatch.pad(
+        [np.zeros((len(r), 1)) for r in per_traj_ratio_lists],
+        [range(a, b) for a, b in zip(starts[:-1], starts[1:])],
+        rewards_lists,
+    )
+    return TrajectoryDataset(batch, discount, int(batch.lengths.max())), target, behavior
 
 
 class TestClipPolicy:
@@ -130,42 +127,39 @@ class TestWisReturns:
 class TestPdisReturn:
     def test_single_step_equals_is(self):
         ds, target, behavior = ratio_dataset([[2.5]], [[4.0]])
-        traj = ds.trajectories[0]
-        assert pdis_return(traj, target, behavior, 1.0, ClipPolicy.off()) == (
+        assert pdis_returns(ds, target, behavior, ClipPolicy.off())[0] == (
             is_returns(ds, target, behavior, ClipPolicy.off())[0]
         )
 
     def test_hand_prefix_products(self):
         ds, target, behavior = ratio_dataset([[2.0, 3.0]], [[1.0, 1.0]])
-        traj = ds.trajectories[0]
         # 2*1 + (2*3)*1 = 8
-        assert pdis_return(traj, target, behavior, 1.0, ClipPolicy.off()) == pytest.approx(
+        assert pdis_returns(ds, target, behavior, ClipPolicy.off())[0] == pytest.approx(
             8.0
         )
 
     def test_identity_policy_gives_plain_return(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture
-        traj = mdp.sample_trajectory(behavior, rng)
-        assert pdis_return(traj, behavior, behavior, 0.9) == pytest.approx(
-            sum(0.9**t * tr.reward for t, tr in enumerate(traj))
-        )
+        ds = mdp.sample_dataset(behavior, 5, rng, 0.9)
+        want = [sum(0.9**t * tr.reward for t, tr in enumerate(traj)) for traj in ds]
+        assert pdis_returns(ds, behavior, behavior) == pytest.approx(want)
 
     def test_single_step_horizon_identity_any_discount(self, flat_reward_mdp, rng):
         mdp, behavior, target = flat_reward_mdp
-        ds = mdp.sample_dataset(behavior, 16, rng, 0.7)
-        one_step = TrajectoryDataset(
-            tuple(Trajectory(t.transitions[:1]) for t in ds), 0.7, 1
+        b = mdp.sample_dataset(behavior, 16, rng, 0.7).batch
+        first_steps = RolloutBatch(
+            b.states[:, :1], b.actions[:, :1], b.rewards[:, :1], np.minimum(b.lengths, 1)
         )
+        one_step = TrajectoryDataset(first_steps, 0.7, 1)
         assert np.allclose(
             pdis_returns(one_step, target, behavior, ClipPolicy.off()),
             is_returns(one_step, target, behavior, ClipPolicy.off()),
         )
 
     def test_prefix_clipping_caps_each_prefix(self):
-        ds, target, behavior = ratio_dataset([[5.0, 5.0]], [[1.0, 1.0]])
-        traj = ds.trajectories[0]
+        ds, target, behavior = ratio_dataset([[5.0, 5.0]] * 9, [[1.0, 1.0]] * 9)
         # cap sqrt(9) = 3: prefixes (5, 25) -> (3, 3): value 6
-        assert pdis_return(traj, target, behavior, 1.0, ClipPolicy.on(), n=9) == 6.0
+        assert pdis_returns(ds, target, behavior, ClipPolicy.on()).tolist() == [6.0] * 9
 
     def test_mean_matches_oracle_on_finite_mdp(self, finite_fixture):
         mdp, behavior, target = finite_fixture
