@@ -21,7 +21,6 @@ from .cpgen import (
     conformal_band,
     cp_gen_detailed,
     weighted_distribution,
-    weighted_quantile,
 )
 from .drppi import (
     DrPpiConfig,
@@ -37,7 +36,6 @@ from .envs import (
     InventoryEnv,
     InventoryParams,
     Simulator,
-    enumerate_trajectories,
     inventory_policy_pair,
     inventory_step,
     monte_carlo_value,
@@ -52,7 +50,6 @@ from .errors import (
     NoTrainingPairs,
     OpeCiError,
     SingularDesign,
-    TooLarge,
     ZeroBehaviorProbability,
 )
 from .harness import (

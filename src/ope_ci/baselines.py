@@ -10,7 +10,6 @@ import numpy as np
 
 from .mdp import ConfidenceInterval, RolloutBatch, TrajectoryDataset
 from .models import polynomial_features, solve_least_squares
-from .policies import policy_probs
 from .reweighting import (
     ClipPolicy,
     CorrectionKind,
@@ -110,16 +109,14 @@ class FittedQSpec:
 
 
 def _action_blocks(states: np.ndarray, policy) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One ``(prob(a | s), [s, a])`` pair per action in the policy's
-    (constant) support, in support order."""
+    """One ``(prob(a | s), [s, a])`` pair per action a = 0..A-1, from the
+    columns of one ``action_probs`` table copied to unit stride for the sweeps."""
     states = np.asarray(states, dtype=float)
-    support = policy.support(tuple(map(float, states[0])))
-    blocks = []
-    for action in support:
-        acts = np.full(states.shape[0], action)
-        z = np.column_stack([states, np.asarray(acts, dtype=float)[:, None]])
-        blocks.append((policy_probs(policy, states, acts), z))
-    return blocks
+    columns = np.ascontiguousarray(policy.action_probs(states).T)
+    return [
+        (probs, np.column_stack([states, np.full(states.shape[0], float(a))]))
+        for a, probs in enumerate(columns)
+    ]
 
 
 class PolynomialQ:
@@ -134,7 +131,7 @@ class PolynomialQ:
         return polynomial_features(z, self.degree) @ self.coef
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
-        """E_{a ~ policy} Q(s, a) over the policy's (constant) support."""
+        """E_{a ~ policy} Q(s, a) over actions 0..A-1."""
         return self.expectation(_action_blocks(states, policy))
 
     def expectation(self, blocks) -> np.ndarray:
@@ -143,16 +140,6 @@ class PolynomialQ:
         for probs, z in blocks:
             total += probs * (polynomial_features(z, self.degree) @ self.coef)
         return total
-
-
-class ZeroQ:
-    """Identically-zero action-value function (reduces stepwise DR to PDIS)."""
-
-    def q_values(self, states, actions):
-        return np.zeros(len(actions))
-
-    def expected_q(self, states, policy):
-        return np.zeros(np.asarray(states).shape[0])
 
 
 def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):

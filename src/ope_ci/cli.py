@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         if alpha is not None and not 0.0 < alpha < 1.0:
             raise OpeCiError(f"--alpha must lie in (0, 1), got {alpha}")
         return args.fn(args)
-    except (OpeCiError, ValueError) as exc:
+    except (OpeCiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,19 +178,6 @@ def weighted_distribution(
     return WeightedScoreDistribution(scores, weights / total, query_weight / total)
 
 
-def weighted_quantile(dist: WeightedScoreDistribution, beta: float) -> float:
-    """Smallest score v with CDF(v) >= beta; +inf when the finite mass below
-    the level is insufficient."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    order = np.argsort(dist.scores, kind="stable")
-    cum = np.cumsum(dist.weights[order])
-    idx = np.searchsorted(cum, beta - _MASS_TOL, side="left")
-    if idx >= cum.size:
-        return math.inf
-    return float(dist.scores[order][idx])
-
-
 def conformal_band(
     cal_pairs,
     train_pairs,

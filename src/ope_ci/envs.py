@@ -1,5 +1,6 @@
 """Ground-truth simulators: a continuous inventory-control environment and a
-small enumerable finite MDP used as an exact oracle in tests and studies.
+small finite MDP whose policy values ``oracle_value`` computes exactly, by
+backward induction, for tests and studies.
 
 Environments are immutable specifications.  Sampling takes an explicit
 generator; concurrent callers must derive independent streams themselves.
@@ -10,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, TooLarge
-from .mdp import RolloutBatch, State, Trajectory, TrajectoryDataset
+from .errors import InsufficientSamples
+from .mdp import RolloutBatch, State, TrajectoryDataset
 from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
 
 
@@ -139,7 +140,7 @@ class InventoryEnv(Simulator):
 
 @dataclass(frozen=True, eq=False)
 class FiniteMdp(Simulator):
-    """Tabular MDP small enough for exact path enumeration (horizon <= 4).
+    """Tabular MDP with exact policy values (horizon <= 4).
 
     ``transition_probs[s, a]`` is a distribution over next states and
     ``rewards[s, a, s']`` the reward for landing in s'.  States are exposed
@@ -159,6 +160,8 @@ class FiniteMdp(Simulator):
         d0 = np.asarray(self.initial_dist, dtype=float)
         if P.ndim != 3 or P.shape[0] != P.shape[2] or R.shape != P.shape:
             raise ValueError("transition_probs and rewards must both be (S, A, S)")
+        if not (np.isfinite(P).all() and np.isfinite(R).all() and np.isfinite(d0).all()):
+            raise ValueError("transition_probs, rewards and initial_dist must be finite")
         if np.abs(P.sum(axis=2) - 1.0).max() > 1e-12:
             raise ValueError("every transition distribution must sum to 1 within 1e-12")
         if (P < 0).any() or (d0 < 0).any():
@@ -228,101 +231,29 @@ class FiniteMdp(Simulator):
         return RolloutBatch(states, actions, rewards, lengths)
 
 
-def _enumeration_bound(mdp: FiniteMdp) -> int:
-    return (mdp.state_count * mdp.action_count) ** mdp.horizon
-
-
-def enumerate_trajectories(
-    mdp: FiniteMdp,
-    policy,
-    initial_state: State | None = None,
-    max_paths: int = 1_000_000,
-) -> list[tuple[Trajectory, float]]:
-    """All trajectories with their exact path probabilities.
-
-    Probabilities are conditional on the initial state when one is given,
-    otherwise they include the initial-state draw.  Zero-probability branches
-    are pruned.
-    """
-    if _enumeration_bound(mdp) > max_paths:
-        raise TooLarge(
-            f"enumeration bound {_enumeration_bound(mdp)} exceeds budget {max_paths}"
-        )
-    out: list[tuple[Trajectory, float]] = []
-
-    def walk(s: int, t: int, prob: float, prefix: list):
-        if t == mdp.horizon or s in mdp.absorbing:
-            out.append(
-                (
-                    Trajectory.from_arrays(
-                        [(float(step[0]),) for step in prefix],
-                        [step[1] for step in prefix],
-                        [step[2] for step in prefix],
-                    ),
-                    prob,
-                )
-            )
-            return
-        for a in range(mdp.action_count):
-            pa = policy.prob((float(s),), a)
-            if pa == 0.0:
-                continue
-            for nxt in range(mdp.state_count):
-                pt = mdp.transition_probs[s, a, nxt]
-                if pt == 0.0:
-                    continue
-                prefix.append((s, a, float(mdp.rewards[s, a, nxt])))
-                walk(nxt, t + 1, prob * pa * pt, prefix)
-                prefix.pop()
-
-    if initial_state is not None:
-        walk(int(initial_state[0]), 0, 1.0, [])
-    else:
-        for s0 in range(mdp.state_count):
-            if mdp.initial_dist[s0] > 0.0:
-                walk(s0, 0, float(mdp.initial_dist[s0]), [])
-    return out
-
-
 def oracle_value(
     mdp: FiniteMdp,
     policy,
     discount: float,
     initial_state: State | None = None,
-    max_paths: int = 1_000_000,
 ) -> float:
-    """Exact policy value by full path enumeration (no memoization)."""
-    if _enumeration_bound(mdp) > max_paths:
-        raise TooLarge(
-            f"enumeration bound {_enumeration_bound(mdp)} exceeds budget {max_paths}"
-        )
-
-    def expected_from(s: int, t: int) -> float:
-        if t == mdp.horizon or s in mdp.absorbing:
-            return 0.0
-        total = 0.0
-        for a in range(mdp.action_count):
-            pa = policy.prob((float(s),), a)
-            if pa == 0.0:
-                continue
-            for nxt in range(mdp.state_count):
-                pt = mdp.transition_probs[s, a, nxt]
-                if pt == 0.0:
-                    continue
-                total += pa * pt * (
-                    mdp.rewards[s, a, nxt] + discount * expected_from(nxt, t + 1)
-                )
-        return total
-
-    if initial_state is not None:
-        return expected_from(int(initial_state[0]), 0)
-    return float(
-        sum(
-            mdp.initial_dist[s] * expected_from(s, 0)
-            for s in range(mdp.state_count)
-            if mdp.initial_dist[s] > 0.0
-        )
-    )
+    """Exact policy value by backward induction: from V = 0, each of the
+    ``horizon`` steps sets V(s) = live(s) sum_a pi(a|s) sum_s' P (R + discount V(s')),
+    with live(s) = 0 on absorbing states."""
+    S = mdp.state_count
+    pi = policy.action_probs(np.arange(S, dtype=float)[:, None])
+    live = np.ones(S)
+    live[sorted(mdp.absorbing)] = 0.0
+    values = np.zeros(S)
+    for _ in range(mdp.horizon):
+        q = (mdp.transition_probs * (mdp.rewards + discount * values)).sum(axis=2)
+        values = live * (pi * q).sum(axis=1)
+    if initial_state is None:
+        return float(mdp.initial_dist @ values)
+    s0 = int(initial_state[0])
+    if not 0 <= s0 < S:
+        raise ValueError(f"initial state {s0} lies outside 0..{S - 1}")
+    return float(values[s0])
 
 
 def monte_carlo_value(

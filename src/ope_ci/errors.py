@@ -36,7 +36,3 @@ class SingularDesign(OpeCiError):
 
 class DatasetTooSmall(OpeCiError):
     """The trajectory dataset is too small for the requested procedure."""
-
-
-class TooLarge(OpeCiError):
-    """Exact enumeration would exceed the configured budget."""

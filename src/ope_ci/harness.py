@@ -114,7 +114,6 @@ class StudyConfig:
     n_synth: int | None = None  # None: 10x the dataset size
     dm_rollouts: int = 1000
     n_boot: int = 2000
-    q_degree: int = 2
 
     def clip_policy(self) -> ClipPolicy:
         return ClipPolicy(mode=self.clip)

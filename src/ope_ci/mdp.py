@@ -264,16 +264,32 @@ def write_jsonl_dataset(dataset: TrajectoryDataset, path) -> None:
     dataset_meta_path(path).write_text(json.dumps(meta, separators=(",", ":")) + "\n")
 
 
+def _json_record(text: str, where: str, keys: tuple[str, ...]) -> dict:
+    """One JSON object with at least ``keys``; errors name ``where``."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
+    if not isinstance(record, dict) or not set(keys) <= record.keys():
+        raise ValueError(f"{where}: expected an object with the keys {', '.join(keys)}")
+    return record
+
+
 def read_jsonl_dataset(path) -> TrajectoryDataset:
+    """Dataset of a JSON Lines file and its sidecar; a malformed line raises
+    ``ValueError`` naming the file and the line."""
     path = Path(path)
-    meta = json.loads(dataset_meta_path(path).read_text())
+    lines = path.read_text().splitlines()
+    meta_path = dataset_meta_path(path)
+    meta = _json_record(meta_path.read_text(), str(meta_path), ("gamma", "horizon"))
     states, actions, rewards = [], [], []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        where = f"{path} line {lineno}"
+        record = _json_record(line, where, ("states", "actions", "rewards"))
         if not all(type(a) is int for a in record["actions"]):
-            raise ValueError(f"{path} line {lineno}: actions must be integers")
+            raise ValueError(f"{where}: actions must be integers")
         states.append(record["states"])
         actions.append(record["actions"])
         rewards.append(record["rewards"])

@@ -6,9 +6,7 @@ independent generator streams may run concurrently.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -66,7 +64,6 @@ class GaussianRegressionModel:
     _state_scale: np.ndarray | None = field(default=None, repr=False)
     _reward_scale: float | None = field(default=None, repr=False)
     _state_dim: int | None = field(default=None, repr=False)
-    _action_dim: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.degree not in (1, 2):
@@ -96,7 +93,6 @@ class GaussianRegressionModel:
         self._state_scale = (Ys - Xs @ state_coef).std(axis=0)
         self._reward_scale = float((yr - Xr @ reward_coef).std())
         self._state_dim = Ys.shape[1]
-        self._action_dim = Zr.shape[1] - Ys.shape[1]
         return self
 
     def _require_fitted(self) -> None:
@@ -133,50 +129,6 @@ class GaussianRegressionModel:
             if self.state_box is not None:
                 np.clip(x, self.state_box[0], self.state_box[1], out=x)
         return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
-
-    def to_json(self) -> str:
-        self._require_fitted()
-        box = None
-        if self.state_box is not None:
-            box = [list(map(float, self.state_box[0])), list(map(float, self.state_box[1]))]
-        payload = {
-            "degree": self.degree,
-            "ridge": self.ridge,
-            "state_box": box,
-            "state_coef": self._state_coef.tolist(),
-            "reward_coef": self._reward_coef.tolist(),
-            "state_scale": self._state_scale.tolist(),
-            "reward_scale": self._reward_scale,
-            "state_dim": self._state_dim,
-            "action_dim": self._action_dim,
-        }
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianRegressionModel":
-        payload = json.loads(text)
-        box = payload["state_box"]
-        model = cls(
-            degree=int(payload["degree"]),
-            ridge=float(payload["ridge"]),
-            state_box=None
-            if box is None
-            else (np.array(box[0], dtype=float), np.array(box[1], dtype=float)),
-        )
-        model._state_coef = np.array(payload["state_coef"], dtype=float)
-        model._reward_coef = np.array(payload["reward_coef"], dtype=float)
-        model._state_scale = np.array(payload["state_scale"], dtype=float)
-        model._reward_scale = float(payload["reward_scale"])
-        model._state_dim = int(payload["state_dim"])
-        model._action_dim = int(payload["action_dim"])
-        return model
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "GaussianRegressionModel":
-        return cls.from_json(Path(path).read_text())
 
 
 @dataclass

@@ -1,4 +1,11 @@
-"""Concrete stochastic policies plus batched probability/sampling helpers."""
+"""Stochastic policies as action-probability tables.
+
+A policy is anything with ``action_probs(states) -> (N, A)``: given an
+``(N, d)`` state array, row i holds the probabilities of actions 0..A-1 at
+``states[i]`` and sums to 1.  Everything the library does with a policy is
+an operation on that table: ``policy_probs`` gathers the probability of
+given actions and ``policy_sample`` draws actions by inverse CDF.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,7 +32,8 @@ class SoftmaxOrderUpToPolicy:
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
 
-    def _prob_rows(self, stock: np.ndarray) -> np.ndarray:
+    def action_probs(self, states: np.ndarray) -> np.ndarray:
+        stock = np.asarray(states, dtype=float)[:, 0]
         actions = np.arange(self.capacity + 1, dtype=float)
         wanted = np.maximum(0.0, self.order_up_to - stock)
         logits = -np.abs(actions[None, :] - wanted[:, None]) / self.temperature
@@ -33,35 +41,11 @@ class SoftmaxOrderUpToPolicy:
         weights = np.exp(logits)
         return weights / weights.sum(axis=1, keepdims=True)
 
-    def support(self, state) -> range:
-        return range(self.capacity + 1)
-
-    def prob(self, state, action) -> float:
-        if not 0 <= action <= self.capacity:
-            return 0.0
-        row = self._prob_rows(np.array([state[0]], dtype=float))[0]
-        return float(row[int(action)])
-
-    def sample(self, state, rng: np.random.Generator) -> int:
-        return int(self.sample_batch(np.array([state], dtype=float), rng)[0])
-
-    def prob_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float).reshape(len(actions), -1)
-        rows = self._prob_rows(states[:, 0])
-        return rows[np.arange(len(actions)), np.asarray(actions, dtype=int)]
-
-    def sample_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        states = states.reshape(states.shape[0], -1)
-        rows = self._prob_rows(states[:, 0])
-        cdf = np.cumsum(rows, axis=1)
-        u = rng.random(states.shape[0])
-        return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class TabularPolicy:
-    """Action table for integer-coded states; row s holds prob(a | s)."""
+    """Action table for integer-coded states; row s holds prob(a | s).  States
+    are truncated to integers, as a fitted model rolls out continuous ones."""
 
     table: tuple[tuple[float, ...], ...]
 
@@ -75,45 +59,22 @@ class TabularPolicy:
             raise ValueError("each row must sum to 1 within 1e-9")
         object.__setattr__(self, "_arr", arr)
 
-    @property
-    def action_count(self) -> int:
-        return self._arr.shape[1]
-
-    def support(self, state) -> range:
-        return range(self.action_count)
-
-    def prob(self, state, action) -> float:
-        return float(self._arr[int(state[0]), int(action)])
-
-    def sample(self, state, rng: np.random.Generator) -> int:
-        row = self._arr[int(state[0])]
-        return int((np.cumsum(row) < rng.random()).sum())
-
-    def prob_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        idx = np.asarray(states, dtype=float).reshape(len(actions), -1)[:, 0]
-        return self._arr[idx.astype(int), np.asarray(actions, dtype=int)]
-
-    def sample_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        idx = np.asarray(states, dtype=float)
-        idx = idx.reshape(idx.shape[0], -1)[:, 0].astype(int)
-        cdf = np.cumsum(self._arr[idx], axis=1)
-        u = rng.random(len(idx))
-        return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
+    def action_probs(self, states: np.ndarray) -> np.ndarray:
+        return self._arr[np.asarray(states, dtype=float)[:, 0].astype(int)]
 
 
 def policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Vector of prob(action | state); uses the batch path when offered."""
-    if hasattr(policy, "prob_batch"):
-        return np.asarray(policy.prob_batch(states, actions), dtype=float)
-    rows = np.asarray(states, dtype=float).reshape(len(actions), -1)
-    return np.array(
-        [policy.prob(tuple(map(float, s)), a) for s, a in zip(rows, actions)]
-    )
+    """Vector of prob(action | state); 0 for an action outside 0..A-1."""
+    rows = policy.action_probs(states)
+    actions = np.asarray(actions, dtype=np.int64)
+    valid = (actions >= 0) & (actions < rows.shape[1])
+    out = np.zeros(len(actions))
+    out[valid] = rows[np.flatnonzero(valid), actions[valid]]
+    return out
 
 
 def policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if hasattr(policy, "sample_batch"):
-        return np.asarray(policy.sample_batch(states, rng))
-    rows = np.asarray(states, dtype=float)
-    rows = rows.reshape(rows.shape[0], -1)
-    return np.array([policy.sample(tuple(map(float, s)), rng) for s in rows])
+    """One action per state by inverse CDF, from one ``rng.random(N)`` draw."""
+    cdf = np.cumsum(policy.action_probs(states), axis=1)
+    u = rng.random(cdf.shape[0])
+    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)

@@ -1,9 +1,11 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately written from scratch with a different
-construction than the library paths it verifies: backward-induction values
-instead of path enumeration, order statistics instead of grid inversion,
-brute-force nearest neighbors, and the stdlib-independent scipy quantile.
+construction than the library paths it verifies: a recursive walk over every
+path (and a per-state loop) instead of the library's array backward
+induction, order statistics instead of grid inversion, a sorted-CDF weighted
+quantile, brute-force nearest neighbors, and the stdlib-independent scipy
+quantile.  Policies are read one (state, action) at a time through ``prob``.
 The per-sweep fitted-Q iteration is the library's former straightforward
 path, kept as the reference its precomputed action blocks must match bit for
 bit.  Likewise the per-trajectory returns, likelihood ratios, ratio table and
@@ -19,10 +21,17 @@ import numpy as np
 from scipy.special import ndtri
 
 from ope_ci.baselines import FittedQSpec, _transition_rows
-from ope_ci.envs import FiniteMdp, enumerate_trajectories
+from ope_ci.cpgen import _MASS_TOL, WeightedScoreDistribution
+from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
+from ope_ci.mdp import Trajectory
 from ope_ci.models import polynomial_features, solve_least_squares
 from ope_ci.policies import policy_probs
+
+
+def prob(policy, state, action) -> float:
+    """prob(action | state) for one state tuple; 0 outside 0..A-1."""
+    return float(policy_probs(policy, np.array([state], dtype=float), np.array([action]))[0])
 
 
 def trajectory_return(traj, discount: float) -> float:
@@ -44,12 +53,12 @@ def likelihood_ratio(traj, target, behavior) -> float:
     """
     ratio = 1.0
     for tr in traj.transitions:
-        denom = behavior.prob(tr.state, tr.action)
+        denom = prob(behavior, tr.state, tr.action)
         if denom == 0.0:
             raise ZeroBehaviorProbability(
                 f"behavior probability is zero at state {tr.state}, action {tr.action}"
             )
-        ratio *= target.prob(tr.state, tr.action) / denom
+        ratio *= prob(target, tr.state, tr.action) / denom
     return ratio
 
 
@@ -127,8 +136,87 @@ def normal_quantile_oracle(p: float) -> float:
     return float(ndtri(p))
 
 
+def enumerate_trajectories(
+    mdp: FiniteMdp, policy, initial_state=None
+) -> list[tuple[Trajectory, float]]:
+    """All trajectories with their exact path probabilities.
+
+    Probabilities are conditional on the initial state when one is given,
+    otherwise they include the initial-state draw.  Zero-probability branches
+    are pruned.
+    """
+    out: list[tuple[Trajectory, float]] = []
+
+    def walk(s: int, t: int, p: float, prefix: list):
+        if t == mdp.horizon or s in mdp.absorbing:
+            out.append(
+                (
+                    Trajectory.from_arrays(
+                        [(float(step[0]),) for step in prefix],
+                        [step[1] for step in prefix],
+                        [step[2] for step in prefix],
+                    ),
+                    p,
+                )
+            )
+            return
+        for a in range(mdp.action_count):
+            pa = prob(policy, (float(s),), a)
+            if pa == 0.0:
+                continue
+            for nxt in range(mdp.state_count):
+                pt = mdp.transition_probs[s, a, nxt]
+                if pt == 0.0:
+                    continue
+                prefix.append((s, a, float(mdp.rewards[s, a, nxt])))
+                walk(nxt, t + 1, p * pa * pt, prefix)
+                prefix.pop()
+
+    if initial_state is not None:
+        walk(int(initial_state[0]), 0, 1.0, [])
+    else:
+        for s0 in range(mdp.state_count):
+            if mdp.initial_dist[s0] > 0.0:
+                walk(s0, 0, float(mdp.initial_dist[s0]), [])
+    return out
+
+
+def path_walk_value(
+    mdp: FiniteMdp, policy, discount: float, initial_state=None
+) -> float:
+    """Exact policy value by a recursive walk over every path (no
+    memoization), the library's former ``oracle_value``."""
+
+    def expected_from(s: int, t: int) -> float:
+        if t == mdp.horizon or s in mdp.absorbing:
+            return 0.0
+        total = 0.0
+        for a in range(mdp.action_count):
+            pa = prob(policy, (float(s),), a)
+            if pa == 0.0:
+                continue
+            for nxt in range(mdp.state_count):
+                pt = mdp.transition_probs[s, a, nxt]
+                if pt == 0.0:
+                    continue
+                total += pa * pt * (
+                    mdp.rewards[s, a, nxt] + discount * expected_from(nxt, t + 1)
+                )
+        return total
+
+    if initial_state is not None:
+        return expected_from(int(initial_state[0]), 0)
+    return float(
+        sum(
+            mdp.initial_dist[s] * expected_from(s, 0)
+            for s in range(mdp.state_count)
+            if mdp.initial_dist[s] > 0.0
+        )
+    )
+
+
 def dp_policy_value(mdp: FiniteMdp, policy, discount: float) -> float:
-    """Backward-induction value, independent of the library's enumeration."""
+    """Backward-induction value, one state and action at a time."""
     values = np.zeros(mdp.state_count)
     for _ in range(mdp.horizon):
         nxt = np.zeros(mdp.state_count)
@@ -137,12 +225,25 @@ def dp_policy_value(mdp: FiniteMdp, policy, discount: float) -> float:
                 continue
             total = 0.0
             for a in range(mdp.action_count):
-                pa = policy.prob((float(s),), a)
+                pa = prob(policy, (float(s),), a)
                 cont = mdp.rewards[s, a] + discount * values
                 total += pa * float(mdp.transition_probs[s, a] @ cont)
             nxt[s] = total
         values = nxt
     return float(mdp.initial_dist @ values)
+
+
+def weighted_quantile(dist: WeightedScoreDistribution, beta: float) -> float:
+    """Smallest score v with CDF(v) >= beta; +inf when the finite mass below
+    the level is insufficient (the query's tail mass sits at +inf)."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    order = np.argsort(dist.scores, kind="stable")
+    cum = np.cumsum(dist.weights[order])
+    idx = np.searchsorted(cum, beta - _MASS_TOL, side="left")
+    if idx >= cum.size:
+        return math.inf
+    return float(dist.scores[order][idx])
 
 
 def split_conformal_band(scores: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -219,6 +320,16 @@ def exact_pair_weights(
     return weights, atoms
 
 
+class ZeroQ:
+    """Identically-zero action-value function (reduces stepwise DR to PDIS)."""
+
+    def q_values(self, states, actions):
+        return np.zeros(len(actions))
+
+    def expected_q(self, states, policy):
+        return np.zeros(np.asarray(states).shape[0])
+
+
 class PerSweepQ:
     """Polynomial action-value function whose expectation rebuilds the
     policy's probabilities and per-action features on every call."""
@@ -233,9 +344,8 @@ class PerSweepQ:
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        support = policy.support(tuple(map(float, states[0])))
         total = np.zeros(states.shape[0])
-        for action in support:
+        for action in range(policy.action_probs(states[:1]).shape[1]):
             acts = np.full(states.shape[0], action)
             total += policy_probs(policy, states, acts) * self.q_values(states, acts)
         return total

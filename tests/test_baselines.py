@@ -6,7 +6,6 @@ import pytest
 from ope_ci.baselines import (
     FittedQSpec,
     PolynomialQ,
-    ZeroQ,
     aug_is_baseline,
     dm_baseline,
     dr_baseline,
@@ -23,7 +22,7 @@ from ope_ci.reweighting import (
     pdis_returns,
 )
 
-from oracles import per_sweep_fit_q
+from oracles import ZeroQ, per_sweep_fit_q, prob
 
 
 class TestIsBaseline:
@@ -169,7 +168,7 @@ class TestFittedQ:
                         @ (mdp.rewards[s, a] + gamma * v_table[t + 1])
                     )
                 v_table[t, s] = sum(
-                    target.prob((float(s),), a) * q_table[t, s, a]
+                    prob(target, (float(s),), a) * q_table[t, s, a]
                     for a in range(mdp.action_count)
                 )
 
@@ -186,7 +185,7 @@ class TestFittedQ:
                 out = np.zeros(idx.shape[0])
                 for a in range(mdp.action_count):
                     probs = np.array(
-                        [policy.prob((float(s),), a) for s in idx.astype(int)]
+                        [prob(policy, (float(s),), a) for s in idx.astype(int)]
                     )
                     out += probs * q_table[:-1, idx.astype(int), a].mean(axis=0)
                 return out

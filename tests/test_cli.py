@@ -250,3 +250,84 @@ class TestValueErrorsExitTwo:
         err = capsys.readouterr().err
         assert err == "error: states and rewards must be finite\n"
         assert not out.exists()
+
+
+def rewrite_record(source, target, edit):
+    """Copy the dataset at ``source`` and its sidecar to ``target``, passing
+    the fourth line's record through ``edit``."""
+    lines = source.read_text().splitlines()
+    lines[3] = edit(json.loads(lines[3]))
+    target.write_text("\n".join(lines) + "\n")
+    target.with_name(target.name + ".meta.json").write_text(
+        source.with_name(source.name + ".meta.json").read_text()
+    )
+    return target
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+class TestOutOfRangeActions:
+    @pytest.mark.parametrize("action", [-1, 11])
+    @pytest.mark.parametrize(
+        "command",
+        [["baseline", "--method", "is"], ["drppi", "--Nf", 100, "--M", 2]],
+        ids=["baseline-is", "drppi"],
+    )
+    def test_exits_two_with_zero_behavior_probability(
+        self, small_dataset, tmp_path, capsys, command, action
+    ):
+        # 11 lies past the last action 10, and -1 must not read as action 10
+        def edit(record):
+            record["actions"][2] = action
+            return json.dumps(record)
+
+        bad = rewrite_record(small_dataset, tmp_path / "bad.jsonl", edit)
+        out = tmp_path / "out.json"
+        code = run_cli(*command, "--data", bad, "--seed", 1, "--out", out)
+        assert code == 2
+        assert "zero probability" in single_error_line(capsys)
+        assert not out.exists()
+
+
+class TestDatasetFileErrors:
+    def run_drppi(self, data, tmp_path):
+        out = tmp_path / "out.json"
+        code = run_cli("drppi", "--data", data, "--Nf", 100, "--seed", 1, "--out", out)
+        assert not out.exists()
+        return code
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert self.run_drppi(missing, tmp_path) == 2
+        err = single_error_line(capsys)
+        assert str(missing) in err and ".meta.json" not in err
+
+    def test_missing_sidecar(self, small_dataset, tmp_path, capsys):
+        data = tmp_path / "copy.jsonl"
+        data.write_text(small_dataset.read_text())
+        assert self.run_drppi(data, tmp_path) == 2
+        assert f"{data}.meta.json" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("key", ["states", "actions", "rewards"])
+    def test_record_without_key(self, small_dataset, tmp_path, capsys, key):
+        def edit(record):
+            del record[key]
+            return json.dumps(record)
+
+        bad = rewrite_record(small_dataset, tmp_path / "bad.jsonl", edit)
+        assert self.run_drppi(bad, tmp_path) == 2
+        assert f"{bad} line 4:" in single_error_line(capsys)
+
+    def test_malformed_json_line(self, small_dataset, tmp_path, capsys):
+        bad = rewrite_record(
+            small_dataset, tmp_path / "bad.jsonl", lambda record: json.dumps(record)[:-9]
+        )
+        assert self.run_drppi(bad, tmp_path) == 2
+        err = single_error_line(capsys)
+        assert f"{bad} line 4: malformed JSON" in err
+        assert "column" not in err

@@ -17,14 +17,13 @@ from ope_ci.cpgen import (
     generation_score_pairs,
     resolve_eps,
     weighted_distribution,
-    weighted_quantile,
 )
 from ope_ci.envs import oracle_value
 from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs
 from ope_ci.harness import StudyConfig, make_env_spec, make_method
 from ope_ci.models import GaussianRegressionModel, OracleModel
 
-from oracles import nearest_k_mean, split_conformal_band
+from oracles import nearest_k_mean, split_conformal_band, weighted_quantile
 
 
 def pair(state, score, ratio=1.0):

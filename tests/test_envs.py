@@ -9,16 +9,14 @@ from ope_ci.envs import (
     FiniteMdp,
     InventoryEnv,
     InventoryParams,
-    enumerate_trajectories,
     inventory_step,
     monte_carlo_value,
     oracle_value,
     small_finite_mdp,
 )
-from ope_ci.errors import TooLarge
-from ope_ci.policies import SoftmaxOrderUpToPolicy, TabularPolicy
+from ope_ci.policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
 
-from oracles import dp_policy_value
+from oracles import dp_policy_value, enumerate_trajectories, path_walk_value, prob
 
 
 class TestInventoryStep:
@@ -121,6 +119,16 @@ class TestFiniteMdp:
         with pytest.raises(ValueError):
             FiniteMdp(P, np.zeros((1, 1, 2)), np.array([1.0, 0.0]), horizon=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_reward_rejected(self, bad):
+        # even on a transition of probability zero: exact values multiply
+        # every cell, and 0 * inf is nan
+        P = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        R = np.zeros((2, 1, 2))
+        R[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMdp(P, R, np.array([1.0, 0.0]), horizon=2)
+
     def test_deterministic_single_action_chain(self):
         P = np.zeros((2, 1, 2))
         P[0, 0, 1] = 1.0
@@ -211,10 +219,56 @@ class TestOracleValue:
         policy = TabularPolicy(((0.5, 0.5), (0.5, 0.5)))
         assert oracle_value(mdp, policy, 1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_budget_guard(self, finite_fixture):
-        mdp, behavior, _ = finite_fixture
-        with pytest.raises(TooLarge):
-            oracle_value(mdp, behavior, 1.0, max_paths=10)
+    def test_no_enumeration_budget(self):
+        # (S * A) ** horizon = 32 ** 4 paths, above the former 1e6 path budget
+        S, A = 8, 4
+        P = np.full((S, A, S), 1.0 / S)
+        R = np.full((S, A, S), 2.0)
+        mdp = FiniteMdp(P, R, np.full(S, 1.0 / S), horizon=4)
+        policy = TabularPolicy(tuple((0.25,) * A for _ in range(S)))
+        assert oracle_value(mdp, policy, 0.5) == pytest.approx(
+            2.0 * (1 + 0.5 + 0.25 + 0.125), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_matches_path_walk_on_fixture(self, finite_fixture, gamma):
+        mdp, behavior, target = finite_fixture
+        for policy in (behavior, target):
+            assert oracle_value(mdp, policy, gamma) == pytest.approx(
+                path_walk_value(mdp, policy, gamma), rel=1e-12
+            )
+            for s in range(mdp.state_count):
+                assert oracle_value(mdp, policy, gamma, (float(s),)) == pytest.approx(
+                    path_walk_value(mdp, policy, gamma, (float(s),)), rel=1e-12
+                )
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_matches_path_walk_on_random_absorbing_mdps(self, gamma):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            S, A = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            P = rng.dirichlet(np.ones(S), size=(S, A))
+            P[rng.random((S, A, S)) < 0.3] = 0.0  # prune some branches
+            P[..., 0] += 1e-3
+            P /= P.sum(axis=2, keepdims=True)
+            R = rng.normal(size=(S, A, S))
+            absorbing = frozenset({S - 1})
+            d0 = np.append(rng.dirichlet(np.ones(S - 1)), 0.0)
+            mdp = FiniteMdp(P, R, d0, int(rng.integers(1, 5)), absorbing)
+            policy = TabularPolicy(tuple(map(tuple, rng.dirichlet(np.ones(A), size=S))))
+            assert oracle_value(mdp, policy, gamma) == pytest.approx(
+                path_walk_value(mdp, policy, gamma), rel=1e-12, abs=1e-14
+            )
+            for s in range(S):
+                assert oracle_value(mdp, policy, gamma, (float(s),)) == pytest.approx(
+                    path_walk_value(mdp, policy, gamma, (float(s),)), rel=1e-12, abs=1e-14
+                )
+
+    def test_initial_state_out_of_range_rejected(self, finite_fixture):
+        mdp, _, target = finite_fixture
+        for s in (-1.0, 3.0):
+            with pytest.raises(ValueError, match="outside"):
+                oracle_value(mdp, target, 1.0, (s,))
 
 
 class TestMonteCarloValue:
@@ -259,16 +313,16 @@ class TestDefaultPolicies:
         behavior, target = inventory_policies
         for policy in (behavior, target):
             for x in (0.0, 3.7, 6.0, 10.0):
-                total = sum(policy.prob((x,), a) for a in policy.support((x,)))
+                total = sum(prob(policy, (x,), a) for a in range(11))
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_support_is_positive_everywhere_sampled(self, inventory_policies, rng):
         behavior, target = inventory_policies
         for _ in range(200):
             x = float(rng.uniform(0, 10))
-            a = behavior.sample((x,), rng)
-            assert behavior.prob((x,), a) > 0
-            assert target.prob((x,), a) > 0
+            a = int(policy_sample(behavior, np.array([[x]]), rng)[0])
+            assert prob(behavior, (x,), a) > 0
+            assert prob(target, (x,), a) > 0
 
     def test_policies_genuinely_differ(self, inventory_env, inventory_policies):
         behavior, target = inventory_policies

@@ -39,16 +39,15 @@ def dataset_of(trajectories, discount=1.0, horizon=None):
 
 
 class RatioStubPolicy:
-    """prob() keyed off the action so per-step ratios are set explicitly."""
+    """Action probabilities keyed off the action alone, so per-step ratios
+    are set explicitly (rows need not sum to 1)."""
 
     def __init__(self, probs_by_action):
         self.probs_by_action = probs_by_action
 
-    def prob(self, state, action):
-        return self.probs_by_action[action]
-
-    def sample(self, state, rng):
-        raise NotImplementedError
+    def action_probs(self, states):
+        row = [self.probs_by_action[a] for a in range(len(self.probs_by_action))]
+        return np.tile(row, (len(states), 1))
 
 
 def ratio_pair(per_step_ratios):
@@ -194,7 +193,9 @@ class TestReweightingIdentity:
     def test_enumerated_reweighted_expectation_equals_target_value(self):
         # sum over all behavior paths of p_b * ratio * return must equal the
         # exactly enumerated target-policy value
-        from ope_ci.envs import enumerate_trajectories, oracle_value, small_finite_mdp
+        from ope_ci.envs import oracle_value, small_finite_mdp
+
+        from oracles import enumerate_trajectories
 
         mdp, behavior, target = small_finite_mdp()
         for gamma in (0.9, 1.0):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,33 +13,43 @@ from ope_ci.policies import (
 )
 
 
+def softmax_prob(policy, stock, action):
+    """prob(action | stock) straight from the class docstring's formula."""
+    wanted = max(0.0, policy.order_up_to - stock)
+    weights = [
+        math.exp(-abs(a - wanted) / policy.temperature)
+        for a in range(policy.capacity + 1)
+    ]
+    return weights[action] / sum(weights)
+
+
 class TestSoftmaxOrderUpTo:
     @given(st.floats(0.0, 10.0))
     def test_pmf_sums_to_one(self, stock):
         policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
-        total = sum(policy.prob((stock,), a) for a in range(11))
-        assert abs(total - 1.0) <= 1e-9
+        rows = policy.action_probs(np.array([[stock]]))
+        assert rows.shape == (1, 11)
+        assert abs(rows.sum() - 1.0) <= 1e-9
 
     def test_batch_prob_matches_scalar(self, rng):
         policy = SoftmaxOrderUpToPolicy(6.0, 1.2, 10)
         states = rng.uniform(0, 10, size=(50, 1))
         actions = rng.integers(0, 11, size=50)
-        batch = policy.prob_batch(states, actions)
+        batch = policy_probs(policy, states, actions)
         for i in range(50):
             assert batch[i] == pytest.approx(
-                policy.prob((states[i, 0],), int(actions[i])), rel=1e-12
+                softmax_prob(policy, states[i, 0], int(actions[i])), rel=1e-12
             )
 
     def test_sampling_respects_mode(self, rng):
         policy = SoftmaxOrderUpToPolicy(6.0, 0.3, 10)
-        draws = policy.sample_batch(np.zeros((4000, 1)), rng)
+        draws = policy_sample(policy, np.zeros((4000, 1)), rng)
         values, counts = np.unique(draws, return_counts=True)
         assert values[counts.argmax()] == 6  # order up to 6 from empty stock
 
     def test_out_of_range_action_zero_prob(self):
         policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
-        assert policy.prob((0.0,), 11) == 0.0
-        assert policy.prob((0.0,), -1) == 0.0
+        assert policy_probs(policy, np.zeros((2, 1)), np.array([11, -1])).tolist() == [0.0, 0.0]
 
     def test_invalid_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -53,35 +65,56 @@ class TestTabularPolicy:
         policy = TabularPolicy(((0.3, 0.7), (0.9, 0.1)))
         states = rng.integers(0, 2, size=(40, 1)).astype(float)
         actions = rng.integers(0, 2, size=40)
-        batch = policy.prob_batch(states, actions)
+        batch = policy_probs(policy, states, actions)
         for i in range(40):
-            assert batch[i] == policy.prob((states[i, 0],), int(actions[i]))
+            assert batch[i] == policy.table[int(states[i, 0])][int(actions[i])]
+
+    def test_continuous_states_truncate_to_rows(self):
+        policy = TabularPolicy(((0.3, 0.7), (0.9, 0.1)))
+        rows = policy.action_probs(np.array([[0.0], [0.99], [1.0], [1.7]]))
+        assert rows.tolist() == [[0.3, 0.7], [0.3, 0.7], [0.9, 0.1], [0.9, 0.1]]
 
     def test_sample_frequencies(self, rng):
         policy = TabularPolicy(((0.25, 0.75),))
-        draws = policy.sample_batch(np.zeros((20_000, 1)), rng)
+        draws = policy_sample(policy, np.zeros((20_000, 1)), rng)
         assert draws.mean() == pytest.approx(0.75, abs=0.02)
 
 
 class TestGenericHelpers:
-    def test_fallback_paths_match_batch(self, rng):
-        class ScalarOnly:
-            def __init__(self, inner):
-                self.inner = inner
+    @pytest.mark.parametrize(
+        "policy",
+        [SoftmaxOrderUpToPolicy(6.0, 1.5, 10), TabularPolicy(((0.4, 0.6), (0.2, 0.8)))],
+        ids=["softmax", "tabular"],
+    )
+    @pytest.mark.parametrize("action", [-1, 11])
+    def test_out_of_range_actions_have_zero_prob(self, policy, action):
+        states = np.array([[0.0], [1.0], [0.0]])
+        probs = policy_probs(policy, states, np.array([0, action, 1]))
+        assert probs[1] == 0.0
+        assert probs[0] > 0.0 and probs[2] > 0.0
 
-            def prob(self, state, action):
-                return self.inner.prob(state, action)
+    def test_rows_are_distributions(self, rng):
+        for policy in (
+            SoftmaxOrderUpToPolicy(6.0, 1.5, 10),
+            TabularPolicy(((0.4, 0.6), (0.2, 0.8))),
+        ):
+            rows = policy.action_probs(rng.integers(0, 2, size=(30, 1)).astype(float))
+            assert (rows >= 0).all()
+            assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
 
-            def sample(self, state, rng):
-                return self.inner.sample(state, rng)
+    def test_sample_draws_are_fixed(self):
+        # Draws and the generator state after them, recorded from the former
+        # per-class samplers: the inverse-CDF draw consumes one rng.random(N).
+        softmax = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
+        rng = np.random.default_rng(5)
+        draws = policy_sample(softmax, np.linspace(0.0, 10.0, 12)[:, None], rng)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [7, 6, 4, 3, 0, 1, 1, 0, 0, 9, 1, 0]
+        assert rng.integers(0, 2**32) == 1212200381
 
-        policy = TabularPolicy(((0.4, 0.6), (0.2, 0.8)))
-        wrapped = ScalarOnly(policy)
-        states = rng.integers(0, 2, size=(30, 1)).astype(float)
-        actions = rng.integers(0, 2, size=30)
-        assert np.allclose(
-            policy_probs(wrapped, states, actions),
-            policy_probs(policy, states, actions),
-        )
-        draws = policy_sample(wrapped, states, np.random.default_rng(0))
-        assert set(np.unique(draws)) <= {0, 1}
+        tabular = TabularPolicy(((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.05, 0.15, 0.8)))
+        rng = np.random.default_rng(5)
+        states = (np.arange(12) % 3).astype(float)[:, None] + 0.5
+        draws = policy_sample(tabular, states, rng)
+        assert draws.tolist() == [1, 2, 2, 0, 0, 2, 0, 0, 0, 2, 1, 2]
+        assert rng.integers(0, 2**32) == 1212200381
