@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .cpgen import EpsConfig, cp_gen_detailed
-from .drppi import DrPpiConfig, dr_ppi_estimate, interval_from_estimate
 from .errors import OpeCiError
 from .harness import (
     StudyConfig,
@@ -26,7 +25,6 @@ from .harness import (
     run_coverage_study,
 )
 from .mdp import read_jsonl_dataset, write_jsonl_dataset
-from .reweighting import ClipPolicy, CorrectionKind
 
 
 def _parse_state(text: str) -> tuple[float, ...]:
@@ -86,29 +84,20 @@ def _cmd_cpgen(args) -> int:
 def _cmd_drppi(args) -> int:
     env_spec = make_env_spec(args.env)
     dataset = read_jsonl_dataset(args.data)
-    rng = np.random.default_rng(args.seed)
-    cfg = DrPpiConfig(
+    config = StudyConfig(
+        model=args.model,
+        model_degree=args.degree,
         n_model_rollouts=args.Nf,
         pairs_per_trajectory=args.M,
-        correction=CorrectionKind(args.correction),
-        clip=ClipPolicy(mode=args.clip),
-        cross_fit=args.crossfit,
-        alpha=args.alpha,
+        crossfit=args.crossfit,
+        clip=args.clip,
     )
-    value, variance = dr_ppi_estimate(
-        dataset,
-        env_spec.behavior,
-        env_spec.target,
-        cfg,
-        _model_factory(args, env_spec),
-        rng,
-        env_spec.d0_sampler(),
-    )
-    interval = interval_from_estimate(value, variance, args.alpha)
+    run = make_method(f"drppi:{args.correction}", env_spec, config, ground_truth=0.0)
+    interval, variance = run(dataset, args.alpha, np.random.default_rng(args.seed))
     _write_json(
         args.out,
         {
-            "estimate": value,
+            "estimate": interval.point,
             "variance": variance,
             "lo": interval.lower,
             "hi": interval.upper,

@@ -292,7 +292,6 @@ def generation_score_pairs(
     dataset: TrajectoryDataset,
     per_trajectory: int,
     rng: np.random.Generator,
-    clip_cap: float = math.inf,
 ) -> list[ScorePair]:
     """Pair each real trajectory with ``per_trajectory`` model rollouts from
     its initial state under the behavior policy, in (trajectory, rollout)
@@ -300,11 +299,9 @@ def generation_score_pairs(
     starts = np.repeat(dataset.initial_states(), per_trajectory, axis=0)
     batch = model.rollout_batch(behavior, starts, dataset.horizon, rng)
     generated = TrajectoryDataset(batch, dataset.discount, dataset.horizon)
-    ratios = np.minimum(
-        np.repeat(trajectory_ratios(dataset, target, behavior), per_trajectory)
-        * trajectory_ratios(generated, target, behavior),
-        clip_cap,
-    )
+    ratios = np.repeat(
+        trajectory_ratios(dataset, target, behavior), per_trajectory
+    ) * trajectory_ratios(generated, target, behavior)
     scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
     return [
         ScorePair(tuple(state), float(score), float(ratio))
@@ -325,7 +322,6 @@ def cp_gen_detailed(
     model_factory=None,
     rng: np.random.Generator | None = None,
     grid: GridSpec = GridSpec(),
-    clip_pair_ratios: bool = False,
 ) -> CpGenResult:
     if len(dataset) < 4:
         raise DatasetTooSmall("the pipeline needs at least 4 trajectories")
@@ -336,17 +332,8 @@ def cp_gen_detailed(
     train_data, cal_data = dataset.split_half()
     model = model_factory().fit(train_data)
 
-    train_cap = math.inf
-    cal_cap = math.inf
-    if clip_pair_ratios:
-        train_cap = math.sqrt(len(train_data) * M)
-        cal_cap = math.sqrt(len(cal_data) * N_gen)
-    train_pairs = generation_score_pairs(
-        model, behavior, target, train_data, M, rng_train, train_cap
-    )
-    cal_pairs = generation_score_pairs(
-        model, behavior, target, cal_data, N_gen, rng_cal, cal_cap
-    )
+    train_pairs = generation_score_pairs(model, behavior, target, train_data, M, rng_train)
+    cal_pairs = generation_score_pairs(model, behavior, target, cal_data, N_gen, rng_cal)
 
     eps_s, eps_r = resolve_eps(train_pairs, cfg)
     resolved = EpsConfig(eps_s, eps_r, cfg.k_nearest)

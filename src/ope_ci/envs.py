@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSamples
-from .mdp import RolloutBatch, State, TrajectoryDataset
-from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
+from .mdp import RolloutBatch, State, TrajectoryDataset, _roll_out
+from .policies import SoftmaxOrderUpToPolicy, TabularPolicy
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,19 @@ def inventory_step(
 
 
 class Simulator:
-    """Sampling shared by the environments.  A subclass provides
-    ``horizon``, ``sample_initial_states(rng, n)`` and
-    ``rollout_batch(policy, initial_states, horizon, rng)``."""
+    """Sampling shared by the environments.  An environment provides
+    ``horizon``, ``state_dim``, ``sample_initial_states(rng, n) -> (n, d)``
+    and ``step_batch(states, actions, rng) -> (next_states, rewards)``, one
+    step of every row from ``(N, d)`` states and ``(N,)`` integer actions,
+    drawing its own dynamics noise.  It may also provide absorbing states as
+    ``is_absorbing(states) -> (N,)`` booleans: a rollout ends on reaching
+    one, and a rollout that starts in one has length 0."""
+
+    is_absorbing = None
+
+    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
+        starts = np.asarray(initial_states, dtype=float).reshape(-1, self.state_dim)
+        return _roll_out(self.step_batch, policy, starts, horizon, rng, self.is_absorbing)
 
     def sample_dataset(
         self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
@@ -104,8 +114,9 @@ class InventoryEnv(Simulator):
     def sample_initial_states(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(self.params.capacity), size=(n, 1))
 
-    def step_batch(self, stock: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
+    def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         p = self.params
+        stock = states[:, 0]
         stocked = np.minimum(float(p.capacity), stock + actions)
         demand = rng.normal(p.demand_mean, p.demand_sd, size=stock.shape)
         x_next = np.maximum(0.0, stocked - demand)
@@ -116,26 +127,7 @@ class InventoryEnv(Simulator):
             - p.unit_cost * (stocked - stock)
             + p.unit_price * sold
         )
-        return x_next, reward
-
-    def rollout_batch(
-        self,
-        policy,
-        initial_states: np.ndarray,
-        horizon: int,
-        rng: np.random.Generator,
-    ) -> RolloutBatch:
-        x = np.asarray(initial_states, dtype=float).reshape(-1, 1)[:, 0].copy()
-        n = x.shape[0]
-        states = np.empty((n, horizon, 1))
-        actions = np.empty((n, horizon), dtype=np.int64)
-        rewards = np.empty((n, horizon))
-        for t in range(horizon):
-            a = policy_sample(policy, x[:, None], rng)
-            states[:, t, 0] = x
-            actions[:, t] = a
-            x, rewards[:, t] = self.step_batch(x, a, rng)
-        return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
+        return x_next[:, None], reward
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,38 +189,19 @@ class FiniteMdp(Simulator):
         draws = (cdf < rng.random((n, 1))).sum(axis=1)
         return draws.astype(float)[:, None]
 
-    def rollout_batch(
-        self,
-        policy,
-        initial_states: np.ndarray,
-        horizon: int,
-        rng: np.random.Generator,
-    ) -> RolloutBatch:
-        s = np.asarray(initial_states, dtype=float).reshape(-1, 1)[:, 0].astype(int)
-        n = s.shape[0]
-        states = np.zeros((n, horizon, 1))
-        actions = np.zeros((n, horizon), dtype=np.int64)
-        rewards = np.zeros((n, horizon))
-        lengths = np.zeros(n, dtype=np.int64)
-        absorbing = np.zeros(self.state_count, dtype=bool)
-        for idx in self.absorbing:
-            absorbing[idx] = True
-        active = ~absorbing[s]
-        cum_P = np.cumsum(self.transition_probs, axis=2)
-        for t in range(horizon):
-            if not active.any():
-                break
-            a = policy_sample(policy, s.astype(float)[:, None], rng)
-            u = rng.random(n)
-            nxt = (cum_P[s, a] < u[:, None]).sum(axis=1)
-            r = self.rewards[s, a, nxt]
-            states[active, t, 0] = s[active]
-            actions[active, t] = a[active]
-            rewards[active, t] = r[active]
-            lengths[active] = t + 1
-            s = np.where(active, nxt, s)
-            active = active & ~absorbing[s]
-        return RolloutBatch(states, actions, rewards, lengths)
+    def is_absorbing(self, states: np.ndarray) -> np.ndarray:
+        return np.isin(states[:, 0], tuple(self.absorbing))
+
+    def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
+        s = states[:, 0].astype(int)
+        u = rng.random(s.shape[0])
+        nxt = (np.cumsum(self.transition_probs, axis=2)[s, actions] < u[:, None]).sum(axis=1)
+        return nxt.astype(float)[:, None], self.rewards[s, actions, nxt]
+
+    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
+        """Initial states truncate to integer state codes."""
+        s = np.asarray(initial_states, dtype=float).reshape(-1, 1).astype(int).astype(float)
+        return _roll_out(self.step_batch, policy, s, horizon, rng, self.is_absorbing)
 
 
 def oracle_value(

@@ -1,4 +1,5 @@
-"""Trajectory datasets, rollout batches, intervals and JSONL persistence.
+"""Trajectory datasets, rollout batches, the rollout loop, intervals and
+JSONL persistence.
 
 A dataset is one padded ``RolloutBatch`` plus its discount and horizon:
 ``states[b, t]`` is the state action ``actions[b, t]`` was taken from and
@@ -19,6 +20,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from .policies import policy_sample
 
 State = tuple[float, ...]
 
@@ -150,6 +153,36 @@ class RolloutBatch:
 
     def trajectories(self) -> list[Trajectory]:
         return [self.trajectory(i) for i in range(self.size)]
+
+
+def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> RolloutBatch:
+    """The one rollout time loop.  Each step makes one ``policy_sample`` call
+    for all rows, then ``step(states, actions, rng) -> (next_states,
+    rewards)``.  A row's rollout ends in a ``stopped`` (absorbing) state;
+    the row keeps stepping unrecorded, so every row takes every draw."""
+    x, n = initial_states, initial_states.shape[0]
+    states = np.empty((n, horizon, x.shape[1]))
+    actions = np.empty((n, horizon), dtype=np.int64)
+    rewards = np.empty((n, horizon))
+    # Without absorbing states every row lives through every step; counting
+    # steps in a scalar keeps an (n,) array out of the loop's peak memory.
+    live = True if stopped is None else ~stopped(x)
+    lengths = 0 if stopped is None else np.zeros(n, dtype=np.int64)
+    for t in range(horizon):
+        if stopped is not None and not live.any():
+            break
+        a = policy_sample(policy, x, rng)
+        states[:, t], actions[:, t] = x, a
+        x, rewards[:, t] = step(x, a, rng)
+        lengths += live
+        if stopped is not None:
+            live &= ~stopped(x)
+    if stopped is None:
+        lengths = np.full(n, lengths, dtype=np.int64)
+    elif lengths.min(initial=horizon) < horizon:
+        pad = np.arange(horizon) >= lengths[:, None]
+        states[pad], actions[pad], rewards[pad] = 0.0, 0, 0.0
+    return RolloutBatch(states, actions, rewards, lengths)
 
 
 @dataclass(frozen=True)
@@ -288,6 +321,9 @@ def read_jsonl_dataset(path) -> TrajectoryDataset:
             continue
         where = f"{path} line {lineno}"
         record = _json_record(line, where, ("states", "actions", "rewards"))
+        fields = [record["states"], record["actions"], record["rewards"]]
+        if not all(type(f) is list for f in fields) or len({len(f) for f in fields}) > 1:
+            raise ValueError(f"{where}: states, actions and rewards must be lists of one length")
         if not all(type(a) is int for a in record["actions"]):
             raise ValueError(f"{where}: actions must be integers")
         states.append(record["states"])

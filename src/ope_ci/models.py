@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularDesign
-from .mdp import RolloutBatch, TrajectoryDataset
-from .policies import policy_sample
+from .mdp import RolloutBatch, TrajectoryDataset, _roll_out
 
 
 def polynomial_features(z: np.ndarray, degree: int) -> np.ndarray:
@@ -99,36 +98,25 @@ class GaussianRegressionModel:
         if not self.fitted:
             raise SingularDesign("model must be fitted before rolling out")
 
-    def rollout_batch(
-        self,
-        policy,
-        initial_states: np.ndarray,
-        horizon: int,
-        rng: np.random.Generator,
-    ) -> RolloutBatch:
+    def _step(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
+        """Mean maps plus Gaussian noise: the reward noise is drawn first,
+        then the state noise; next states are clipped to ``state_box``."""
+        n = states.shape[0]
+        feats = polynomial_features(
+            np.column_stack([states, actions.astype(float)[:, None]]), self.degree
+        )
+        rewards = feats @ self._reward_coef + rng.standard_normal(n) * self._reward_scale
+        x = feats @ self._state_coef + rng.standard_normal(
+            (n, self._state_dim)
+        ) * self._state_scale
+        if self.state_box is not None:
+            np.clip(x, self.state_box[0], self.state_box[1], out=x)
+        return x, rewards
+
+    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
         self._require_fitted()
-        x = np.asarray(initial_states, dtype=float).reshape(-1, self._state_dim).copy()
-        n = x.shape[0]
-        states = np.empty((n, horizon, self._state_dim))
-        actions = np.empty((n, horizon), dtype=np.int64)
-        rewards = np.empty((n, horizon))
-        for t in range(horizon):
-            a = policy_sample(policy, x, rng)
-            feats = polynomial_features(
-                np.column_stack([x, a.astype(float)[:, None]]), self.degree
-            )
-            states[:, t] = x
-            actions[:, t] = a
-            rewards[:, t] = (
-                feats @ self._reward_coef
-                + rng.standard_normal(n) * self._reward_scale
-            )
-            x = feats @ self._state_coef + rng.standard_normal(
-                (n, self._state_dim)
-            ) * self._state_scale
-            if self.state_box is not None:
-                np.clip(x, self.state_box[0], self.state_box[1], out=x)
-        return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
+        starts = np.asarray(initial_states, dtype=float).reshape(-1, self._state_dim)
+        return _roll_out(self._step, policy, starts, horizon, rng)
 
 
 @dataclass

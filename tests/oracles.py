@@ -11,7 +11,9 @@ path, kept as the reference its precomputed action blocks must match bit for
 bit.  Likewise the per-trajectory returns, likelihood ratios, ratio table and
 regression rows walk ``Trajectory`` objects step by step, as the library did
 before its estimators read the padded batch arrays, and the columnar paths
-must match them bit for bit.
+must match them bit for bit.  The three rollout loops are the ones each
+simulator and the Gaussian model ran before they shared one time loop; its
+batches and generator state must match theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from ope_ci.baselines import FittedQSpec, _transition_rows
 from ope_ci.cpgen import _MASS_TOL, WeightedScoreDistribution
 from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
-from ope_ci.mdp import Trajectory
+from ope_ci.mdp import RolloutBatch, Trajectory
 from ope_ci.models import polynomial_features, solve_least_squares
-from ope_ci.policies import policy_probs
+from ope_ci.policies import policy_probs, policy_sample
 
 
 def prob(policy, state, action) -> float:
@@ -371,3 +373,85 @@ def per_sweep_fit_q(
             targets[cont] += dataset.discount * q.expected_q(next_states[cont], target)
         q = PerSweepQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
     return q
+
+
+def inventory_rollout(env, policy, initial_states, horizon, rng) -> RolloutBatch:
+    """Inventory rollouts on 1-D stock arrays: per step the action draw, then
+    the demand draw."""
+    p = env.params
+    x = np.asarray(initial_states, dtype=float).reshape(-1, 1)[:, 0].copy()
+    n = x.shape[0]
+    states = np.empty((n, horizon, 1))
+    actions = np.empty((n, horizon), dtype=np.int64)
+    rewards = np.empty((n, horizon))
+    for t in range(horizon):
+        a = policy_sample(policy, x[:, None], rng)
+        states[:, t, 0] = x
+        actions[:, t] = a
+        stocked = np.minimum(float(p.capacity), x + a)
+        demand = rng.normal(p.demand_mean, p.demand_sd, size=x.shape)
+        x_next = np.maximum(0.0, stocked - demand)
+        sold = np.maximum(0.0, stocked - x_next)
+        rewards[:, t] = p.reward_scale * (
+            -p.fixed_order_cost * (a > 0)
+            - p.holding_cost * x
+            - p.unit_cost * (stocked - x)
+            + p.unit_price * sold
+        )
+        x = x_next
+    return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
+
+
+def finite_rollout(mdp: FiniteMdp, policy, initial_states, horizon, rng) -> RolloutBatch:
+    """Finite-MDP rollouts on integer states, writing only the live rows; a
+    row that has ended still takes its action and transition draws."""
+    s = np.asarray(initial_states, dtype=float).reshape(-1, 1)[:, 0].astype(int)
+    n = s.shape[0]
+    states = np.zeros((n, horizon, 1))
+    actions = np.zeros((n, horizon), dtype=np.int64)
+    rewards = np.zeros((n, horizon))
+    lengths = np.zeros(n, dtype=np.int64)
+    absorbing = np.zeros(mdp.state_count, dtype=bool)
+    for idx in mdp.absorbing:
+        absorbing[idx] = True
+    active = ~absorbing[s]
+    cum_P = np.cumsum(mdp.transition_probs, axis=2)
+    for t in range(horizon):
+        if not active.any():
+            break
+        a = policy_sample(policy, s.astype(float)[:, None], rng)
+        u = rng.random(n)
+        nxt = (cum_P[s, a] < u[:, None]).sum(axis=1)
+        r = mdp.rewards[s, a, nxt]
+        states[active, t, 0] = s[active]
+        actions[active, t] = a[active]
+        rewards[active, t] = r[active]
+        lengths[active] = t + 1
+        s = np.where(active, nxt, s)
+        active = active & ~absorbing[s]
+    return RolloutBatch(states, actions, rewards, lengths)
+
+
+def gaussian_model_rollout(model, policy, initial_states, horizon, rng) -> RolloutBatch:
+    """Rollouts of a fitted ``GaussianRegressionModel``: per step the action
+    draw, the reward noise, then the state noise, clipped to its box."""
+    d = model._state_dim
+    x = np.asarray(initial_states, dtype=float).reshape(-1, d).copy()
+    n = x.shape[0]
+    states = np.empty((n, horizon, d))
+    actions = np.empty((n, horizon), dtype=np.int64)
+    rewards = np.empty((n, horizon))
+    for t in range(horizon):
+        a = policy_sample(policy, x, rng)
+        feats = polynomial_features(
+            np.column_stack([x, a.astype(float)[:, None]]), model.degree
+        )
+        states[:, t] = x
+        actions[:, t] = a
+        rewards[:, t] = (
+            feats @ model._reward_coef + rng.standard_normal(n) * model._reward_scale
+        )
+        x = feats @ model._state_coef + rng.standard_normal((n, d)) * model._state_scale
+        if model.state_box is not None:
+            np.clip(x, model.state_box[0], model.state_box[1], out=x)
+    return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))

@@ -323,6 +323,22 @@ class TestDatasetFileErrors:
         assert self.run_drppi(bad, tmp_path) == 2
         assert f"{bad} line 4:" in single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: {**record, "actions": 5},
+            lambda record: {**record, "rewards": 5},
+            lambda record: {**record, "rewards": record["rewards"][:-1]},
+        ],
+        ids=["int-actions", "int-rewards", "one-reward-short"],
+    )
+    def test_record_fields_not_lists_of_one_length(self, small_dataset, tmp_path, capsys, edit):
+        bad = rewrite_record(
+            small_dataset, tmp_path / "bad.jsonl", lambda record: json.dumps(edit(record))
+        )
+        assert self.run_drppi(bad, tmp_path) == 2
+        assert f"{bad} line 4:" in single_error_line(capsys)
+
     def test_malformed_json_line(self, small_dataset, tmp_path, capsys):
         bad = rewrite_record(
             small_dataset, tmp_path / "bad.jsonl", lambda record: json.dumps(record)[:-9]
