@@ -164,12 +164,10 @@ def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> Rollo
     states = np.empty((n, horizon, x.shape[1]))
     actions = np.empty((n, horizon), dtype=np.int64)
     rewards = np.empty((n, horizon))
-    # Without absorbing states every row lives through every step; counting
-    # steps in a scalar keeps an (n,) array out of the loop's peak memory.
-    live = True if stopped is None else ~stopped(x)
-    lengths = 0 if stopped is None else np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool) if stopped is None else ~stopped(x)
+    lengths = np.zeros(n, dtype=np.int64)
     for t in range(horizon):
-        if stopped is not None and not live.any():
+        if not live.any():
             break
         a = policy_sample(policy, x, rng)
         states[:, t], actions[:, t] = x, a
@@ -177,9 +175,7 @@ def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> Rollo
         lengths += live
         if stopped is not None:
             live &= ~stopped(x)
-    if stopped is None:
-        lengths = np.full(n, lengths, dtype=np.int64)
-    elif lengths.min(initial=horizon) < horizon:
+    if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]
         states[pad], actions[pad], rewards[pad] = 0.0, 0, 0.0
     return RolloutBatch(states, actions, rewards, lengths)
