@@ -27,7 +27,6 @@ from .drppi import (
     HalfEstimate,
     cross_fit_variance,
     dr_ppi_estimate,
-    dr_ppi_interval,
     half_estimate,
     interval_from_estimate,
 )

@@ -1,7 +1,7 @@
 """Comparison estimators: reweighted-return intervals with CLT or bootstrap
 bounds, their augmented variant that pools synthetic rollouts, a direct
 model-rollout method, and a stepwise doubly-robust baseline built on
-least-squares fitted-Q iteration."""
+fitted-Q evaluation solved as one least-squares problem."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -108,15 +108,17 @@ class FittedQSpec:
     sweeps: int | None = None  # defaults to the dataset horizon
 
 
-def _action_blocks(states: np.ndarray, policy) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One ``(prob(a | s), [s, a])`` pair per action a = 0..A-1, from the
-    columns of one ``action_probs`` table copied to unit stride for the sweeps."""
+def _expected_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
+    """Rows sum_a prob(a | s) * phi(s, a) over actions 0..A-1, from one
+    ``action_probs`` table."""
     states = np.asarray(states, dtype=float)
-    columns = np.ascontiguousarray(policy.action_probs(states).T)
-    return [
-        (probs, np.column_stack([states, np.full(states.shape[0], float(a))]))
-        for a, probs in enumerate(columns)
-    ]
+    probs = policy.action_probs(states)
+    return sum(
+        probs[:, a, None] * polynomial_features(
+            np.column_stack([states, np.full(states.shape[0], float(a))]), degree
+        )
+        for a in range(probs.shape[1])
+    )
 
 
 class PolynomialQ:
@@ -132,14 +134,7 @@ class PolynomialQ:
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
         """E_{a ~ policy} Q(s, a) over actions 0..A-1."""
-        return self.expectation(_action_blocks(states, policy))
-
-    def expectation(self, blocks) -> np.ndarray:
-        """Sum of prob(a | s) * Q(s, a) over ``_action_blocks`` output."""
-        total = np.zeros(blocks[0][0].shape[0])
-        for probs, z in blocks:
-            total += probs * (polynomial_features(z, self.degree) @ self.coef)
-        return total
+        return _expected_features(states, policy, self.degree) @ self.coef
 
 
 def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
@@ -158,14 +153,18 @@ def fit_q(
     spec: FittedQSpec = FittedQSpec(),
     synthetic: RolloutBatch | None = None,
 ) -> PolynomialQ:
-    """Least-squares fitted-Q iteration with backward sweeps.
+    """Least-squares fitted-Q evaluation with ``spec.sweeps`` backward sweeps.
 
     Each sweep regresses r + gamma * E_{a' ~ target} Q(s', a') (zero beyond
-    each trajectory's last step) onto polynomial features of (s, a).
-    Synthetic rollouts, when given, join the regression data only.  The
-    target-policy probabilities of the next states, and their per-action
-    inputs (s', a'), are computed once per fit; each sweep then only builds
-    features, multiplies and solves.
+    each trajectory's last step) onto the features X = phi(s, a).  Q is
+    linear in phi, so that target is r + gamma * Phi c, where row i of Phi
+    is E_{a' ~ target} phi(s'_i, a') (zero on terminal rows) and c the
+    previous coefficients.  Every sweep regresses onto the same X, and the
+    solve is linear in its right-hand side (on the ``lstsq`` branch and on
+    the ridge branch alike, and X alone picks the branch).  So one
+    least-squares solve of X [a | B] = [r, gamma Phi] gives every sweep as
+    c <- a + B c, run from c = 0.  Synthetic rollouts, when given, join the
+    regression data only.
     """
     states, actions, rewards, next_states, terminal = _transition_rows(
         dataset, synthetic
@@ -173,16 +172,16 @@ def fit_q(
     feats = polynomial_features(
         np.column_stack([states, actions[:, None]]), spec.degree
     )
-    sweeps = spec.sweeps if spec.sweeps is not None else dataset.horizon
-    q = PolynomialQ(np.zeros(feats.shape[1]), spec.degree)
-    cont = ~terminal
-    blocks = _action_blocks(next_states[cont], target) if cont.any() else None
-    for _ in range(sweeps):
-        targets = rewards.copy()
-        if blocks is not None:
-            targets[cont] += dataset.discount * q.expectation(blocks)
-        q = PolynomialQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
-    return q
+    expected = np.zeros_like(feats)
+    expected[~terminal] = _expected_features(next_states[~terminal], target, spec.degree)
+    solved = solve_least_squares(
+        feats, np.column_stack([rewards, dataset.discount * expected]), spec.ridge
+    )
+    offset, step = solved[:, 0], solved[:, 1:]
+    coef = np.zeros(feats.shape[1])
+    for _ in range(spec.sweeps if spec.sweeps is not None else dataset.horizon):
+        coef = offset + step @ coef
+    return PolynomialQ(coef, spec.degree)
 
 
 def stepwise_dr_values(

@@ -50,14 +50,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cpgen(args) -> int:
-    env_spec = make_env_spec(args.env)
+    env_spec = make_env_spec(args.env, s0=_parse_state(args.s0))
     dataset = read_jsonl_dataset(args.data)
     rng = np.random.default_rng(args.seed)
     result = cp_gen_detailed(
         dataset,
         env_spec.behavior,
         env_spec.target,
-        _parse_state(args.s0),
+        env_spec.s0,
         args.alpha,
         M=args.M,
         N_gen=args.Ngen,

@@ -25,15 +25,12 @@ class DrPpiConfig:
     correction: CorrectionKind = CorrectionKind.PDIS
     clip: ClipPolicy = field(default_factory=ClipPolicy)
     cross_fit: bool = True
-    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.n_model_rollouts < 2:
             raise ValueError("n_model_rollouts must be at least 2")
         if self.pairs_per_trajectory < 1:
             raise ValueError("pairs_per_trajectory must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -161,18 +158,3 @@ def interval_from_estimate(value: float, variance: float, alpha: float) -> Confi
     return ConfidenceInterval(
         value - half_width, value + half_width, 1.0 - alpha, point=value
     )
-
-
-def dr_ppi_interval(
-    dataset: TrajectoryDataset,
-    behavior,
-    target,
-    cfg: DrPpiConfig,
-    model_factory,
-    rng: np.random.Generator,
-    d0_sampler=None,
-) -> ConfidenceInterval:
-    value, variance = dr_ppi_estimate(
-        dataset, behavior, target, cfg, model_factory, rng, d0_sampler
-    )
-    return interval_from_estimate(value, variance, cfg.alpha)

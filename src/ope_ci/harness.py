@@ -86,14 +86,21 @@ class EnvSpec:
 
 
 def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> EnvSpec:
+    """Spec of a named environment; ``s0`` must lie in its state box."""
     if name == "inventory":
         env = InventoryEnv()
         behavior, target = inventory_policy_pair(env.params.capacity)
-        return EnvSpec("inventory", env, behavior, target, discount, s0)
-    if name == "finite":
-        mdp, behavior, target = small_finite_mdp()
-        return EnvSpec("finite", mdp, behavior, target, discount, s0)
-    raise ValueError(f"unknown environment {name!r}; use 'inventory' or 'finite'")
+    elif name == "finite":
+        env, behavior, target = small_finite_mdp()
+    else:
+        raise ValueError(f"unknown environment {name!r}; use 'inventory' or 'finite'")
+    lo, hi = env.state_box
+    inside = s0 is None or np.shape(s0) == lo.shape and (lo <= s0).all() and (s0 <= hi).all()
+    if not inside:
+        raise ValueError(
+            f"initial state {list(s0)} lies outside the state box {lo.tolist()}..{hi.tolist()}"
+        )
+    return EnvSpec(name, env, behavior, target, discount, s0)
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,6 @@ def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_trut
                 correction=correction,
                 clip=clip,
                 cross_fit=config.crossfit,
-                alpha=alpha,
             )
             value, variance = dr_ppi_estimate(
                 dataset, env_spec.behavior, env_spec.target, cfg, factory, rng, d0

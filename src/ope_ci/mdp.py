@@ -318,13 +318,25 @@ def read_jsonl_dataset(path) -> TrajectoryDataset:
         where = f"{path} line {lineno}"
         record = _json_record(line, where, ("states", "actions", "rewards"))
         fields = [record["states"], record["actions"], record["rewards"]]
-        if not all(type(f) is list for f in fields) or len({len(f) for f in fields}) > 1:
-            raise ValueError(f"{where}: states, actions and rewards must be lists of one length")
+        if not all(type(f) is list and f for f in fields) or len({len(f) for f in fields}) > 1:
+            raise ValueError(
+                f"{where}: states, actions and rewards must be nonempty lists of one length"
+            )
+        L = len(fields[1])
         if not all(type(a) is int for a in record["actions"]):
             raise ValueError(f"{where}: actions must be integers")
-        states.append(record["states"])
+        try:
+            s, r = np.asarray(fields[0], dtype=float), np.asarray(fields[2], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{where}: states must be lists of numbers of one length, rewards numbers"
+            ) from None
+        d = states[0].shape[1] if states else s.shape[-1]
+        if s.shape != (L, d) or r.shape != (L,):
+            raise ValueError(f"{where}: expected ({L}, {d}) states and {L} rewards")
+        states.append(s)
         actions.append(record["actions"])
-        rewards.append(record["rewards"])
+        rewards.append(r)
     return TrajectoryDataset(
         RolloutBatch.pad(states, actions, rewards),
         float(meta["gamma"]),

@@ -229,21 +229,31 @@ class TestFittedQ:
         assert math.isfinite(augmented.lower) and math.isfinite(augmented.upper)
 
 
-class TestFittedQMatchesPerSweepOracle:
-    """The once-per-fit action blocks reproduce per-sweep fitted Q bit for bit."""
+CASES = [
+    pytest.param((name, sweeps), id=name if sweeps is None else f"{name}-sweeps{sweeps}")
+    for name in ("inventory", "inventory-synthetic", "finite")
+    for sweeps in (None, 0, 1, 2)
+]
 
-    @pytest.fixture(params=["inventory", "inventory-synthetic", "finite"])
+
+class TestFittedQMatchesPerSweepOracle:
+    """The closed form agrees with per-sweep fitted Q to rtol 1e-10 for
+    every sweep count (None runs the dataset horizon)."""
+
+    @pytest.fixture(params=CASES)
     def case(self, request, inventory_env, inventory_policies, finite_fixture):
-        if request.param == "finite":
+        name, sweeps = request.param
+        spec = FittedQSpec(sweeps=sweeps)
+        if name == "finite":
             mdp, behavior, target = finite_fixture
             data = mdp.sample_dataset(behavior, 80, np.random.default_rng(21), 0.9)
-            return data, behavior, target, None
+            return name, data, behavior, target, None, spec
         behavior, target = inventory_policies
         data = inventory_env.sample_dataset(
             behavior, 40, np.random.default_rng(22), 1.0
         )
-        n_synth = 100 if request.param == "inventory-synthetic" else 0
-        return data, behavior, target, (OracleModel(inventory_env), n_synth)
+        n_synth = 100 if name == "inventory-synthetic" else 0
+        return name, data, behavior, target, (OracleModel(inventory_env), n_synth), spec
 
     @staticmethod
     def synthetic_rollouts(data, target, augment, seed):
@@ -255,22 +265,32 @@ class TestFittedQMatchesPerSweepOracle:
         starts = data.initial_states()[rng.integers(0, len(data), size=n_synth)]
         return model.rollout_batch(target, starts, data.horizon, rng)
 
-    def test_coefficients_identical(self, case):
-        data, _, target, augment = case
+    def test_fit_matches_oracle(self, case):
+        name, data, _, target, augment, spec = case
         synthetic = self.synthetic_rollouts(data, target, augment, 23)
-        q = fit_q(data, target, FittedQSpec(), synthetic)
-        want = per_sweep_fit_q(data, target, FittedQSpec(), synthetic)
-        assert np.array_equal(q.coef, want.coef)
+        q = fit_q(data, target, spec, synthetic)
+        want = per_sweep_fit_q(data, target, spec, synthetic)
+        if name != "finite":
+            # The finite MDP's actions are 0/1, so a and a^2 are one column
+            # and the ridge branch splits their coefficients arbitrarily.
+            np.testing.assert_allclose(q.coef, want.coef, rtol=1e-10, atol=0)
+        states, actions = data.batch.flatten()[:2]
+        np.testing.assert_allclose(
+            q.q_values(states, actions), want.q_values(states, actions),
+            rtol=1e-10, atol=0,
+        )
 
-    def test_dr_interval_identical(self, case):
-        data, behavior, target, augment = case
+    def test_dr_interval_matches_oracle(self, case):
+        _, data, behavior, target, augment, spec = case
         synthetic = self.synthetic_rollouts(data, target, augment, 23)
         want = dr_baseline(
             data, behavior, target, 0.05,
-            q=per_sweep_fit_q(data, target, FittedQSpec(), synthetic),
+            q=per_sweep_fit_q(data, target, spec, synthetic),
         )
         got = dr_baseline(
-            data, behavior, target, 0.05,
+            data, behavior, target, 0.05, q_spec=spec,
             augment=augment, rng=np.random.default_rng(23),
         )
-        assert np.array_equal([got.lower, got.upper], [want.lower, want.upper])
+        np.testing.assert_allclose(
+            [got.lower, got.upper], [want.lower, want.upper], rtol=1e-10, atol=0
+        )

@@ -294,6 +294,26 @@ class TestOutOfRangeActions:
         assert not out.exists()
 
 
+class TestOutOfRangeInitialState:
+    @pytest.mark.parametrize("s0", ["7", "-1"])
+    @pytest.mark.parametrize("model", ["oracle", "gaussian"])
+    def test_cpgen_finite_exits_two(self, tmp_path, capsys, model, s0):
+        # -1 must not read as the last state
+        data = tmp_path / "finite.jsonl"
+        assert run_cli(
+            "simulate", "--env", "finite", "--n", 40, "--seed", 1, "--out", data
+        ) == 0
+        out = tmp_path / "out.json"
+        code = run_cli(
+            "cpgen", "--env", "finite", "--model", model, "--data", data,
+            f"--s0={s0}", "--M", 2, "--Ngen", 2, "--rollouts", 32,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert f"state [{float(s0)}] lies outside" in single_error_line(capsys)
+        assert not out.exists()
+
+
 class TestDatasetFileErrors:
     def run_drppi(self, data, tmp_path):
         out = tmp_path / "out.json"
@@ -333,6 +353,24 @@ class TestDatasetFileErrors:
         ids=["int-actions", "int-rewards", "one-reward-short"],
     )
     def test_record_fields_not_lists_of_one_length(self, small_dataset, tmp_path, capsys, edit):
+        bad = rewrite_record(
+            small_dataset, tmp_path / "bad.jsonl", lambda record: json.dumps(edit(record))
+        )
+        assert self.run_drppi(bad, tmp_path) == 2
+        assert f"{bad} line 4:" in single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: {**record, "states": [[*s, *s] for s in record["states"]]},
+            lambda record: {**record, "states": [[1.0], [1.0, 2.0], *record["states"][2:]]},
+            lambda record: {**record, "rewards": ["many", *record["rewards"][1:]]},
+        ],
+        ids=["two-dimensional-states", "ragged-states", "non-numeric-reward"],
+    )
+    def test_record_values_of_wrong_shape_or_type(
+        self, small_dataset, tmp_path, capsys, edit
+    ):
         bad = rewrite_record(
             small_dataset, tmp_path / "bad.jsonl", lambda record: json.dumps(edit(record))
         )

@@ -8,7 +8,6 @@ from ope_ci.drppi import (
     HalfEstimate,
     cross_fit_variance,
     dr_ppi_estimate,
-    dr_ppi_interval,
     half_estimate,
     interval_from_estimate,
 )
@@ -27,7 +26,6 @@ def cfg_with(**kwargs):
         correction=CorrectionKind.IS,
         clip=ClipPolicy.off(),
         cross_fit=True,
-        alpha=0.05,
     )
     defaults.update(kwargs)
     return DrPpiConfig(**defaults)
@@ -234,20 +232,6 @@ class TestInterval:
     def test_zero_variance_degenerate(self):
         ci = interval_from_estimate(3.0, 0.0, 0.05)
         assert (ci.lower, ci.upper, ci.point) == (3.0, 3.0, 3.0)
-
-    def test_pipeline_interval_consistent(self, finite_fixture):
-        mdp, behavior, target = finite_fixture
-        data = mdp.sample_dataset(behavior, 16, np.random.default_rng(20), 0.9)
-        cfg = cfg_with()
-        value, variance = dr_ppi_estimate(
-            data, behavior, target, cfg, lambda: OracleModel(mdp),
-            np.random.default_rng(21), mdp.sample_initial_states,
-        )
-        ci = dr_ppi_interval(
-            data, behavior, target, cfg, lambda: OracleModel(mdp),
-            np.random.default_rng(21), mdp.sample_initial_states,
-        )
-        assert ci == interval_from_estimate(value, variance, cfg.alpha)
 
 
 class TestConfigValidation:

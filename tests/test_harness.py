@@ -79,6 +79,20 @@ class TestGroundTruth:
         assert list(tmp_path.glob("ground_truth_*.json"))
 
 
+class TestEnvSpec:
+    @pytest.mark.parametrize(
+        "name, s0",
+        [
+            ("finite", (7.0,)), ("finite", (-1.0,)),
+            ("inventory", (11.0,)), ("inventory", (5.0, 1.0)),
+        ],
+    )
+    def test_initial_state_outside_state_box_rejected(self, name, s0):
+        # -1 must not read as the finite MDP's last state
+        with pytest.raises(ValueError, match="lies outside the state box"):
+            make_env_spec(name, s0=s0)
+
+
 class TestCoverageStudy:
     def test_single_trial_coverage_is_zero_or_one(self):
         spec = make_env_spec("finite", discount=0.9)
@@ -117,6 +131,11 @@ class TestCoverageStudy:
         spec = make_env_spec("finite", discount=0.9)
         with pytest.raises(ValueError):
             run_coverage_study(spec, "cpgen", 20, 2, 0.1, 1)
+
+    def test_drppi_out_of_range_alpha_rejected(self):
+        spec = make_env_spec("finite", discount=0.9)
+        with pytest.raises(ValueError):
+            run_coverage_study(spec, "drppi:pdis", 20, 1, 1.5, 1)
 
     def test_unknown_method_rejected(self):
         spec = make_env_spec("finite", discount=0.9)
