@@ -21,6 +21,7 @@ from .reweighting import trajectory_ratios
 
 _EPS_FLOOR = 1e-9
 _MASS_TOL = 1e-9
+_CHUNK_CELLS = 1 << 20  # (query, pair) cells per epsilon-ball chunk
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,38 @@ def resolve_eps(train_pairs, cfg: EpsConfig) -> tuple[float, float]:
     return eps_s, eps_r
 
 
+def _state_distances(query_states: np.ndarray, train_states: np.ndarray) -> np.ndarray:
+    return np.sqrt(((query_states[:, None, :] - train_states[None, :, :]) ** 2).sum(-1))
+
+
+def _ball_means(
+    d_state: np.ndarray,
+    query_scores: np.ndarray,
+    train_scores: np.ndarray,
+    train_ratios: np.ndarray,
+    eps_state: float,
+    eps_score: float,
+    k: int,
+) -> np.ndarray:
+    """Weights of one chunk of queries from their state distances, which are
+    ``(rows, pairs)`` or one ``(1, pairs)`` row shared by every query."""
+    d_score = np.abs(query_scores[:, None] - train_scores[None, :])
+    inside = (d_state <= eps_state) & (d_score <= eps_score)
+    counts = inside.sum(axis=1)
+    sums = np.where(inside, train_ratios, 0.0).sum(axis=1)
+    out = np.empty(query_scores.shape[0])
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled]
+    if not filled.all():
+        empty = ~filled
+        scaled = np.broadcast_to(d_state, d_score.shape)[empty]
+        scaled /= eps_state
+        np.maximum(scaled, d_score[empty] / eps_score, out=scaled)
+        nearest = np.argpartition(scaled, k - 1, axis=1)[:, :k]
+        out[empty] = train_ratios[nearest].mean(axis=1)
+    return out
+
+
 def _eps_ball_weights(
     query_states: np.ndarray,
     query_scores: np.ndarray,
@@ -144,22 +177,27 @@ def _eps_ball_weights(
     eps_score: float,
     k_nearest: int,
 ) -> np.ndarray:
-    """Mean pair ratio over the ball around each query; nearest-k fallback."""
-    d_state = np.sqrt(
-        ((query_states[:, None, :] - train_states[None, :, :]) ** 2).sum(-1)
-    )
-    d_score = np.abs(query_scores[:, None] - train_scores[None, :])
-    inside = (d_state <= eps_state) & (d_score <= eps_score)
-    counts = inside.sum(axis=1)
-    sums = inside @ train_ratios
-    out = np.empty(query_states.shape[0])
-    filled = counts > 0
-    out[filled] = sums[filled] / counts[filled]
-    if (~filled).any():
-        k = min(k_nearest, train_ratios.shape[0])
-        scaled = np.maximum(d_state[~filled] / eps_state, d_score[~filled] / eps_score)
-        nearest = np.argpartition(scaled, k - 1, axis=1)[:, :k]
-        out[~filled] = train_ratios[nearest].mean(axis=1)
+    """Mean pair ratio over the ball around each query; nearest-k fallback.
+
+    ``query_states`` holds one row per query score, or a single row that
+    every query score shares.  Queries run in chunks of
+    ``_CHUNK_CELLS // pairs`` rows (at least one), so memory is linear in the
+    number of pairs; each row's ball sum is a row-wise reduction, so its
+    value does not depend on the chunk it lands in.
+    """
+    n_train = train_ratios.shape[0]
+    rows = max(1, _CHUNK_CELLS // n_train)
+    k = min(k_nearest, n_train)
+    shared = query_states.shape[0] == 1
+    if shared:
+        d_shared = _state_distances(query_states, train_states)
+    out = np.empty(query_scores.shape[0])
+    for start in range(0, out.size, rows):
+        chunk = slice(start, start + rows)
+        out[chunk] = _ball_means(
+            d_shared if shared else _state_distances(query_states[chunk], train_states),
+            query_scores[chunk], train_scores, train_ratios, eps_state, eps_score, k,
+        )
     return out
 
 
@@ -211,8 +249,10 @@ def conformal_band(
             [weight_fn(tuple(s), float(v)) for s, v in zip(cal_states, cal_scores)]
         )
 
+        query_tuple = tuple(query)
+
         def query_weights(deltas: np.ndarray) -> np.ndarray:
-            return np.array([weight_fn(tuple(query), float(d)) for d in deltas])
+            return np.array([weight_fn(query_tuple, float(d)) for d in deltas])
 
     else:
         if len(train_pairs) == 0:
@@ -225,9 +265,8 @@ def conformal_band(
         )
 
         def query_weights(deltas: np.ndarray) -> np.ndarray:
-            tiled = np.tile(query, (deltas.size, 1))
             return _eps_ball_weights(
-                tiled, deltas, t_states, t_scores, t_ratios,
+                query[None, :], deltas, t_states, t_scores, t_ratios,
                 eps_s, eps_r, cfg.k_nearest,
             )
 

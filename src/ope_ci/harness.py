@@ -349,6 +349,8 @@ def run_coverage_study(
     method, and records whether the interval covers the ground truth; the
     whole study is deterministic given ``seed``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)

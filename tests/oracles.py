@@ -13,7 +13,11 @@ regression rows walk ``Trajectory`` objects step by step, as the library did
 before its estimators read the padded batch arrays, and the columnar paths
 must match them bit for bit.  The three rollout loops are the ones each
 simulator and the Gaussian model ran before they shared one time loop; its
-batches and generator state must match theirs bit for bit.
+batches and generator state must match theirs bit for bit.  The dense
+epsilon-ball weights build every (query, pair) matrix at once, as the
+library did before it ran queries in chunks; the chunked weights must match
+them to rounding, because the ball sums are a row-wise reduction rather than
+a matrix-vector product.
 """
 from __future__ import annotations
 
@@ -285,6 +289,35 @@ def nearest_k_mean(
     scored.sort(key=lambda item: item[0])
     top = scored[: min(k, len(scored))]
     return float(np.mean([ratio for _, ratio in top]))
+
+
+def dense_eps_ball_weights(
+    query_states: np.ndarray,
+    query_scores: np.ndarray,
+    train_states: np.ndarray,
+    train_scores: np.ndarray,
+    train_ratios: np.ndarray,
+    eps_state: float,
+    eps_score: float,
+    k_nearest: int,
+) -> np.ndarray:
+    """Mean pair ratio over the ball around each query; nearest-k fallback."""
+    d_state = np.sqrt(
+        ((query_states[:, None, :] - train_states[None, :, :]) ** 2).sum(-1)
+    )
+    d_score = np.abs(query_scores[:, None] - train_scores[None, :])
+    inside = (d_state <= eps_state) & (d_score <= eps_score)
+    counts = inside.sum(axis=1)
+    sums = inside @ train_ratios
+    out = np.empty(query_states.shape[0])
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled]
+    if (~filled).any():
+        k = min(k_nearest, train_ratios.shape[0])
+        scaled = np.maximum(d_state[~filled] / eps_state, d_score[~filled] / eps_score)
+        nearest = np.argpartition(scaled, k - 1, axis=1)[:, :k]
+        out[~filled] = train_ratios[nearest].mean(axis=1)
+    return out
 
 
 def exact_pair_weights(

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ope_ci import cpgen
 from ope_ci.cpgen import (
     EpsConfig,
     GridSpec,
@@ -23,7 +25,12 @@ from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs
 from ope_ci.harness import StudyConfig, make_env_spec, make_method
 from ope_ci.models import GaussianRegressionModel, OracleModel
 
-from oracles import nearest_k_mean, split_conformal_band, weighted_quantile
+from oracles import (
+    dense_eps_ball_weights,
+    nearest_k_mean,
+    split_conformal_band,
+    weighted_quantile,
+)
 
 
 def pair(state, score, ratio=1.0):
@@ -74,6 +81,87 @@ class TestEstimateWeightEps:
         # pairwise state distances {1, 1, 2} -> median 1; scores scale by 10
         assert eps_s == pytest.approx(0.5)
         assert eps_r == pytest.approx(5.0)
+
+
+BOUNDARY_ROWS = 7  # chunk rows in the chunked-weight properties
+
+
+@st.composite
+def ball_queries(draw, shared_state=False):
+    """Training pairs and queries for the epsilon-ball weights.  Queries
+    ``BOUNDARY_ROWS - 1`` and ``BOUNDARY_ROWS`` (and, with a shared state,
+    every query) sit far from the pairs when ``far`` is drawn, so their balls
+    are empty and they fall back to the nearest pairs on both sides of the
+    first chunk boundary."""
+    d = draw(st.sampled_from([1, 2]))
+    n_train = draw(st.integers(1, 40))
+    n_query = draw(st.integers(1, 60).filter(lambda n: n % BOUNDARY_ROWS != 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_states = rng.normal(size=(n_train, d))
+    t_scores = np.round(rng.normal(size=n_train), 1)
+    t_ratios = rng.exponential(size=n_train)
+    q_states = rng.normal(size=(1 if shared_state else n_query, d))
+    q_scores = np.round(rng.normal(size=n_query), 1)
+    if draw(st.booleans()):
+        q_scores[BOUNDARY_ROWS - 1 : BOUNDARY_ROWS + 1] = 50.0
+        if shared_state:
+            q_states[:] = 50.0
+    eps_state = draw(st.floats(0.05, 2.0))
+    eps_score = draw(st.floats(0.05, 2.0))
+    k = draw(st.integers(1, 8))
+    return q_states, q_scores, t_states, t_scores, t_ratios, eps_state, eps_score, k
+
+
+def chunked_weights(args, rows=None):
+    """``_eps_ball_weights`` with ``rows`` query rows per chunk (None: the
+    library's default chunk)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(cpgen, "_CHUNK_CELLS", rows * args[4].shape[0])
+        return _eps_ball_weights(*args)
+
+
+class TestChunkedEpsBallWeights:
+    @given(ball_queries())
+    def test_matches_dense_oracle(self, args):
+        got = chunked_weights(args, BOUNDARY_ROWS)
+        want = dense_eps_ball_weights(*args)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @given(ball_queries())
+    def test_identical_across_chunk_sizes(self, args):
+        default = chunked_weights(args)
+        for rows in (1, BOUNDARY_ROWS):
+            assert np.array_equal(chunked_weights(args, rows), default)
+
+    @given(ball_queries(shared_state=True))
+    def test_shared_state_row_equals_tiled_rows(self, args):
+        q_states, q_scores, *rest = args
+        tiled = np.tile(q_states, (q_scores.size, 1))
+        for rows in (None, BOUNDARY_ROWS):
+            shared = chunked_weights(args, rows)
+            assert np.array_equal(shared, chunked_weights((tiled, q_scores, *rest), rows))
+        np.testing.assert_allclose(
+            shared, dense_eps_ball_weights(tiled, q_scores, *rest), rtol=1e-12, atol=0
+        )
+
+    def test_memory_is_linear_in_pairs(self):
+        # 3,200 calibration queries against 3,200 training pairs, the size of
+        # an n=1600 cpgen trial; the dense matrices peak near 250 MB
+        rng = np.random.default_rng(0)
+        n = 3200
+        args = (
+            rng.uniform(0, 10, (n, 1)), rng.normal(0, 500, n),
+            rng.uniform(0, 10, (n, 1)), rng.normal(0, 500, n),
+            rng.exponential(size=n), 0.25, 25.0, 5,
+        )
+        tracemalloc.start()
+        try:
+            _eps_ball_weights(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestWeightedDistribution:

@@ -137,6 +137,19 @@ class TestCoverageStudy:
         with pytest.raises(ValueError):
             run_coverage_study(spec, "drppi:pdis", 20, 1, 1.5, 1)
 
+    @pytest.mark.parametrize("method", ["is", "cpgen"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_out_of_range_alpha_rejected_before_ground_truth(
+        self, method, alpha, monkeypatch
+    ):
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("ground truth computed before the alpha check")
+
+        monkeypatch.setattr("ope_ci.harness.ground_truth_value", no_ground_truth)
+        spec = make_env_spec("finite", s0=(1.0,), discount=0.9)
+        with pytest.raises(ValueError, match="alpha"):
+            run_coverage_study(spec, method, 20, 1, alpha, 1)
+
     def test_unknown_method_rejected(self):
         spec = make_env_spec("finite", discount=0.9)
         with pytest.raises(ValueError):
