@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .mdp import RolloutBatch, State, TrajectoryDataset, _roll_out
-from .policies import SoftmaxOrderUpToPolicy, TabularPolicy
+from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, _inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,8 @@ class FiniteMdp(Simulator):
         return np.zeros(1), np.array([float(self.state_count - 1)])
 
     def sample_initial_states(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        cdf = np.cumsum(self.initial_dist)
-        draws = (cdf < rng.random((n, 1))).sum(axis=1)
+        table = np.broadcast_to(self.initial_dist, (n, self.state_count))
+        draws = _inverse_cdf(table, rng.random(n))
         return draws.astype(float)[:, None]
 
     def is_absorbing(self, states: np.ndarray) -> np.ndarray:
@@ -195,7 +195,7 @@ class FiniteMdp(Simulator):
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         s = states[:, 0].astype(int)
         u = rng.random(s.shape[0])
-        nxt = (np.cumsum(self.transition_probs, axis=2)[s, actions] < u[:, None]).sum(axis=1)
+        nxt = _inverse_cdf(self.transition_probs[s, actions], u)
         return nxt.astype(float)[:, None], self.rewards[s, actions, nxt]
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:

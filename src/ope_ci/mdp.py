@@ -159,22 +159,28 @@ def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> Rollo
     """The one rollout time loop.  Each step makes one ``policy_sample`` call
     for all rows, then ``step(states, actions, rng) -> (next_states,
     rewards)``.  A row's rollout ends in a ``stopped`` (absorbing) state;
-    the row keeps stepping unrecorded, so every row takes every draw."""
+    the row keeps stepping unrecorded, so every row takes every draw.  The
+    buffers are time-major, so each step writes one contiguous slice; they
+    are returned as C-ordered ``(N, T, ...)`` arrays, zero past each row's
+    length (which covers the steps skipped once every row has ended)."""
     x, n = initial_states, initial_states.shape[0]
-    states = np.empty((n, horizon, x.shape[1]))
-    actions = np.empty((n, horizon), dtype=np.int64)
-    rewards = np.empty((n, horizon))
+    states = np.empty((horizon, n, x.shape[1]))
+    actions = np.empty((horizon, n), dtype=np.int64)
+    rewards = np.empty((horizon, n))
     live = np.ones(n, dtype=bool) if stopped is None else ~stopped(x)
     lengths = np.zeros(n, dtype=np.int64)
     for t in range(horizon):
         if not live.any():
             break
         a = policy_sample(policy, x, rng)
-        states[:, t], actions[:, t] = x, a
-        x, rewards[:, t] = step(x, a, rng)
+        states[t], actions[t] = x, a
+        x, rewards[t] = step(x, a, rng)
         lengths += live
         if stopped is not None:
             live &= ~stopped(x)
+    states = np.ascontiguousarray(states.swapaxes(0, 1))
+    actions = np.ascontiguousarray(actions.T)
+    rewards = np.ascontiguousarray(rewards.T)
     if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]
         states[pad], actions[pad], rewards[pad] = 0.0, 0, 0.0

@@ -4,7 +4,9 @@ A policy is anything with ``action_probs(states) -> (N, A)``: given an
 ``(N, d)`` state array, row i holds the probabilities of actions 0..A-1 at
 ``states[i]`` and sums to 1.  Everything the library does with a policy is
 an operation on that table: ``policy_probs`` gathers the probability of
-given actions and ``policy_sample`` draws actions by inverse CDF.
+given actions and ``policy_sample`` draws actions by inverse CDF.  A table
+may come back in either memory order; ``SoftmaxOrderUpToPolicy`` returns the
+transposed view of an action-major array, whose columns are contiguous.
 """
 from __future__ import annotations
 
@@ -34,18 +36,24 @@ class SoftmaxOrderUpToPolicy:
 
     def action_probs(self, states: np.ndarray) -> np.ndarray:
         stock = np.asarray(states, dtype=float)[:, 0]
-        actions = np.arange(self.capacity + 1, dtype=float)
         wanted = np.maximum(0.0, self.order_up_to - stock)
-        logits = -np.abs(actions[None, :] - wanted[:, None]) / self.temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        return weights / weights.sum(axis=1, keepdims=True)
+        # Action-major (A, N) logits, built in place: -|a - wanted| / temperature.
+        weights = np.arange(self.capacity + 1, dtype=float)[:, None] - wanted
+        np.abs(weights, out=weights)
+        weights /= -self.temperature
+        weights -= weights.max(axis=0)
+        np.exp(weights, out=weights)
+        # The row sums of a C-ordered copy add in numpy's pairwise order for
+        # the (N, A) table, so every probability matches the row layout's.
+        weights /= np.ascontiguousarray(weights.T).sum(axis=1)
+        return weights.T
 
 
 @dataclass(frozen=True)
 class TabularPolicy:
     """Action table for integer-coded states; row s holds prob(a | s).  States
-    are truncated to integers, as a fitted model rolls out continuous ones."""
+    are truncated to integers, as a fitted model rolls out continuous ones,
+    and a code outside 0..S-1 is a ``ValueError``."""
 
     table: tuple[tuple[float, ...], ...]
 
@@ -60,7 +68,15 @@ class TabularPolicy:
         object.__setattr__(self, "_arr", arr)
 
     def action_probs(self, states: np.ndarray) -> np.ndarray:
-        return self._arr[np.asarray(states, dtype=float)[:, 0].astype(int)]
+        x = np.asarray(states, dtype=float)[:, 0]
+        codes = x.astype(int)
+        outside = (codes < 0) | (codes >= len(self._arr))
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise ValueError(
+                f"state {x[i]:g} has code {codes[i]}, outside 0..{len(self._arr) - 1}"
+            )
+        return self._arr[codes]
 
 
 def policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -73,8 +89,19 @@ def policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of the ``(N, K)`` table ``probs``, the count of CDF entries
+    below ``u``.  The CDF is walked one column at a time, adding in the
+    order of ``cumsum(axis=1)``, so any memory order gives the same draws."""
+    cdf = np.zeros(len(u))
+    index = np.zeros(len(u), dtype=np.int64)
+    for column in probs.T:
+        cdf += column
+        index += cdf < u
+    return index
+
+
 def policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One action per state by inverse CDF, from one ``rng.random(N)`` draw."""
-    cdf = np.cumsum(policy.action_probs(states), axis=1)
-    u = rng.random(cdf.shape[0])
-    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
+    probs = policy.action_probs(states)
+    return _inverse_cdf(probs, rng.random(probs.shape[0]))

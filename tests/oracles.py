@@ -17,7 +17,10 @@ batches and generator state must match theirs bit for bit.  The dense
 epsilon-ball weights build every (query, pair) matrix at once, as the
 library did before it ran queries in chunks; the chunked weights must match
 them to rounding, because the ball sums are a row-wise reduction rather than
-a matrix-vector product.
+a matrix-vector product.  The softmax policy table and the policy draw are
+the row-layout ones the library used before it built the table action-major
+and walked the CDF one column at a time; tables, draws and generator state
+must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -406,6 +409,25 @@ def per_sweep_fit_q(
             targets[cont] += dataset.discount * q.expected_q(next_states[cont], target)
         q = PerSweepQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
     return q
+
+
+def row_softmax_action_probs(policy, states: np.ndarray) -> np.ndarray:
+    """``SoftmaxOrderUpToPolicy.action_probs`` built row by row as an
+    ``(N, A)`` table, with row reductions."""
+    stock = np.asarray(states, dtype=float)[:, 0]
+    actions = np.arange(policy.capacity + 1, dtype=float)
+    wanted = np.maximum(0.0, policy.order_up_to - stock)
+    logits = -np.abs(actions[None, :] - wanted[:, None]) / policy.temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def cumsum_policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One action per state by inverse CDF, from one ``rng.random(N)`` draw."""
+    cdf = np.cumsum(policy.action_probs(states), axis=1)
+    u = rng.random(cdf.shape[0])
+    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
 
 
 def inventory_rollout(env, policy, initial_states, horizon, rng) -> RolloutBatch:

@@ -71,8 +71,18 @@ class TestTabularPolicy:
 
     def test_continuous_states_truncate_to_rows(self):
         policy = TabularPolicy(((0.3, 0.7), (0.9, 0.1)))
-        rows = policy.action_probs(np.array([[0.0], [0.99], [1.0], [1.7]]))
-        assert rows.tolist() == [[0.3, 0.7], [0.3, 0.7], [0.9, 0.1], [0.9, 0.1]]
+        rows = policy.action_probs(np.array([[-0.5], [0.0], [0.99], [1.0], [1.7]]))
+        assert rows.tolist() == [[0.3, 0.7], [0.3, 0.7], [0.3, 0.7], [0.9, 0.1], [0.9, 0.1]]
+
+    @pytest.mark.parametrize("state", [-1.0, -3.5, 2.0, 2.5])
+    def test_out_of_range_codes_rejected(self, state):
+        """Codes -1 and below and S and above have no row to read."""
+        policy = TabularPolicy(((0.3, 0.7), (0.9, 0.1)))
+        states = np.array([[0.0], [state], [1.0]])
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            policy.action_probs(states)
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            policy_sample(policy, states, np.random.default_rng(0))
 
     def test_sample_frequencies(self, rng):
         policy = TabularPolicy(((0.25, 0.75),))

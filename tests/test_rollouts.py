@@ -36,6 +36,7 @@ def assert_same_rollout(run, reference, *args, seed=17):
     for name in ("states", "actions", "rewards", "lengths"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype, name
+        assert g.flags.c_contiguous, name
         assert np.array_equal(g, w), name
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     return got
@@ -91,6 +92,12 @@ def test_gaussian_model(env_name, boxed):
     data = env.sample_dataset(behavior, 60, np.random.default_rng(5))
     model = GaussianRegressionModel(state_box=env.state_box if boxed else None).fit(data)
     starts = env.sample_initial_states(np.random.default_rng(6), 40)
+    if env_name == "finite" and not boxed:
+        # An unboxed model leaves the finite MDP's states, and the tabular
+        # policy refuses the codes it reaches instead of reading a wrong row.
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            model.rollout_batch(behavior, starts, env.horizon, np.random.default_rng(17))
+        return
     batch = assert_same_rollout(
         model.rollout_batch, lambda *a: gaussian_model_rollout(model, *a),
         behavior, starts, env.horizon,
