@@ -45,13 +45,13 @@ def _cmd_simulate(args) -> int:
     policy = env_spec.behavior if args.policy == "behavior" else env_spec.target
     rng = np.random.default_rng(args.seed)
     dataset = env_spec.env.sample_dataset(policy, args.n, rng, args.gamma)
-    write_jsonl_dataset(dataset, args.out)
+    write_jsonl_dataset(dataset, args.out, env=args.env)
     return 0
 
 
 def _cmd_cpgen(args) -> int:
     env_spec = make_env_spec(args.env, s0=_parse_state(args.s0))
-    dataset = read_jsonl_dataset(args.data)
+    dataset = read_jsonl_dataset(args.data, env=args.env)
     rng = np.random.default_rng(args.seed)
     result = cp_gen_detailed(
         dataset,
@@ -83,7 +83,7 @@ def _cmd_cpgen(args) -> int:
 
 def _cmd_drppi(args) -> int:
     env_spec = make_env_spec(args.env)
-    dataset = read_jsonl_dataset(args.data)
+    dataset = read_jsonl_dataset(args.data, env=args.env)
     config = StudyConfig(
         model=args.model,
         model_degree=args.degree,
@@ -111,7 +111,7 @@ def _cmd_drppi(args) -> int:
 
 def _cmd_baseline(args) -> int:
     env_spec = make_env_spec(args.env)
-    dataset = read_jsonl_dataset(args.data)
+    dataset = read_jsonl_dataset(args.data, env=args.env)
     config = StudyConfig(
         model=args.model,
         model_degree=args.degree,

@@ -167,6 +167,120 @@ def _ball_means(
     return out
 
 
+def _window(
+    sorted_values: np.ndarray, queries: np.ndarray, inside
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the ``[start, stop)`` run of ascending ``sorted_values`` on
+    which ``inside(query, value)`` holds.
+
+    ``inside`` must compare a rounded distance that does not decrease with
+    the value's distance from the query; it then holds on one run around the
+    query, and bisecting with ``inside`` itself (rather than ``searchsorted``
+    at ``query ± eps``) finds that run bit for bit.
+    """
+    n = sorted_values.size
+
+    def first(test):
+        lo = np.zeros(queries.shape, dtype=np.intp)
+        hi = np.full(queries.shape, n, dtype=np.intp)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) >> 1
+            live = lo < hi
+            ok = test(sorted_values[np.minimum(mid, n - 1)])
+            hi = np.where(live & ok, mid, hi)
+            lo = np.where(live & ~ok, mid + 1, lo)
+        return lo
+
+    start = first(lambda v: (v >= queries) | inside(queries, v))
+    stop = first(lambda v: (v > queries) & ~inside(queries, v))
+    return start, stop
+
+
+def _compensated_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise exclusive prefix sums of ``values`` as ``(sums, corrections)``.
+
+    ``sums`` is the sequential ``cumsum`` and ``corrections`` the running sum
+    of the rounding error of each of its additions (TwoSum, Knuth), so the
+    difference of two prefixes keeps its relative accuracy even when both
+    prefixes are much larger than it.
+    """
+    rows, width = values.shape
+    sums = np.zeros((rows, width + 1))
+    np.cumsum(values, axis=1, out=sums[:, 1:])
+    corrections = np.zeros((rows, width + 1))
+    before, added, after = sums[:, 1:-1], values[:, 1:], sums[:, 2:]
+    added_rounded = after - before
+    corrections[:, 2:] = (before - (after - added_rounded)) + (added - added_rounded)
+    np.cumsum(corrections, axis=1, out=corrections)
+    return sums, corrections
+
+
+def _ball_counts_and_sums(
+    query_states: np.ndarray,
+    query_scores: np.ndarray,
+    train_states: np.ndarray,
+    train_scores: np.ndarray,
+    train_ratios: np.ndarray,
+    eps_state: float,
+    eps_score: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ball counts and ratio sums for 1-D states in O((Q + N) log N), with
+    no (queries x pairs) matrix.
+
+    Each ball is a rectangle in (state order, score order): ``_window``
+    gives its state run and score run with the dense path's predicates.  A
+    bottom-up merge-sort tree over state order, whose blocks hold their
+    pairs' score ranks sorted, splits the state run into at most
+    2·log2(N) aligned blocks; each block adds an exact count (a difference
+    of ``searchsorted`` positions) and a nonnegative ratio sum (a difference
+    of compensated prefix sums).  ``query_states`` holds one state per query
+    score, or one state that every query score shares.
+    """
+    n = train_ratios.size
+    by_state = np.argsort(train_states, kind="stable")
+    by_score = np.argsort(train_scores, kind="stable")
+    state_start, state_stop = _window(
+        train_states[by_state], query_states,
+        lambda q, t: np.sqrt((q - t) ** 2) <= eps_state,
+    )
+    score_start, score_stop = _window(
+        train_scores[by_score], query_scores, lambda q, t: np.abs(q - t) <= eps_score
+    )
+    lo, hi = (np.broadcast_to(w, query_scores.shape) for w in (state_start, state_stop))
+
+    size = 1 << (n - 1).bit_length()
+    score_rank = np.empty(n, dtype=np.intp)
+    score_rank[by_score] = np.arange(n)
+    blocks = np.arange(size)  # padding ranks n.. lie past every score run
+    blocks[:n] = score_rank[by_state]
+    ratio_by_rank = np.zeros(size)
+    ratio_by_rank[:n] = train_ratios[by_score]
+
+    counts = np.zeros(query_scores.shape, dtype=np.intp)
+    sums = np.zeros(query_scores.shape)
+    width = 1
+    while (lo < hi).any():
+        blocks = np.sort(blocks.reshape(-1, width), axis=1, kind="stable")
+        keys = (blocks + size * np.arange(size // width)[:, None]).ravel()
+        prefix, correction = _compensated_prefix(ratio_by_rank[blocks])
+        live = lo < hi
+        for rows, block in (
+            (np.flatnonzero(live & (lo % 2 == 1)), lo),
+            (np.flatnonzero(live & (hi % 2 == 1)), hi - 1),
+        ):
+            b = block[rows]
+            first = np.searchsorted(keys, b * size + score_start[rows]) - b * width
+            stop = np.searchsorted(keys, b * size + score_stop[rows]) - b * width
+            counts[rows] += stop - first
+            sums[rows] += (prefix[b, stop] - prefix[b, first]) + (
+                correction[b, stop] - correction[b, first]
+            )
+        lo = (lo + 1) >> 1
+        hi = hi >> 1
+        width *= 2
+    return counts, sums
+
+
 def _eps_ball_weights(
     query_states: np.ndarray,
     query_scores: np.ndarray,
@@ -180,20 +294,31 @@ def _eps_ball_weights(
     """Mean pair ratio over the ball around each query; nearest-k fallback.
 
     ``query_states`` holds one row per query score, or a single row that
-    every query score shares.  Queries run in chunks of
-    ``_CHUNK_CELLS // pairs`` rows (at least one), so memory is linear in the
-    number of pairs; each row's ball sum is a row-wise reduction, so its
+    every query score shares.  For 1-D states ``_ball_counts_and_sums``
+    gives every ball, and only rows with an empty ball take the dense path;
+    for other dimensions every row does.  The dense path runs in chunks of
+    ``_CHUNK_CELLS // pairs`` rows (at least one), so memory is linear in
+    the number of pairs; each row's ball sum is a row-wise reduction, so its
     value does not depend on the chunk it lands in.
     """
     n_train = train_ratios.shape[0]
     rows = max(1, _CHUNK_CELLS // n_train)
     k = min(k_nearest, n_train)
     shared = query_states.shape[0] == 1
-    if shared:
-        d_shared = _state_distances(query_states, train_states)
     out = np.empty(query_scores.shape[0])
-    for start in range(0, out.size, rows):
-        chunk = slice(start, start + rows)
+    dense = np.arange(out.size)
+    if train_states.shape[1] == 1:
+        counts, sums = _ball_counts_and_sums(
+            query_states[:, 0], query_scores, train_states[:, 0], train_scores,
+            train_ratios, eps_state, eps_score,
+        )
+        filled = counts > 0
+        out[filled] = sums[filled] / counts[filled]
+        dense = np.flatnonzero(~filled)
+    if shared and dense.size:
+        d_shared = _state_distances(query_states, train_states)
+    for start in range(0, dense.size, rows):
+        chunk = dense[start : start + rows]
         out[chunk] = _ball_means(
             d_shared if shared else _state_distances(query_states[chunk], train_states),
             query_scores[chunk], train_scores, train_ratios, eps_state, eps_score, k,

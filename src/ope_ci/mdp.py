@@ -279,7 +279,9 @@ def dataset_meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def write_jsonl_dataset(dataset: TrajectoryDataset, path) -> None:
+def write_jsonl_dataset(dataset: TrajectoryDataset, path, env: str | None = None) -> None:
+    """Write ``dataset`` and its sidecar; ``env`` names the environment that
+    produced it, so that readers can refuse it for another one."""
     path = Path(path)
     b = dataset.batch
     lines = []
@@ -296,6 +298,8 @@ def write_jsonl_dataset(dataset: TrajectoryDataset, path) -> None:
         "horizon": dataset.horizon,
         "state_dim": dataset.state_dim,
     }
+    if env is not None:
+        meta["env"] = env
     dataset_meta_path(path).write_text(json.dumps(meta, separators=(",", ":")) + "\n")
 
 
@@ -310,13 +314,20 @@ def _json_record(text: str, where: str, keys: tuple[str, ...]) -> dict:
     return record
 
 
-def read_jsonl_dataset(path) -> TrajectoryDataset:
+def read_jsonl_dataset(path, env: str | None = None) -> TrajectoryDataset:
     """Dataset of a JSON Lines file and its sidecar; a malformed line raises
-    ``ValueError`` naming the file and the line."""
+    ``ValueError`` naming the file and the line.  With ``env``, a sidecar
+    that names another environment raises ``ValueError``; a sidecar that
+    names none is read."""
     path = Path(path)
     lines = path.read_text().splitlines()
     meta_path = dataset_meta_path(path)
     meta = _json_record(meta_path.read_text(), str(meta_path), ("gamma", "horizon"))
+    if env is not None and meta.get("env", env) != env:
+        raise ValueError(
+            f"{meta_path}: the dataset comes from the {meta['env']!r} environment, "
+            f"not {env!r}"
+        )
     states, actions, rewards = [], [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

@@ -385,3 +385,51 @@ class TestDatasetFileErrors:
         err = single_error_line(capsys)
         assert f"{bad} line 4: malformed JSON" in err
         assert "column" not in err
+
+
+# Each interval command, with arguments small enough for a 40-trajectory file
+# and an initial state that both environments accept.
+INTERVAL_COMMANDS = {
+    "cpgen": ["cpgen", "--s0", "1", "--M", 2, "--Ngen", 2, "--rollouts", 32],
+    "drppi": ["drppi", "--Nf", 100, "--M", 2],
+    "baseline-is": ["baseline", "--method", "is"],
+}
+
+
+class TestEnvironmentMismatch:
+    def simulate(self, tmp_path, env):
+        data = tmp_path / f"{env}.jsonl"
+        assert run_cli("simulate", "--env", env, "--n", 40, "--seed", 1, "--out", data) == 0
+        return data
+
+    def test_simulate_records_the_environment(self, tmp_path):
+        for env in ("inventory", "finite"):
+            data = self.simulate(tmp_path, env)
+            meta = json.loads(data.with_name(data.name + ".meta.json").read_text())
+            assert meta["env"] == env
+
+    @pytest.mark.parametrize("command", INTERVAL_COMMANDS.values(), ids=INTERVAL_COMMANDS)
+    @pytest.mark.parametrize(
+        ("source", "claimed"), [("finite", "inventory"), ("inventory", "finite")]
+    )
+    def test_other_environment_exits_two(self, tmp_path, capsys, command, source, claimed):
+        # finite data read as inventory gave a finite interval, and inventory
+        # data read as finite ended in an IndexError traceback
+        data = self.simulate(tmp_path, source)
+        out = tmp_path / "out.json"
+        code = run_cli(*command, "--env", claimed, "--data", data, "--seed", 1, "--out", out)
+        assert code == 2
+        err = single_error_line(capsys)
+        assert f"{data}.meta.json" in err and f"'{source}'" in err and f"'{claimed}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", INTERVAL_COMMANDS.values(), ids=INTERVAL_COMMANDS)
+    def test_sidecar_without_environment_is_read(self, tmp_path, command):
+        data = self.simulate(tmp_path, "inventory")
+        meta_path = data.with_name(data.name + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        del meta["env"]
+        meta_path.write_text(json.dumps(meta) + "\n")
+        out = tmp_path / "out.json"
+        assert run_cli(*command, "--data", data, "--seed", 1, "--out", out) == 0
+        assert math.isfinite(json.loads(out.read_text())["lo"])

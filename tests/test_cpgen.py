@@ -164,6 +164,85 @@ class TestChunkedEpsBallWeights:
         assert peak < 40e6
 
 
+def dense_ball_counts(q_states, q_scores, t_states, t_scores, eps_state, eps_score):
+    """Ball counts of the dense oracle's ``inside`` matrix."""
+    d_state = np.sqrt(((q_states[:, None, :] - t_states[None, :, :]) ** 2).sum(-1))
+    d_score = np.abs(q_scores[:, None] - t_scores[None, :])
+    return ((d_state <= eps_state) & (d_score <= eps_score)).sum(axis=1)
+
+
+@st.composite
+def lattice_ball_queries(draw):
+    """1-D pairs and queries on a 0.25 lattice with radii on it too, so states
+    and scores tie and queries sit exactly at +-eps; a drawn shift moves every
+    query score off the pairs' range, so every ball is empty, and a drawn
+    scale makes some ratios 1e9 times the rest."""
+    n_train = draw(st.sampled_from([1, 2, 3, 5, 40]))
+    n_query = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def lattice(shape):
+        return rng.integers(-8, 9, shape) * 0.25
+
+    t_states, t_scores = lattice((n_train, 1)), lattice(n_train)
+    q_states = lattice((1 if draw(st.booleans()) else n_query, 1))
+    q_scores = lattice(n_query) + draw(st.sampled_from([0.0, 0.0, 50.0]))
+    t_ratios = rng.exponential(size=n_train) ** 3
+    if draw(st.booleans()):  # ball sums far below the prefix sums around them
+        t_ratios[rng.random(n_train) < 0.2] *= 1e9
+    eps_state = 0.25 * draw(st.integers(1, 4))
+    eps_score = 0.25 * draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    return q_states, q_scores, t_states, t_scores, t_ratios, eps_state, eps_score, k
+
+
+class TestOneDimensionalBallWeights:
+    @given(lattice_ball_queries())
+    def test_counts_exact_and_weights_match_dense_oracle(self, args):
+        q_states, q_scores, t_states, t_scores, t_ratios, eps_state, eps_score, k = args
+        tiled = np.tile(q_states, (q_scores.size // q_states.shape[0], 1))
+        counts, _ = cpgen._ball_counts_and_sums(
+            q_states[:, 0], q_scores, t_states[:, 0], t_scores, t_ratios,
+            eps_state, eps_score,
+        )
+        assert np.array_equal(
+            counts, dense_ball_counts(tiled, q_scores, t_states, t_scores, eps_state, eps_score)
+        )
+        np.testing.assert_allclose(
+            _eps_ball_weights(*args),
+            dense_eps_ball_weights(tiled, q_scores, *args[2:]),
+            rtol=1e-12, atol=0,
+        )
+
+    def test_scales_to_twenty_thousand_pairs(self):
+        # every query is a training pair, so no ball is empty and no row
+        # reaches the dense fallback; a (queries x pairs) matrix would take
+        # 3.2 GB
+        rng = np.random.default_rng(3)
+        n = 20_000
+        states, scores = rng.uniform(0, 10, (n, 1)), rng.normal(0, 500, n)
+        ratios = rng.exponential(size=n)
+        order = rng.permutation(n)
+        args = (states[order], scores[order], states, scores, ratios, 0.05, 5.0, 5)
+        tracemalloc.start()
+        try:
+            got = _eps_ball_weights(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        counts, _ = cpgen._ball_counts_and_sums(
+            states[order, 0], scores[order], states[:, 0], scores, ratios, 0.05, 5.0
+        )
+        assert counts.min() >= 1
+        rows = rng.choice(n, 200, replace=False)
+        np.testing.assert_allclose(
+            got[rows],
+            dense_eps_ball_weights(states[order][rows], scores[order][rows], *args[2:]),
+            rtol=1e-12, atol=0,
+        )
+
+
 class TestWeightedDistribution:
     def test_uniform_fixture(self):
         pairs = [pair(0, v) for v in (1.0, 2.0, 3.0)]
