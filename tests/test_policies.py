@@ -13,6 +13,17 @@ from ope_ci.policies import (
 )
 
 
+class FixedUniforms:
+    """Stands in for a generator: ``random(n)`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.values)
+        return self.values.copy()
+
+
 def softmax_prob(policy, stock, action):
     """prob(action | stock) straight from the class docstring's formula."""
     wanted = max(0.0, policy.order_up_to - stock)
@@ -55,6 +66,17 @@ class TestSoftmaxOrderUpTo:
         with pytest.raises(ValueError):
             SoftmaxOrderUpToPolicy(6.0, 0.0, 10)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_temperature_rejected(self, temperature):
+        """A NaN temperature would build an all-NaN table that always draws 0."""
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            SoftmaxOrderUpToPolicy(6.0, temperature, 10)
+
+    @pytest.mark.parametrize("order_up_to", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_order_up_to_rejected(self, order_up_to):
+        with pytest.raises(ValueError, match="order_up_to must be finite"):
+            SoftmaxOrderUpToPolicy(order_up_to, 1.5, 10)
+
 
 class TestTabularPolicy:
     def test_rows_must_normalize(self):
@@ -88,6 +110,14 @@ class TestTabularPolicy:
         policy = TabularPolicy(((0.25, 0.75),))
         draws = policy_sample(policy, np.zeros((20_000, 1)), rng)
         assert draws.mean() == pytest.approx(0.75, abs=0.02)
+
+    def test_draw_above_row_total_takes_last_action(self):
+        """A row may sum to 1 - 5e-10; a uniform above its CDF total draws the
+        last action, never A."""
+        policy = TabularPolicy(((0.5, 0.5 - 5e-10), (0.25, 0.75)))
+        states = np.array([[0.0], [0.0], [0.0], [1.0]])
+        u = [0.2, 0.75, 1 - 1e-10, 1 - 1e-10]
+        assert policy_sample(policy, states, FixedUniforms(u)).tolist() == [0, 1, 1, 1]
 
 
 class TestGenericHelpers:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from ope_ci.envs import small_finite_mdp
-from ope_ci.policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
+from ope_ci.policies import (
+    SoftmaxOrderUpToPolicy,
+    TabularPolicy,
+    _pairwise_column_sums,
+    policy_sample,
+)
 
 from oracles import cumsum_policy_sample, row_softmax_action_probs
 
@@ -29,8 +34,9 @@ def assert_same_draws(policy, states, seed):
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-# numpy's pairwise row sum changes its order at 8 and at 16 actions.
-@pytest.mark.parametrize("capacity", [1, 5, 10, 20])
+# numpy's pairwise row sum adds below 8 actions in sequence, from 8 in 8
+# running partials (single entries below 16), and above 128 in two halves.
+@pytest.mark.parametrize("capacity", [1, 5, 10, 20, 7, 8, 15, 16, 23, 128, 256])
 @pytest.mark.parametrize("temperature", [0.05, 0.7, 1.5, 4.0, 50.0])
 def test_softmax_matches_row_layout(capacity, temperature):
     rng = np.random.default_rng(capacity * 1000 + int(temperature * 100))
@@ -61,3 +67,15 @@ def test_tabular_draws_match_cumsum():
     assert_same_draws(target, states, seed=4)
     wide = TabularPolicy((tuple(np.full(17, 1 / 17)), tuple(np.linspace(1, 17, 17) / 153)))
     assert_same_draws(wide, rng.uniform(0.0, 2.0, size=(500, 1)), seed=5)
+
+
+@pytest.mark.parametrize("columns", [1, 7, 1001, 100_003])
+def test_pairwise_column_sums_match_numpy_row_sums(columns):
+    """Every branch of numpy's addition order, the recursive halves and the
+    column blocks they need, against ``sum(axis=1)`` on the C-ordered copy.
+    At 100_003 columns, A stops at 33 to keep the arrays small."""
+    rng = np.random.default_rng(columns)
+    for actions in range(1, 34 if columns > 10_000 else 301):
+        rows = rng.standard_normal((actions, columns))
+        want = np.ascontiguousarray(rows.T).sum(axis=1)
+        assert np.array_equal(_pairwise_column_sums(rows), want), actions
