@@ -54,6 +54,7 @@ from .errors import (
 from .harness import (
     CoverageReport,
     EnvSpec,
+    MethodResult,
     StudyConfig,
     TrialDetails,
     config_digest,

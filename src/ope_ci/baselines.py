@@ -61,6 +61,8 @@ def aug_is_baseline(
 ) -> ConfidenceInterval:
     """Pools the reweighted real returns with raw returns of synthetic
     rollouts generated under the target policy (each with unit weight)."""
+    if n_synth < 0:
+        raise ValueError(f"n_synth must be at least 0, got {n_synth}")
     if n_synth == 0:
         return is_baseline(dataset, behavior, target, alpha, kind, bound, clip, rng, n_boot)
     if rng is None:
@@ -237,6 +239,8 @@ def dr_baseline(
         synthetic = None
         if augment is not None:
             model, n_synth = augment
+            if n_synth < 0:
+                raise ValueError(f"n_synth must be at least 0, got {n_synth}")
             if n_synth > 0:
                 if rng is None:
                     raise ValueError("augmentation needs a generator")

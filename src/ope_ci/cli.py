@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cpgen import EpsConfig, cp_gen_detailed
+from .cpgen import EpsConfig
 from .errors import OpeCiError
 from .harness import (
     StudyConfig,
     emit_results,
     make_env_spec,
     make_method,
-    make_model_factory,
     run_coverage_study,
 )
 from .mdp import read_jsonl_dataset, write_jsonl_dataset
@@ -35,11 +34,6 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
-def _model_factory(args, env_spec):
-    config = StudyConfig(model=args.model, model_degree=args.degree)
-    return make_model_factory(env_spec, config, ground_truth=0.0)
-
-
 def _cmd_simulate(args) -> int:
     env_spec = make_env_spec(args.env, discount=args.gamma)
     policy = env_spec.behavior if args.policy == "behavior" else env_spec.target
@@ -49,23 +43,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_cpgen(args) -> int:
-    env_spec = make_env_spec(args.env, s0=_parse_state(args.s0))
+def _run_method(args, method: str, config: StudyConfig, s0=None, eps=EpsConfig()):
+    """Run one registry method on the ``--data`` file and return its
+    ``MethodResult``."""
+    env_spec = make_env_spec(args.env, s0=s0)
     dataset = read_jsonl_dataset(args.data, env=args.env)
-    rng = np.random.default_rng(args.seed)
-    result = cp_gen_detailed(
-        dataset,
-        env_spec.behavior,
-        env_spec.target,
-        env_spec.s0,
-        args.alpha,
-        M=args.M,
-        N_gen=args.Ngen,
-        n_pe_rollouts=args.rollouts,
-        cfg=EpsConfig(eps_state=args.eps_state, eps_score=args.eps_score),
-        model_factory=_model_factory(args, env_spec),
-        rng=rng,
+    # ground_truth only sets the offset of the "biased" model, not offered here
+    run = make_method(method, env_spec, config, ground_truth=0.0, eps=eps)
+    return run(dataset, args.alpha, np.random.default_rng(args.seed))
+
+
+def _cmd_cpgen(args) -> int:
+    config = StudyConfig(
+        model=args.model,
+        model_degree=args.degree,
+        cpgen_m=args.M,
+        cpgen_n_gen=args.Ngen,
+        cpgen_rollouts=args.rollouts,
     )
+    eps = EpsConfig(eps_state=args.eps_state, eps_score=args.eps_score)
+    result = _run_method(args, "cpgen", config, s0=_parse_state(args.s0), eps=eps).details
     _write_json(
         args.out,
         {
@@ -82,8 +79,6 @@ def _cmd_cpgen(args) -> int:
 
 
 def _cmd_drppi(args) -> int:
-    env_spec = make_env_spec(args.env)
-    dataset = read_jsonl_dataset(args.data, env=args.env)
     config = StudyConfig(
         model=args.model,
         model_degree=args.degree,
@@ -92,15 +87,14 @@ def _cmd_drppi(args) -> int:
         crossfit=args.crossfit,
         clip=args.clip,
     )
-    run = make_method(f"drppi:{args.correction}", env_spec, config, ground_truth=0.0)
-    interval, variance = run(dataset, args.alpha, np.random.default_rng(args.seed))
+    result = _run_method(args, f"drppi:{args.correction}", config)
     _write_json(
         args.out,
         {
-            "estimate": interval.point,
-            "variance": variance,
-            "lo": interval.lower,
-            "hi": interval.upper,
+            "estimate": result.interval.point,
+            "variance": result.variance,
+            "lo": result.interval.lower,
+            "hi": result.interval.upper,
             "alpha": args.alpha,
             "correction": args.correction,
             "crossfit": args.crossfit,
@@ -110,8 +104,6 @@ def _cmd_drppi(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    env_spec = make_env_spec(args.env)
-    dataset = read_jsonl_dataset(args.data, env=args.env)
     config = StudyConfig(
         model=args.model,
         model_degree=args.degree,
@@ -120,9 +112,7 @@ def _cmd_baseline(args) -> int:
         dm_rollouts=args.rollouts,
         n_boot=args.nboot,
     )
-    # ground_truth only sets the offset of the "biased" model, not offered here
-    run = make_method(f"{args.method}:{args.bound}", env_spec, config, ground_truth=0.0)
-    interval, _ = run(dataset, args.alpha, np.random.default_rng(args.seed))
+    interval = _run_method(args, f"{args.method}:{args.bound}", config).interval
     _write_json(
         args.out,
         {

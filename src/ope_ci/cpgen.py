@@ -349,8 +349,7 @@ def conformal_band(
     cfg: EpsConfig = EpsConfig(),
     grid: GridSpec = GridSpec(),
     weight_fn=None,
-    return_info: bool = False,
-):
+) -> tuple[float, float]:
     """Weighted two-sided conformal band over score candidates.
 
     For each grid candidate delta the query weight is evaluated at
@@ -421,17 +420,7 @@ def conformal_band(
     accepted = (lo_q <= deltas + atol) & ((hi_q == math.inf) | (deltas <= hi_q + atol))
     if not accepted.any():
         raise EmptyBand("no grid candidate satisfied the band condition")
-    lo = float(deltas[accepted].min())
-    hi = float(deltas[accepted].max())
-    if return_info:
-        info = {
-            "cal_weights": cal_weights,
-            "query_weights": q_weights,
-            "grid": deltas,
-            "accepted": accepted,
-        }
-        return lo, hi, info
-    return lo, hi
+    return float(deltas[accepted].min()), float(deltas[accepted].max())
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +472,16 @@ def cp_gen_detailed(
     N_gen: int = 4,
     n_pe_rollouts: int = 256,
     cfg: EpsConfig = EpsConfig(),
-    model_factory=None,
-    rng: np.random.Generator | None = None,
+    *,
+    model_factory,
+    rng: np.random.Generator,
     grid: GridSpec = GridSpec(),
 ) -> CpGenResult:
+    for name, value in (("M", M), ("N_gen", N_gen), ("n_pe_rollouts", n_pe_rollouts)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if len(dataset) < 4:
         raise DatasetTooSmall("the pipeline needs at least 4 trajectories")
-    if model_factory is None or rng is None:
-        raise ValueError("model_factory and rng are required")
     rng_train, rng_cal, rng_point = rng.spawn(3)
 
     train_data, cal_data = dataset.split_half()

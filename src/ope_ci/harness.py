@@ -230,23 +230,39 @@ def _parse_method(method: str) -> tuple[str, str | None]:
     raise ValueError(f"cannot parse method spec {method!r}")
 
 
-def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_truth: float):
-    """Adapter (dataset, alpha, rng) -> (ConfidenceInterval, variance | None)."""
+@dataclass(frozen=True)
+class MethodResult:
+    """One adapter call's output: the interval, the plug-in variance where the
+    method has one, and the method's own record (cpgen's ``CpGenResult``)."""
+
+    interval: ConfidenceInterval
+    variance: float | None = None
+    details: object = None
+
+
+def make_method(
+    method: str, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
+    eps: EpsConfig = EpsConfig(),
+):
+    """Adapter (dataset, alpha, rng) -> MethodResult; ``eps`` sets cpgen's
+    ball radii."""
     name, qualifier = _parse_method(method)
     factory = make_model_factory(env_spec, config, ground_truth)
     clip = config.clip_policy()
     d0 = env_spec.d0_sampler()
+
+    def n_synth(dataset):
+        return config.n_synth if config.n_synth is not None else 10 * len(dataset)
 
     if name in ("is", "wis", "pdis"):
         kind = CorrectionKind(name)
         bound = qualifier or "clt"
 
         def run(dataset, alpha, rng):
-            ci = is_baseline(
+            return MethodResult(is_baseline(
                 dataset, env_spec.behavior, env_spec.target, alpha,
                 kind, bound, clip, rng, config.n_boot,
-            )
-            return ci, None
+            ))
 
         return run
 
@@ -254,28 +270,21 @@ def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_trut
         bound = qualifier or "clt"
 
         def run(dataset, alpha, rng):
-            n_synth = (
-                config.n_synth if config.n_synth is not None else 10 * len(dataset)
-            )
-            model = factory().fit(dataset)
-            ci = aug_is_baseline(
-                dataset, model, env_spec.behavior, env_spec.target,
-                n_synth, alpha, bound, clip, rng,
+            return MethodResult(aug_is_baseline(
+                dataset, factory().fit(dataset), env_spec.behavior, env_spec.target,
+                n_synth(dataset), alpha, bound, clip, rng,
                 d0_sampler=d0, n_boot=config.n_boot,
-            )
-            return ci, None
+            ))
 
         return run
 
     if name == "dm":
 
         def run(dataset, alpha, rng):
-            model = factory().fit(dataset)
-            ci = dm_baseline(
-                model, env_spec.target, d0, config.dm_rollouts, alpha, rng,
+            return MethodResult(dm_baseline(
+                factory().fit(dataset), env_spec.target, d0, config.dm_rollouts, alpha, rng,
                 dataset.horizon, dataset.discount, config.n_boot,
-            )
-            return ci, None
+            ))
 
         return run
 
@@ -284,15 +293,11 @@ def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_trut
         def run(dataset, alpha, rng):
             augment = None
             if name == "augdr":
-                n_synth = (
-                    config.n_synth if config.n_synth is not None else 10 * len(dataset)
-                )
-                augment = (factory().fit(dataset), n_synth)
-            ci = dr_baseline(
+                augment = (factory().fit(dataset), n_synth(dataset))
+            return MethodResult(dr_baseline(
                 dataset, env_spec.behavior, env_spec.target, alpha,
                 augment=augment, clip=clip, rng=rng,
-            )
-            return ci, None
+            ))
 
         return run
 
@@ -310,7 +315,7 @@ def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_trut
             value, variance = dr_ppi_estimate(
                 dataset, env_spec.behavior, env_spec.target, cfg, factory, rng, d0
             )
-            return interval_from_estimate(value, variance, alpha), variance
+            return MethodResult(interval_from_estimate(value, variance, alpha), variance)
 
         return run
 
@@ -323,9 +328,9 @@ def make_method(method: str, env_spec: EnvSpec, config: StudyConfig, ground_trut
                 dataset, env_spec.behavior, env_spec.target, env_spec.s0, alpha,
                 M=config.cpgen_m, N_gen=config.cpgen_n_gen,
                 n_pe_rollouts=config.cpgen_rollouts,
-                cfg=EpsConfig(), model_factory=factory, rng=rng,
+                cfg=eps, model_factory=factory, rng=rng,
             )
-            return result.interval, None
+            return MethodResult(result.interval, details=result)
 
         return run
 
@@ -367,7 +372,11 @@ def run_coverage_study(
         dataset = env_spec.env.sample_dataset(
             env_spec.behavior, n_trajectories, data_rng, env_spec.discount
         )
-        ci, variance = run(dataset, alpha, method_rng)
+        result = run(dataset, alpha, method_rng)
+        ci, variance = result.interval, result.variance
+        # cpgen's details, held into the next trial, pin ~2 MB of small-object
+        # arenas at n=1600 and raise the study's peak RSS
+        del result
         lowers[t] = ci.lower
         uppers[t] = ci.upper
         points[t] = ci.point if ci.point is not None else 0.5 * (ci.lower + ci.upper)

@@ -17,6 +17,8 @@ from .errors import (
 from .mdp import ConfidenceInterval, TrajectoryDataset
 from .policies import policy_probs
 
+_AUTO_MIN_N = 100  # sample count from which "auto" clipping is on
+
 
 class CorrectionKind(enum.Enum):
     IS = "is"
@@ -29,11 +31,10 @@ class ClipPolicy:
     """Ratio clipping at sqrt(n).
 
     ``mode`` is "on", "off", or "auto"; auto enables clipping once the sample
-    count reaches ``auto_min_n``.  The clip constant is exactly n**0.5.
+    count reaches 100.  The clip constant is exactly n**0.5.
     """
 
     mode: str = "auto"
-    auto_min_n: int = 100
 
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "on", "off"):
@@ -52,7 +53,7 @@ class ClipPolicy:
             return True
         if self.mode == "off":
             return False
-        return n >= self.auto_min_n
+        return n >= _AUTO_MIN_N
 
     def constant(self, n: int) -> float:
         return math.sqrt(n)

@@ -228,6 +228,14 @@ class TestFittedQ:
         assert augmented != plain
         assert math.isfinite(augmented.lower) and math.isfinite(augmented.upper)
 
+    def test_negative_synthetic_count_rejected(self, finite_fixture, rng):
+        mdp, behavior, target = finite_fixture
+        data = mdp.sample_dataset(behavior, 10, rng, 0.9)
+        with pytest.raises(ValueError, match="n_synth must be at least 0, got -3"):
+            dr_baseline(data, behavior, target, 0.05, augment=(OracleModel(mdp), -3), rng=rng)
+        with pytest.raises(ValueError, match="n_synth must be at least 0, got -5"):
+            aug_is_baseline(data, OracleModel(mdp), behavior, target, -5, 0.05, rng=rng)
+
 
 CASES = [
     pytest.param((name, sweeps), id=name if sweeps is None else f"{name}-sweeps{sweeps}")

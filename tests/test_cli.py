@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ope_ci.cli import main
+from ope_ci.cpgen import EpsConfig, cp_gen_detailed
+from ope_ci.harness import make_env_spec
 from ope_ci.mdp import read_jsonl_dataset
+from ope_ci.models import GaussianRegressionModel
 
 
 def run_cli(*args) -> int:
@@ -58,6 +62,28 @@ class TestCpgenCommand:
         assert list(result) == ["point", "lo", "hi", "alpha", "n_cal_pairs", "eps_s", "eps_r"]
         assert result["lo"] <= result["point"] <= result["hi"]
         assert result["n_cal_pairs"] == 30 * 2
+
+    def test_eps_flags_reach_the_band(self, small_dataset, tmp_path):
+        out = tmp_path / "cp.json"
+        code = run_cli(
+            "cpgen", "--data", small_dataset, "--s0", "5.0", "--alpha", 0.1,
+            "--M", 2, "--Ngen", 2, "--rollouts", 32, "--eps-state", 0.5,
+            "--eps-score", 300, "--seed", 3, "--out", out,
+        )
+        assert code == 0
+        result = json.loads(out.read_text())
+        assert result["eps_s"] == 0.5
+        assert result["eps_r"] == 300.0
+        spec = make_env_spec("inventory", s0=(5.0,))
+        direct = cp_gen_detailed(
+            read_jsonl_dataset(small_dataset), spec.behavior, spec.target, (5.0,), 0.1,
+            M=2, N_gen=2, n_pe_rollouts=32, cfg=EpsConfig(0.5, 300.0),
+            model_factory=lambda: GaussianRegressionModel(
+                degree=2, state_box=spec.env.state_box
+            ),
+            rng=np.random.default_rng(3),
+        )
+        assert (result["lo"], result["hi"]) == (direct.interval.lower, direct.interval.upper)
 
     def test_rerun_byte_identical(self, small_dataset, tmp_path):
         args = [
@@ -213,10 +239,20 @@ class TestValueErrorsExitTwo:
         "command",
         [
             ["cpgen", "--s0", "5.0", "--eps-state", -1],
+            ["cpgen", "--s0", "5.0", "--M", 0],
+            ["cpgen", "--s0", "5.0", "--Ngen", 0],
+            ["cpgen", "--s0", "5.0", "--rollouts", 0],
+            ["cpgen", "--s0", "5.0", "--rollouts", -1],
             ["drppi", "--Nf", 1],
             ["baseline", "--method", "is", "--bound", "bootstrap", "--nboot", 0],
+            ["baseline", "--method", "augdr", "--nsynth", -3],
+            ["baseline", "--method", "augis", "--nsynth", -5],
         ],
-        ids=["cpgen-eps-state", "drppi-nf", "baseline-nboot"],
+        ids=[
+            "cpgen-eps-state", "cpgen-m", "cpgen-ngen", "cpgen-rollouts-zero",
+            "cpgen-rollouts-negative", "drppi-nf", "baseline-nboot",
+            "baseline-augdr-nsynth", "baseline-augis-nsynth",
+        ],
     )
     def test_out_of_range_flag_exits_two(self, small_dataset, tmp_path, capsys, command):
         out = tmp_path / "out.json"

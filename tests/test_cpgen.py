@@ -349,8 +349,9 @@ class TestConformalBand:
             )
 
     def test_band_membership_matches_quantile_composition(self, rng):
-        # at any grid candidate, band membership must agree with building the
-        # weighted distribution there and testing the two quantiles directly
+        # the band is the hull of the grid candidates at which building the
+        # weighted distribution from single-query weights and testing the two
+        # quantiles directly accepts the candidate
         train = [
             pair(rng.normal(), rng.normal(), float(rng.uniform(0.2, 3.0)))
             for _ in range(40)
@@ -358,31 +359,32 @@ class TestConformalBand:
         cal = [pair(rng.normal(), rng.normal()) for _ in range(25)]
         cfg = EpsConfig(eps_state=0.8, eps_score=0.8)
         alpha = 0.2
-        _, _, info = conformal_band(
-            cal, train, (0.3,), alpha, cfg, return_info=True
-        )
-        for g in range(0, len(info["grid"]), 37):
-            delta = float(info["grid"][g])
+        cal_weights = [estimate_weight_eps(p.initial_state, p.score, train, cfg) for p in cal]
+        accepted = []
+        for delta in GridSpec().resolve(np.array([p.score for p in cal])):
             dist = weighted_distribution(
-                cal, info["cal_weights"], float(info["query_weights"][g])
+                cal, cal_weights, estimate_weight_eps((0.3,), delta, train, cfg)
             )
             lo_q = weighted_quantile(dist, alpha / 2)
             hi_q = weighted_quantile(dist, 1 - alpha / 2)
-            member = lo_q <= delta and (hi_q == math.inf or delta <= hi_q)
-            assert member == bool(info["accepted"][g])
+            if lo_q <= delta and (hi_q == math.inf or delta <= hi_q):
+                accepted.append(float(delta))
+        band = conformal_band(cal, train, (0.3,), alpha, cfg)
+        assert band == (min(accepted), max(accepted))
 
-    def test_calibration_weights_do_not_depend_on_query_score(self, rng):
+    def test_batched_calibration_weights_match_single_queries(self, rng):
+        # conformal_band weighs every calibration pair in one call; each row
+        # must equal the weight of that pair queried on its own
         train = [pair(rng.normal(), rng.normal(), float(rng.uniform(0.5, 2))) for _ in range(50)]
         cal = [pair(rng.normal(), rng.normal()) for _ in range(30)]
         cfg = EpsConfig(eps_state=1.0, eps_score=1.0)
-        _, _, info = conformal_band(
-            cal, train, (0.0,), 0.1, cfg, return_info=True
+        cal_states, cal_scores, _ = _pair_arrays(cal)
+        batched = _eps_ball_weights(
+            cal_states, cal_scores, *_pair_arrays(train), 1.0, 1.0, cfg.k_nearest
         )
-        for idx in (0, 7, 29):
-            redone = estimate_weight_eps(
-                cal[idx].initial_state, cal[idx].score, train, cfg
-            )
-            assert info["cal_weights"][idx] == pytest.approx(redone, rel=1e-12)
+        for idx, p in enumerate(cal):
+            redone = estimate_weight_eps(p.initial_state, p.score, train, cfg)
+            assert batched[idx] == pytest.approx(redone, rel=1e-12)
 
 
 class TestCpGenPipeline:
@@ -431,6 +433,18 @@ class TestCpGenPipeline:
         assert result.interval.upper == pytest.approx(result.point + result.band_upper)
         assert result.n_cal_pairs == 20 * 2
 
+    @pytest.mark.parametrize("name", ["M", "N_gen", "n_pe_rollouts"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_generation_counts_below_one_rejected(self, flat_reward_mdp, name, value):
+        mdp, behavior, _ = flat_reward_mdp
+        ds = mdp.sample_dataset(behavior, 8, np.random.default_rng(0), 1.0)
+        counts = {"M": 2, "N_gen": 2, "n_pe_rollouts": 4, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            cp_gen_detailed(
+                ds, behavior, behavior, (0.0,), 0.1, **counts,
+                model_factory=lambda: OracleModel(mdp), rng=np.random.default_rng(1),
+            )
+
     def test_public_interval_matches_detailed(self, inventory_env, inventory_policies):
         # the harness (and so the coverage command) reports the detailed
         # pipeline's interval unchanged
@@ -443,12 +457,14 @@ class TestCpGenPipeline:
             "cpgen", make_env_spec("inventory", s0=(5.0,)),
             StudyConfig(cpgen_m=2, cpgen_n_gen=2, cpgen_rollouts=16), 0.0,
         )
-        ci, _ = run(ds, 0.1, np.random.default_rng(5))
+        result = run(ds, 0.1, np.random.default_rng(5))
         detail = cp_gen_detailed(
             ds, behavior, target, (5.0,), 0.1, M=2, N_gen=2, n_pe_rollouts=16,
             model_factory=factory, rng=np.random.default_rng(5),
         )
-        assert ci == detail.interval
+        assert result.interval == detail.interval
+        assert result.details == detail
+        assert result.variance is None
 
 
 class TestGenerationScorePairs:
