@@ -26,6 +26,13 @@ from .harness import (
 from .mdp import read_jsonl_dataset, write_jsonl_dataset
 
 
+# The flag behind each setting; an error message that starts with the
+# setting's name shows the flag instead.
+_FLAGS = {"n_model_rollouts": "--Nf", "pairs_per_trajectory": "--M", "cpgen_m": "--M",
+          "cpgen_n_gen": "--Ngen", "cpgen_rollouts": "--rollouts", "n_synth": "--nsynth",
+          "n_boot": "--nboot", "eps_state": "--eps-state", "eps_score": "--eps-score"}
+
+
 def _parse_state(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -251,7 +258,8 @@ def main(argv=None) -> int:
             raise OpeCiError(f"--alpha must lie in (0, 1), got {alpha}")
         return args.fn(args)
     except (OpeCiError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name, space, rest = str(exc).partition(" ")
+        print(f"error: {_FLAGS.get(name, name)}{space}{rest}", file=sys.stderr)
         return 2
 
 

@@ -103,7 +103,7 @@ def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return states, scores, ratios
 
 
-def _median_pairwise(values: np.ndarray) -> float:
+def _median_distance(values: np.ndarray) -> float:
     """Median pairwise distance, deterministically subsampled for large sets."""
     n = values.shape[0]
     if n < 2:
@@ -128,10 +128,10 @@ def resolve_eps(train_pairs, cfg: EpsConfig) -> tuple[float, float]:
     states, scores, _ = _pair_arrays(train_pairs)
     eps_s = cfg.eps_state
     if eps_s is None:
-        eps_s = max(0.5 * _median_pairwise(states), _EPS_FLOOR)
+        eps_s = max(0.5 * _median_distance(states), _EPS_FLOOR)
     eps_r = cfg.eps_score
     if eps_r is None:
-        eps_r = max(0.5 * _median_pairwise(scores), _EPS_FLOOR)
+        eps_r = max(0.5 * _median_distance(scores), _EPS_FLOOR)
     return eps_s, eps_r
 
 

@@ -33,6 +33,20 @@ class InventoryParams:
             raise ValueError("capacity, horizon and demand_sd must be positive")
 
 
+def _inventory_dynamics(stock, actions, demand, params: InventoryParams):
+    """``inventory_step`` on arrays (or scalars) of stock, orders and demand."""
+    stocked = np.minimum(float(params.capacity), stock + actions)
+    x_next = np.maximum(0.0, stocked - demand)
+    sold = np.maximum(0.0, stocked - x_next)
+    reward = params.reward_scale * (
+        -params.fixed_order_cost * (actions > 0)
+        - params.holding_cost * stock
+        - params.unit_cost * (stocked - stock)
+        + params.unit_price * sold
+    )
+    return x_next, reward
+
+
 def inventory_step(
     x: float, a: int, demand_draw: float, params: InventoryParams
 ) -> tuple[float, float]:
@@ -45,16 +59,8 @@ def inventory_step(
     """
     if x < 0:
         raise ValueError("stock level must be nonnegative")
-    stocked = min(float(params.capacity), x + a)
-    x_next = max(0.0, stocked - demand_draw)
-    sold = max(0.0, stocked - x_next)
-    reward = params.reward_scale * (
-        -params.fixed_order_cost * (1.0 if a > 0 else 0.0)
-        - params.holding_cost * x
-        - params.unit_cost * (stocked - x)
-        + params.unit_price * sold
-    )
-    return x_next, reward
+    x_next, reward = _inventory_dynamics(x, a, demand_draw, params)
+    return float(x_next), float(reward)
 
 
 class Simulator:
@@ -116,17 +122,8 @@ class InventoryEnv(Simulator):
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         p = self.params
-        stock = states[:, 0]
-        stocked = np.minimum(float(p.capacity), stock + actions)
-        demand = rng.normal(p.demand_mean, p.demand_sd, size=stock.shape)
-        x_next = np.maximum(0.0, stocked - demand)
-        sold = np.maximum(0.0, stocked - x_next)
-        reward = p.reward_scale * (
-            -p.fixed_order_cost * (actions > 0)
-            - p.holding_cost * stock
-            - p.unit_cost * (stocked - stock)
-            + p.unit_price * sold
-        )
+        demand = rng.normal(p.demand_mean, p.demand_sd, size=len(states))
+        x_next, reward = _inventory_dynamics(states[:, 0], actions, demand, p)
         return x_next[:, None], reward
 
 

@@ -103,6 +103,10 @@ def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> 
     return EnvSpec(name, env, behavior, target, discount, s0)
 
 
+_LEAST_COUNTS = {"n_model_rollouts": 2, "pairs_per_trajectory": 1, "cpgen_m": 1,
+                 "cpgen_n_gen": 1, "cpgen_rollouts": 1, "n_synth": 0}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Knobs shared by the method adapters; defaults match the CLI."""
@@ -121,6 +125,13 @@ class StudyConfig:
     n_synth: int | None = None  # None: 10x the dataset size
     dm_rollouts: int = 1000
     n_boot: int = 2000
+
+    def __post_init__(self) -> None:
+        """Refuse, before any work, a count below the least the methods take."""
+        for name, least in _LEAST_COUNTS.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def clip_policy(self) -> ClipPolicy:
         return ClipPolicy(mode=self.clip)

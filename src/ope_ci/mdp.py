@@ -6,7 +6,8 @@ A dataset is one padded ``RolloutBatch`` plus its discount and horizon:
 ``rewards[b, t]`` the reward it produced, so ``states[:, 0]`` holds the
 initial states and the first reward belongs to step one.  Steps at or beyond
 ``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
-trajectory by trajectory through ``step_mask()``; ``Trajectory`` and
+trajectory by trajectory through ``step_mask()``, and take discounted returns
+from ``RolloutBatch.returns`` alone, which skips the padding; ``Trajectory`` and
 ``Transition`` are a read-only per-step view of one row.  Actions are
 integers.  All types are immutable after construction and all functions are
 pure; randomness always enters through an explicit generator argument.
@@ -124,8 +125,11 @@ class RolloutBatch:
         return t[None, :] < self.lengths[:, None]
 
     def returns(self, discount: float) -> np.ndarray:
+        """Discounted return of each row over its own length, the library's
+        one return routine.  Padding never reaches the sum, so it may hold
+        anything, even NaN or infinity."""
         gammas = discount ** np.arange(self.states.shape[1])
-        return (self.rewards * self.step_mask() * gammas[None, :]).sum(axis=1)
+        return (np.where(self.step_mask(), self.rewards, 0.0) * gammas).sum(axis=1)
 
     def flatten(self):
         """Valid steps in trajectory-major order as ``(states, actions,
@@ -221,16 +225,8 @@ class TrajectoryDataset:
         return self.batch.states.shape[2]
 
     def returns(self) -> np.ndarray:
-        """Discounted returns.  Rewards are added one time step at a time, as
-        a per-trajectory loop adds them; a row sum would group the additions
-        differently and change the last bits."""
-        rewards = np.where(self.batch.step_mask(), self.batch.rewards, 0.0)
-        total = np.zeros(len(self))
-        gamma_t = 1.0
-        for t in range(int(self.batch.lengths.max())):
-            total += gamma_t * rewards[:, t]
-            gamma_t *= self.discount
-        return total
+        """Discounted returns under the dataset's discount: ``RolloutBatch.returns``."""
+        return self.batch.returns(self.discount)
 
     def initial_states(self) -> np.ndarray:
         return self.batch.states[:, 0]

@@ -46,80 +46,8 @@ class SoftmaxOrderUpToPolicy:
         weights /= -self.temperature
         weights -= weights.max(axis=0)
         np.exp(weights, out=weights)
-        # Each column adds its A entries in the order of numpy's row sum of
-        # the (N, A) table, so every probability matches the row layout's.
-        weights /= _pairwise_column_sums(weights)
+        weights /= weights.sum(axis=0)
         return weights.T
-
-
-def _scratch_rows(n: int) -> int:
-    """Scratch rows, beside the output row, that `_pairwise_sum` needs for n rows."""
-    if n < 16:
-        return 0 if n < 8 else 2
-    if n <= 128:
-        return 3
-    half = n // 2 - n // 2 % 8
-    return max(_scratch_rows(half), 1 + _scratch_rows(n - half))
-
-
-def _pairwise_sum(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write into ``out`` the sum down axis 0 of the ``(n, m)`` array ``rows``,
-    in numpy's pairwise order for an n-element reduction: in sequence below 8
-    rows; up to 128 rows, 8 running partials over the leading multiple of 8
-    rows, added as ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)), then the rest in
-    sequence; above 128, the two halves split at a multiple of 8.  ``scratch``
-    holds `_scratch_rows(n)` rows of width m."""
-    n = len(rows)
-    if n < 8:
-        np.copyto(out, rows[0])
-        for row in rows[1:]:
-            out += row
-    elif n <= 128:
-        blocked = n - n % 8
-
-        def partial(k, buf):  # r_k: rows k, k+8, ... below `blocked`, in sequence
-            if blocked == 8:
-                return rows[k]
-            np.add(rows[k], rows[k + 8], out=buf)
-            for row in rows[k + 16:blocked:8]:
-                buf += row
-            return buf
-
-        def pair(j, dest, spare):  # dest = r_j + r_{j+1}
-            np.add(partial(j, dest), partial(j + 1, spare), out=dest)
-
-        s0, s1 = scratch[0], scratch[1]
-        s2 = scratch[2] if blocked > 8 else None
-        pair(0, out, s0)
-        pair(2, s0, s1)
-        out += s0
-        pair(4, s0, s1)
-        pair(6, s1, s2)
-        s0 += s1
-        out += s0
-        for row in rows[blocked:]:
-            out += row
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(rows[:half], out, scratch)
-        _pairwise_sum(rows[half:], scratch[0], scratch[1:])
-        out += scratch[0]
-
-
-def _pairwise_column_sums(rows: np.ndarray) -> np.ndarray:
-    """Column sums of the ``(A, N)`` array ``rows``, bit for bit those of
-    ``rows.T.sum(axis=1)`` on a C-ordered copy (a sum of negative zeros
-    aside, which numpy makes +0.0), without the copy.  Scratch is
-    at most two rows of N: a sum that needs more runs over column blocks."""
-    n = rows.shape[1]
-    registers = _scratch_rows(len(rows))
-    width = max(1, n if registers <= 2 else 2 * n // registers)
-    scratch = np.empty((registers, width))
-    out = np.empty(n)
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        _pairwise_sum(rows[:, start:stop], out[start:stop], scratch[:, : stop - start])
-    return out
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def bootstrap_interval(
     if samples.size < 2:
         raise InsufficientSamples("bootstrap_interval needs at least 2 samples")
     if n_boot < 100:
-        raise ValueError("bootstrap needs at least 100 replicates")
+        raise ValueError(f"n_boot must be at least 100, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n = samples.size

@@ -236,31 +236,56 @@ class TestAlphaValidation:
 
 class TestValueErrorsExitTwo:
     @pytest.mark.parametrize(
-        "command",
+        "command, flag",
         [
-            ["cpgen", "--s0", "5.0", "--eps-state", -1],
-            ["cpgen", "--s0", "5.0", "--M", 0],
-            ["cpgen", "--s0", "5.0", "--Ngen", 0],
-            ["cpgen", "--s0", "5.0", "--rollouts", 0],
-            ["cpgen", "--s0", "5.0", "--rollouts", -1],
-            ["drppi", "--Nf", 1],
-            ["baseline", "--method", "is", "--bound", "bootstrap", "--nboot", 0],
-            ["baseline", "--method", "augdr", "--nsynth", -3],
-            ["baseline", "--method", "augis", "--nsynth", -5],
+            (["cpgen", "--s0", "5.0", "--eps-state", -1], "--eps-state"),
+            (["cpgen", "--s0", "5.0", "--M", 0], "--M"),
+            (["cpgen", "--s0", "5.0", "--Ngen", 0], "--Ngen"),
+            (["cpgen", "--s0", "5.0", "--rollouts", 0], "--rollouts"),
+            (["cpgen", "--s0", "5.0", "--rollouts", -1], "--rollouts"),
+            (["drppi", "--Nf", 1], "--Nf"),
+            (["drppi", "--M", 0], "--M"),
+            (["baseline", "--method", "is", "--bound", "bootstrap", "--nboot", 0], "--nboot"),
+            (["baseline", "--method", "augdr", "--nsynth", -3], "--nsynth"),
+            (["baseline", "--method", "augis", "--nsynth", -5], "--nsynth"),
         ],
         ids=[
             "cpgen-eps-state", "cpgen-m", "cpgen-ngen", "cpgen-rollouts-zero",
-            "cpgen-rollouts-negative", "drppi-nf", "baseline-nboot",
+            "cpgen-rollouts-negative", "drppi-nf", "drppi-m", "baseline-nboot",
             "baseline-augdr-nsynth", "baseline-augis-nsynth",
         ],
     )
-    def test_out_of_range_flag_exits_two(self, small_dataset, tmp_path, capsys, command):
+    def test_out_of_range_flag_exits_two(
+        self, small_dataset, tmp_path, capsys, command, flag
+    ):
         out = tmp_path / "out.json"
         code = run_cli(*command, "--data", small_dataset, "--seed", 1, "--out", out)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {flag} must be ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--method", "augdr", "--nsynth", -3], "--nsynth"),
+            (["--method", "drppi:pdis", "--Nf", 1], "--Nf"),
+            (["--method", "drppi:pdis", "--M", 0], "--M"),
+        ],
+        ids=["augdr-nsynth", "drppi-nf", "drppi-m"],
+    )
+    def test_coverage_rejects_flag_before_ground_truth(self, tmp_path, capsys, flags, flag):
+        cache, out = tmp_path / "cache", tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", *flags, "--n", 20, "--trials", 1, "--cache-dir", cache,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be at least ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("**/ground_truth_*.json"))
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -107,6 +107,25 @@ class TestInventoryEnv:
             assert tr.reward == pytest.approx(expected_reward, abs=1e-6)
             x = expected_next
 
+    def test_step_batch_matches_inventory_step(self):
+        """Row by row and bit for bit, over stock, orders past capacity and
+        demand above the stock."""
+        params = InventoryParams()
+        rng = np.random.default_rng(17)
+        stock = rng.uniform(0.0, 10.0, size=1000)
+        actions = rng.integers(0, 11, size=1000)
+        x_next, rewards = InventoryEnv(params).step_batch(
+            stock[:, None], actions, np.random.default_rng(18)
+        )
+        demand = np.random.default_rng(18).normal(params.demand_mean, params.demand_sd, 1000)
+        stocked = np.minimum(params.capacity, stock + actions)
+        assert (stock + actions > params.capacity).any() and (demand > stocked).any()
+        want = np.array(
+            [inventory_step(x, int(a), d, params) for x, a, d in zip(stock, actions, demand)]
+        )
+        got = np.column_stack([x_next[:, 0], rewards])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_initial_states_cover_the_box(self, inventory_env, rng):
         starts = inventory_env.sample_initial_states(rng, 500)
         assert starts.shape == (500, 1)

@@ -93,6 +93,26 @@ class TestEnvSpec:
             make_env_spec(name, s0=s0)
 
 
+# config_digest of the default StudyConfig's describe(), which every coverage
+# report's config_digest covers.
+DEFAULT_CONFIG_DIGEST = "5d50e0eac2f7"
+
+
+class TestStudyConfig:
+    @pytest.mark.parametrize(
+        "field, least",
+        [("n_model_rollouts", 2), ("pairs_per_trajectory", 1), ("cpgen_m", 1),
+         ("cpgen_n_gen", 1), ("cpgen_rollouts", 1), ("n_synth", 0)],
+    )
+    def test_count_below_least_rejected(self, field, least):
+        StudyConfig(**{field: least})
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got"):
+            StudyConfig(**{field: least - 1})
+
+    def test_default_digest_unchanged(self):
+        assert config_digest(StudyConfig().describe()) == DEFAULT_CONFIG_DIGEST
+
+
 class TestCoverageStudy:
     def test_single_trial_coverage_is_zero_or_one(self):
         spec = make_env_spec("finite", discount=0.9)

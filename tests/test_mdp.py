@@ -110,6 +110,15 @@ class TestTrajectoryTypes:
         )
         assert TrajectoryDataset(batch, 1.0, 2).returns().tolist() == [1.0]
 
+    @pytest.mark.parametrize("pad", [math.nan, math.inf, -math.inf])
+    def test_batch_returns_ignore_padding(self, pad):
+        batch = RolloutBatch(
+            np.zeros((2, 3, 1)), np.zeros((2, 3), dtype=np.int64),
+            np.array([[1.0, pad, pad], [1.0, 2.0, pad]]), np.array([1, 2]),
+        )
+        assert batch.returns(0.5).tolist() == [1.0, 2.0]
+        assert TrajectoryDataset(batch, 0.5, 3).returns().tolist() == [1.0, 2.0]
+
     def test_interval_orders_endpoints(self):
         with pytest.raises(ValueError):
             ConfidenceInterval(1.0, 0.0, 0.95)
