@@ -49,6 +49,7 @@ from .errors import (
     NoTrainingPairs,
     OpeCiError,
     SingularDesign,
+    UnboundedBand,
     ZeroBehaviorProbability,
 )
 from .harness import (

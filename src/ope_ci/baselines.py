@@ -14,9 +14,10 @@ from .reweighting import (
     ClipPolicy,
     CorrectionKind,
     bootstrap_interval,
+    clipped_prefixes,
     clt_interval,
+    is_returns,
     reweighted_returns,
-    step_ratio_table,
 )
 
 
@@ -55,7 +56,6 @@ def aug_is_baseline(
     bound: str = "clt",
     clip: ClipPolicy = ClipPolicy(),
     rng: np.random.Generator | None = None,
-    kind: CorrectionKind = CorrectionKind.IS,
     d0_sampler=None,
     n_boot: int = 2000,
 ) -> ConfidenceInterval:
@@ -64,7 +64,9 @@ def aug_is_baseline(
     if n_synth < 0:
         raise ValueError(f"n_synth must be at least 0, got {n_synth}")
     if n_synth == 0:
-        return is_baseline(dataset, behavior, target, alpha, kind, bound, clip, rng, n_boot)
+        return is_baseline(
+            dataset, behavior, target, alpha, bound=bound, clip=clip, rng=rng, n_boot=n_boot
+        )
     if rng is None:
         raise ValueError("synthetic generation needs a generator")
     rng_synth, rng_bound = rng.spawn(2)
@@ -76,7 +78,7 @@ def aug_is_baseline(
     synth = model.rollout_batch(target, starts, dataset.horizon, rng_synth).returns(
         dataset.discount
     )
-    real = reweighted_returns(dataset, target, behavior, kind, clip)
+    real = is_returns(dataset, target, behavior, clip)
     pooled = np.concatenate([real, synth])
     return _interval(pooled, alpha, bound, rng_bound, n_boot)
 
@@ -106,7 +108,6 @@ def dm_baseline(
 @dataclass(frozen=True)
 class FittedQSpec:
     degree: int = 2
-    ridge: float = 1e-6
     sweeps: int | None = None  # defaults to the dataset horizon
 
 
@@ -177,7 +178,7 @@ def fit_q(
     expected = np.zeros_like(feats)
     expected[~terminal] = _expected_features(next_states[~terminal], target, spec.degree)
     solved = solve_least_squares(
-        feats, np.column_stack([rewards, dataset.discount * expected]), spec.ridge
+        feats, np.column_stack([rewards, dataset.discount * expected])
     )
     offset, step = solved[:, 0], solved[:, 1:]
     coef = np.zeros(feats.shape[1])
@@ -198,22 +199,18 @@ def stepwise_dr_values(
     sum_t gamma^(t-1) [ rho_{1:t} (r_t - Q(s_t, a_t)) + rho_{1:t-1} E_pi Q(s_t, .) ]
     with rho_{1:0} = 1 and every prefix product clipped at sqrt(n).
     """
-    ratios, rewards, _ = step_ratio_table(dataset, target, behavior)
-    n, T = ratios.shape
-    cap = clip.threshold(n)
-    prefixes = np.minimum(np.cumprod(ratios, axis=1), cap)
+    prefixes, rewards, gammas, mask = clipped_prefixes(dataset, target, behavior, clip)
+    n, T = mask.shape
     prev = np.column_stack([np.ones(n), prefixes[:, :-1]])
 
     b = dataset.batch
-    mask = b.step_mask()[:, :T]
     flat_states = b.states[:, :T][mask]
     q_sa = np.zeros((n, T))
     q_sa[mask] = q.q_values(flat_states, b.actions[:, :T][mask].astype(float))
     eq = np.zeros((n, T))
     eq[mask] = q.expected_q(flat_states, target)
 
-    gammas = dataset.discount ** np.arange(T)
-    terms = gammas[None, :] * (prefixes * (rewards - q_sa) + prev * eq) * mask
+    terms = gammas * (prefixes * (rewards - q_sa) + prev * eq) * mask
     return terms.sum(axis=1)
 
 

@@ -27,10 +27,21 @@ from .mdp import read_jsonl_dataset, write_jsonl_dataset
 
 
 # The flag behind each setting; an error message that starts with the
-# setting's name shows the flag instead.
-_FLAGS = {"n_model_rollouts": "--Nf", "pairs_per_trajectory": "--M", "cpgen_m": "--M",
-          "cpgen_n_gen": "--Ngen", "cpgen_rollouts": "--rollouts", "n_synth": "--nsynth",
-          "n_boot": "--nboot", "eps_state": "--eps-state", "eps_score": "--eps-score"}
+# setting's name shows the flag instead.  ``_setting`` enters each flag.
+_FLAGS: dict[str, str] = {}
+
+
+def _setting(parser, flag: str, field: str, config=StudyConfig(), **kwargs) -> None:
+    """Declare ``flag`` as the ``config`` field ``field``, with its default."""
+    _FLAGS[field] = flag
+    parser.add_argument(flag, dest=field, default=getattr(config, field), **kwargs)
+
+
+def _settings(args) -> StudyConfig:
+    """The ``StudyConfig`` of the subcommand's settings flags; a field the
+    subcommand has no flag for keeps its default."""
+    fields = StudyConfig.__dataclass_fields__
+    return StudyConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _parse_state(text: str) -> tuple[float, ...]:
@@ -50,9 +61,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_method(args, method: str, config: StudyConfig, s0=None, eps=EpsConfig()):
+def _run_method(args, method: str, s0=None, eps=EpsConfig()):
     """Run one registry method on the ``--data`` file and return its
     ``MethodResult``."""
+    config = _settings(args)
     env_spec = make_env_spec(args.env, s0=s0)
     dataset = read_jsonl_dataset(args.data, env=args.env)
     # ground_truth only sets the offset of the "biased" model, not offered here
@@ -61,15 +73,8 @@ def _run_method(args, method: str, config: StudyConfig, s0=None, eps=EpsConfig()
 
 
 def _cmd_cpgen(args) -> int:
-    config = StudyConfig(
-        model=args.model,
-        model_degree=args.degree,
-        cpgen_m=args.M,
-        cpgen_n_gen=args.Ngen,
-        cpgen_rollouts=args.rollouts,
-    )
     eps = EpsConfig(eps_state=args.eps_state, eps_score=args.eps_score)
-    result = _run_method(args, "cpgen", config, s0=_parse_state(args.s0), eps=eps).details
+    result = _run_method(args, "cpgen", s0=_parse_state(args.s0), eps=eps).details
     _write_json(
         args.out,
         {
@@ -85,70 +90,30 @@ def _cmd_cpgen(args) -> int:
     return 0
 
 
-def _cmd_drppi(args) -> int:
-    config = StudyConfig(
-        model=args.model,
-        model_degree=args.degree,
-        n_model_rollouts=args.Nf,
-        pairs_per_trajectory=args.M,
-        crossfit=args.crossfit,
-        clip=args.clip,
-    )
-    result = _run_method(args, f"drppi:{args.correction}", config)
-    _write_json(
-        args.out,
-        {
-            "estimate": result.interval.point,
-            "variance": result.variance,
-            "lo": result.interval.lower,
-            "hi": result.interval.upper,
-            "alpha": args.alpha,
-            "correction": args.correction,
-            "crossfit": args.crossfit,
-        },
-    )
+def _write_interval(args, result, **extra) -> int:
+    """Write a ``MethodResult`` record, then ``extra``, to ``--out``."""
+    ci = result.interval
+    _write_json(args.out, {"estimate": ci.point, "variance": result.variance,
+                           "lo": ci.lower, "hi": ci.upper, "alpha": args.alpha, **extra})
     return 0
+
+
+def _cmd_drppi(args) -> int:
+    result = _run_method(args, f"drppi:{args.correction}")
+    return _write_interval(args, result, correction=args.correction, crossfit=args.crossfit)
 
 
 def _cmd_baseline(args) -> int:
-    config = StudyConfig(
-        model=args.model,
-        model_degree=args.degree,
-        clip=args.clip,
-        n_synth=args.nsynth,
-        dm_rollouts=args.rollouts,
-        n_boot=args.nboot,
-    )
-    interval = _run_method(args, f"{args.method}:{args.bound}", config).interval
-    _write_json(
-        args.out,
-        {
-            "estimate": interval.point,
-            "variance": None,
-            "lo": interval.lower,
-            "hi": interval.upper,
-            "alpha": args.alpha,
-            "method": args.method,
-            "bound": args.bound,
-        },
-    )
-    return 0
+    result = _run_method(args, f"{args.method}:{args.bound}")
+    return _write_interval(args, result, method=args.method, bound=args.bound)
 
 
 def _cmd_coverage(args) -> int:
     s0 = _parse_state(args.s0) if args.s0 is not None else None
     env_spec = make_env_spec(args.env, s0=s0, discount=args.gamma)
-    config = StudyConfig(
-        model=args.model,
-        n_model_rollouts=args.Nf,
-        pairs_per_trajectory=args.M,
-        crossfit=args.crossfit,
-        clip=args.clip,
-        n_synth=args.nsynth,
-    )
     report = run_coverage_study(
         env_spec, args.method, args.n, args.trials, args.alpha, args.seed,
-        config=config, cache_dir=args.cache_dir,
+        config=_settings(args), cache_dir=args.cache_dir,
     )
     emit_results([report], args.out, args.format)
     return 0
@@ -166,8 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--env", default="inventory", choices=["inventory", "finite"])
 
     def add_model(p):
-        p.add_argument("--model", default="gaussian", choices=["gaussian", "oracle"])
-        p.add_argument("--degree", type=int, default=2)
+        _setting(p, "--model", "model", choices=["gaussian", "oracle"])
+        _setting(p, "--degree", "model_degree", type=int)
+
+    def add_drppi(p):
+        _setting(p, "--Nf", "n_model_rollouts", type=int)
+        _setting(p, "--M", "pairs_per_trajectory", type=int)
+        _setting(p, "--crossfit", "crossfit", action=argparse.BooleanOptionalAction)
+        _setting(p, "--clip", "clip", choices=["auto", "on", "off"])
 
     sim = sub.add_parser("simulate", help="sample a behavior dataset to JSON Lines")
     add_env(sim)
@@ -184,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--data", required=True)
     cp.add_argument("--s0", required=True, help="comma-separated state coordinates")
     cp.add_argument("--alpha", type=float, default=0.05)
-    cp.add_argument("--M", type=int, default=4)
-    cp.add_argument("--Ngen", type=int, default=4)
-    cp.add_argument("--rollouts", type=int, default=256)
-    cp.add_argument("--eps-state", type=float, default=None, dest="eps_state")
-    cp.add_argument("--eps-score", type=float, default=None, dest="eps_score")
+    _setting(cp, "--M", "cpgen_m", type=int)
+    _setting(cp, "--Ngen", "cpgen_n_gen", type=int)
+    _setting(cp, "--rollouts", "cpgen_rollouts", type=int)
+    _setting(cp, "--eps-state", "eps_state", EpsConfig(), type=float)
+    _setting(cp, "--eps-score", "eps_score", EpsConfig(), type=float)
     cp.add_argument("--seed", type=int, required=True)
     cp.add_argument("--out", required=True)
     cp.set_defaults(fn=_cmd_cpgen)
@@ -198,11 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(dr)
     dr.add_argument("--data", required=True)
     dr.add_argument("--correction", default="pdis", choices=["is", "wis", "pdis"])
-    dr.add_argument("--Nf", type=int, default=1000)
-    dr.add_argument("--M", type=int, default=8)
     dr.add_argument("--alpha", type=float, default=0.05)
-    dr.add_argument("--crossfit", action=argparse.BooleanOptionalAction, default=True)
-    dr.add_argument("--clip", default="auto", choices=["auto", "on", "off"])
+    add_drppi(dr)
     dr.add_argument("--seed", type=int, required=True)
     dr.add_argument("--out", required=True)
     dr.set_defaults(fn=_cmd_drppi)
@@ -218,10 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     base.add_argument("--bound", default="clt", choices=["clt", "bootstrap"])
     base.add_argument("--alpha", type=float, default=0.05)
-    base.add_argument("--clip", default="auto", choices=["auto", "on", "off"])
-    base.add_argument("--nsynth", type=int, default=None)
-    base.add_argument("--rollouts", type=int, default=1000)
-    base.add_argument("--nboot", type=int, default=2000)
+    _setting(base, "--clip", "clip", choices=["auto", "on", "off"])
+    _setting(base, "--nsynth", "n_synth", type=int)
+    _setting(base, "--rollouts", "dm_rollouts", type=int)
+    _setting(base, "--nboot", "n_boot", type=int)
     base.add_argument("--seed", type=int, required=True)
     base.add_argument("--out", required=True)
     base.set_defaults(fn=_cmd_baseline)
@@ -229,17 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("coverage", help="repeated-trial coverage study")
     add_env(cov)
     cov.add_argument("--method", required=True)
-    cov.add_argument("--model", default="gaussian", choices=["gaussian", "oracle", "biased"])
+    _setting(cov, "--model", "model", choices=["gaussian", "oracle", "biased"])
     cov.add_argument("--n", type=int, required=True)
     cov.add_argument("--trials", type=int, required=True)
     cov.add_argument("--alpha", type=float, default=0.05)
     cov.add_argument("--gamma", type=float, default=1.0)
     cov.add_argument("--s0", default=None)
-    cov.add_argument("--Nf", type=int, default=1000)
-    cov.add_argument("--M", type=int, default=8)
-    cov.add_argument("--crossfit", action=argparse.BooleanOptionalAction, default=True)
-    cov.add_argument("--clip", default="auto", choices=["auto", "on", "off"])
-    cov.add_argument("--nsynth", type=int, default=None)
+    add_drppi(cov)
+    _setting(cov, "--nsynth", "n_synth", type=int)
     cov.add_argument("--cache-dir", default=None, dest="cache_dir")
     cov.add_argument("--format", default="csv", choices=["csv", "json"])
     cov.add_argument("--seed", type=int, required=True)

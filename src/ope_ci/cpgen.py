@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetTooSmall, DegenerateWeights, EmptyBand, NoTrainingPairs
+from .errors import DatasetTooSmall, DegenerateWeights, EmptyBand, NoTrainingPairs, UnboundedBand
 from .mdp import ConfidenceInterval, State, TrajectoryDataset
 from .reweighting import trajectory_ratios
 
@@ -356,7 +356,8 @@ def conformal_band(
     (query_state, delta), the calibration weights (which do not depend on
     delta) are normalized against it, and delta is accepted when it lies
     between the alpha/2 and 1 - alpha/2 weighted quantiles.  The hull of
-    accepted candidates is returned.
+    accepted candidates is returned; on the default grid, ``UnboundedBand``
+    is raised when the top candidate is accepted through the +inf tail.
 
     ``weight_fn(state_tuple, score) -> weight`` overrides the epsilon-ball
     estimator, e.g. with exactly enumerated weights.
@@ -420,6 +421,9 @@ def conformal_band(
     accepted = (lo_q <= deltas + atol) & ((hi_q == math.inf) | (deltas <= hi_q + atol))
     if not accepted.any():
         raise EmptyBand("no grid candidate satisfied the band condition")
+    if grid.values is None and accepted[-1] and hi_q[-1] == math.inf:
+        raise UnboundedBand("the band has no finite upper end at this alpha; use a "
+                            "larger N_gen (--Ngen) or a larger alpha")
     return float(deltas[accepted].min()), float(deltas[accepted].max())
 
 

@@ -30,6 +30,11 @@ class EmptyBand(OpeCiError):
     level is too small for the data or the weights are pathological."""
 
 
+class UnboundedBand(OpeCiError):
+    """The default grid's top candidate was accepted with an infinite upper
+    quantile, so the band's upper end is the grid's edge, not the data's."""
+
+
 class SingularDesign(OpeCiError):
     """A regression design matrix was too degenerate to fit."""
 

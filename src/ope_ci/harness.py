@@ -104,12 +104,14 @@ def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> 
 
 
 _LEAST_COUNTS = {"n_model_rollouts": 2, "pairs_per_trajectory": 1, "cpgen_m": 1,
-                 "cpgen_n_gen": 1, "cpgen_rollouts": 1, "n_synth": 0}
+                 "cpgen_n_gen": 1, "cpgen_rollouts": 1, "n_synth": 0, "dm_rollouts": 2,
+                 "n_boot": 100}
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs shared by the method adapters; defaults match the CLI."""
+    """Knobs shared by the method adapters; the CLI's settings flags are
+    these fields, with these defaults."""
 
     model: str = "gaussian"  # "gaussian" | "oracle" | "biased"
     model_degree: int = 2
@@ -127,11 +129,14 @@ class StudyConfig:
     n_boot: int = 2000
 
     def __post_init__(self) -> None:
-        """Refuse, before any work, a count below the least the methods take."""
+        """Refuse, before any work, a count below the least the methods take
+        and a feature degree other than 1 or 2."""
         for name, least in _LEAST_COUNTS.items():
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.model_degree not in (1, 2):
+            raise ValueError(f"model_degree must be 1 or 2, got {self.model_degree}")
 
     def clip_policy(self) -> ClipPolicy:
         return ClipPolicy(mode=self.clip)

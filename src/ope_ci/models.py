@@ -26,13 +26,16 @@ def polynomial_features(z: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def solve_least_squares(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
+_RIDGE = 1e-6  # weight of the identity in the rank-deficient fallback
+
+
+def solve_least_squares(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape[0] == 0:
         raise SingularDesign("no rows available for the regression")
     coef, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     if rank < X.shape[1]:
         # Rank-deficient design: fall back to a lightly ridged solve.
-        gram = X.T @ X + ridge * np.eye(X.shape[1])
+        gram = X.T @ X + _RIDGE * np.eye(X.shape[1])
         coef = np.linalg.solve(gram, X.T @ Y)
     return coef
 
@@ -56,7 +59,6 @@ class GaussianRegressionModel:
     """
 
     degree: int = 2
-    ridge: float = 1e-6
     state_box: tuple[np.ndarray, np.ndarray] | None = None
     _state_coef: np.ndarray | None = field(default=None, repr=False)
     _reward_coef: np.ndarray | None = field(default=None, repr=False)
@@ -84,8 +86,8 @@ class GaussianRegressionModel:
 
         Xr = polynomial_features(Zr, self.degree)
         Xs = polynomial_features(Zs, self.degree)
-        state_coef = solve_least_squares(Xs, Ys, self.ridge)
-        reward_coef = solve_least_squares(Xr, yr, self.ridge)
+        state_coef = solve_least_squares(Xs, Ys)
+        reward_coef = solve_least_squares(Xr, yr)
 
         self._state_coef = state_coef
         self._reward_coef = reward_coef

@@ -1,5 +1,9 @@
 """Importance-sampling return corrections (IS, WIS, PDIS), ratio clipping,
-and the CLT / bootstrap interval primitives shared by every estimator."""
+and the CLT / bootstrap interval primitives shared by every estimator.
+
+``ClipPolicy.threshold`` is the one clip rule, and ``clipped_prefixes`` the
+one table of clipped cumulative ratios: PDIS and the stepwise doubly-robust
+baseline both read it."""
 from __future__ import annotations
 
 import enum
@@ -30,8 +34,10 @@ class CorrectionKind(enum.Enum):
 class ClipPolicy:
     """Ratio clipping at sqrt(n).
 
-    ``mode`` is "on", "off", or "auto"; auto enables clipping once the sample
-    count reaches 100.  The clip constant is exactly n**0.5.
+    ``mode`` is "on", "off", or "auto"; auto clips once the sample count
+    reaches 100.  ``threshold(n)`` is the one clip rule: exactly
+    ``math.sqrt(n)`` when clipping applies to n samples, ``math.inf``
+    otherwise.
     """
 
     mode: str = "auto"
@@ -48,26 +54,15 @@ class ClipPolicy:
     def off(cls) -> "ClipPolicy":
         return cls(mode="off")
 
-    def enabled_for(self, n: int) -> bool:
-        if self.mode == "on":
-            return True
-        if self.mode == "off":
-            return False
-        return n >= _AUTO_MIN_N
-
-    def constant(self, n: int) -> float:
-        return math.sqrt(n)
-
     def threshold(self, n: int) -> float:
-        return self.constant(n) if self.enabled_for(n) else math.inf
+        clipped = self.mode == "on" or self.mode == "auto" and n >= _AUTO_MIN_N
+        return math.sqrt(n) if clipped else math.inf
 
 
 def clip_ratio(rho: float, n: int, clip: ClipPolicy) -> float:
     if rho < 0:
         raise ValueError("importance ratios must be nonnegative")
-    if clip.enabled_for(n):
-        return min(rho, clip.constant(n))
-    return rho
+    return min(rho, clip.threshold(n))
 
 
 def normal_quantile(p: float) -> float:
@@ -137,31 +132,29 @@ def wis_returns(
     return n * rho / total * dataset.returns()
 
 
-def _pdis_from_table(
-    ratios: np.ndarray,
-    rewards: np.ndarray,
-    lengths: np.ndarray,
-    discount: float,
-    cap: float,
-) -> np.ndarray:
+def clipped_prefixes(
+    dataset: TrajectoryDataset, target, behavior, clip: ClipPolicy = ClipPolicy()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (prefixes (n, T), rewards (n, T), gammas (T,), mask (n, T)):
+    the cumulative ratios rho_{1:t}, each clipped at ``clip.threshold(n)``,
+    the rewards, the discounts gamma^(t-1) and the valid steps."""
+    ratios, rewards, lengths = step_ratio_table(dataset, target, behavior)
+    T = ratios.shape[1]
     # The cap applies to each cumulative prefix product; clipping one prefix
     # does not propagate into later prefixes.
-    prefixes = np.minimum(np.cumprod(ratios, axis=1), cap)
-    T = ratios.shape[1]
-    gammas = discount ** np.arange(T)
+    prefixes = np.minimum(np.cumprod(ratios, axis=1), clip.threshold(len(dataset)))
     mask = np.arange(T)[None, :] < lengths[:, None]
-    # grouped as gamma * (prefix * reward) so the stepwise doubly-robust
-    # value with a zero Q reduces to this expression bit for bit
-    return (gammas[None, :] * (prefixes * rewards) * mask).sum(axis=1)
+    return prefixes, rewards, dataset.discount ** np.arange(T), mask
 
 
 def pdis_returns(
     dataset: TrajectoryDataset, target, behavior, clip: ClipPolicy = ClipPolicy()
 ) -> np.ndarray:
     """Per-decision values: sum_t gamma^(t-1) * clipped prefix ratio * r_t."""
-    ratios, rewards, lengths = step_ratio_table(dataset, target, behavior)
-    cap = clip.threshold(len(dataset))
-    return _pdis_from_table(ratios, rewards, lengths, dataset.discount, cap)
+    prefixes, rewards, gammas, mask = clipped_prefixes(dataset, target, behavior, clip)
+    # grouped as gamma * (prefix * reward) so the stepwise doubly-robust
+    # value with a zero Q reduces to this expression bit for bit
+    return (gammas * (prefixes * rewards) * mask).sum(axis=1)
 
 
 def reweighted_returns(

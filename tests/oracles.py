@@ -407,7 +407,7 @@ def per_sweep_fit_q(
         targets = rewards.copy()
         if cont.any():
             targets[cont] += dataset.discount * q.expected_q(next_states[cont], target)
-        q = PerSweepQ(solve_least_squares(feats, targets, spec.ridge), spec.degree)
+        q = PerSweepQ(solve_least_squares(feats, targets), spec.degree)
     return q
 
 

@@ -15,11 +15,13 @@ from ope_ci.baselines import (
 )
 from ope_ci.envs import oracle_value
 from ope_ci.models import OracleModel, RewardOffsetModel
+from ope_ci.policies import TabularPolicy
 from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
     clt_interval,
     pdis_returns,
+    step_ratio_table,
 )
 
 from oracles import ZeroQ, per_sweep_fit_q, prob
@@ -129,10 +131,17 @@ class TestDmBaseline:
 
 
 class TestFittedQ:
-    def test_zero_q_reduces_stepwise_dr_to_pdis_bitwise(self, finite_fixture, rng):
-        mdp, behavior, target = finite_fixture
-        data = mdp.sample_dataset(behavior, 50, rng, 0.9)
-        clip = ClipPolicy()
+    @pytest.mark.parametrize(
+        "clip, n", [(ClipPolicy.on(), 50), (ClipPolicy(), 200)], ids=["on-n50", "auto-n200"]
+    )
+    def test_zero_q_reduces_stepwise_dr_to_pdis_bitwise(self, finite_fixture, rng, clip, n):
+        mdp, behavior, _ = finite_fixture
+        # far enough from the behavior policy that some prefixes pass sqrt(n)
+        target = TabularPolicy(((0.02, 0.98),) * 3)
+        data = mdp.sample_dataset(behavior, n, rng, 0.9)
+        ratios, _, lengths = step_ratio_table(data, target, behavior)
+        mask = np.arange(ratios.shape[1]) < lengths[:, None]
+        assert (np.cumprod(ratios, axis=1)[mask] > clip.threshold(n)).any()
         dr_values = stepwise_dr_values(data, target, behavior, ZeroQ(), clip)
         assert np.array_equal(dr_values, pdis_returns(data, target, behavior, clip))
 

@@ -248,11 +248,18 @@ class TestValueErrorsExitTwo:
             (["baseline", "--method", "is", "--bound", "bootstrap", "--nboot", 0], "--nboot"),
             (["baseline", "--method", "augdr", "--nsynth", -3], "--nsynth"),
             (["baseline", "--method", "augis", "--nsynth", -5], "--nsynth"),
+            (["baseline", "--method", "dm", "--rollouts", 0], "--rollouts"),
+            (["baseline", "--method", "dm", "--rollouts", 1], "--rollouts"),
+            (["baseline", "--method", "is", "--nboot", 99], "--nboot"),
+            (["baseline", "--method", "is", "--degree", 3], "--degree"),
+            (["cpgen", "--s0", "5.0", "--degree", 0], "--degree"),
         ],
         ids=[
             "cpgen-eps-state", "cpgen-m", "cpgen-ngen", "cpgen-rollouts-zero",
             "cpgen-rollouts-negative", "drppi-nf", "drppi-m", "baseline-nboot",
-            "baseline-augdr-nsynth", "baseline-augis-nsynth",
+            "baseline-augdr-nsynth", "baseline-augis-nsynth", "baseline-dm-rollouts-zero",
+            "baseline-dm-rollouts-one", "baseline-clt-nboot", "baseline-is-degree",
+            "cpgen-degree",
         ],
     )
     def test_out_of_range_flag_exits_two(
@@ -286,6 +293,17 @@ class TestValueErrorsExitTwo:
         assert err.startswith(f"error: {flag} must be at least ")
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("**/ground_truth_*.json"))
+        assert not out.exists()
+
+    def test_unbounded_band_exits_two(self, tmp_path, capsys):
+        data, out = tmp_path / "smoke.jsonl", tmp_path / "edge.json"
+        assert run_cli("simulate", "--n", 50, "--seed", 1, "--out", data) == 0
+        code = run_cli(
+            "cpgen", "--data", data, "--s0", 5, "--seed", 1, "--alpha", 0.01, "--out", out
+        )
+        assert code == 2
+        err = single_error_line(capsys)
+        assert err.endswith("use a larger N_gen (--Ngen) or a larger alpha\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from ope_ci.cpgen import (
     weighted_distribution,
 )
 from ope_ci.envs import oracle_value
-from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs
+from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs, UnboundedBand
 from ope_ci.harness import StudyConfig, make_env_spec, make_method
 from ope_ci.models import GaussianRegressionModel, OracleModel
 
@@ -347,6 +347,20 @@ class TestConformalBand:
                 cal, [], (99.0,), 0.05, grid=GridSpec(values=(0.0, 1.0)),
                 weight_fn=lambda s, v: 1e16 if s == (99.0,) else 1.0,
             )
+
+    def test_unbounded_band_raised_on_default_grid_only(self):
+        # ten unit calibration weights and a unit query weight: at alpha 0.01
+        # the upper quantile is the +inf atom at every candidate, so the padded
+        # grid's top candidate would stand as the band's upper end
+        cal = [pair(0.0, v) for v in range(10)]
+        with pytest.raises(UnboundedBand, match=r"N_gen \(--Ngen\) or a larger alpha"):
+            conformal_band(cal, [], (0.0,), 0.01, weight_fn=lambda s, v: 1.0)
+        # an explicit grid's top atom is the caller's choice and stands
+        band = conformal_band(
+            cal, [], (0.0,), 0.01, grid=GridSpec(values=(0.0, 9.0, 20.0)),
+            weight_fn=lambda s, v: 1.0,
+        )
+        assert band == (0.0, 20.0)
 
     def test_band_membership_matches_quantile_composition(self, rng):
         # the band is the hull of the grid candidates at which building the

@@ -102,12 +102,19 @@ class TestStudyConfig:
     @pytest.mark.parametrize(
         "field, least",
         [("n_model_rollouts", 2), ("pairs_per_trajectory", 1), ("cpgen_m", 1),
-         ("cpgen_n_gen", 1), ("cpgen_rollouts", 1), ("n_synth", 0)],
+         ("cpgen_n_gen", 1), ("cpgen_rollouts", 1), ("n_synth", 0), ("dm_rollouts", 2),
+         ("n_boot", 100)],
     )
     def test_count_below_least_rejected(self, field, least):
         StudyConfig(**{field: least})
         with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got"):
             StudyConfig(**{field: least - 1})
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_degree_outside_one_two_rejected(self, degree):
+        StudyConfig(model_degree=1)
+        with pytest.raises(ValueError, match=f"^model_degree must be 1 or 2, got {degree}$"):
+            StudyConfig(model_degree=degree)
 
     def test_default_digest_unchanged(self):
         assert config_digest(StudyConfig().describe()) == DEFAULT_CONFIG_DIGEST

@@ -52,12 +52,13 @@ class TestClipPolicy:
 
     def test_auto_mode_threshold(self):
         auto = ClipPolicy()
-        assert not auto.enabled_for(99)
-        assert auto.enabled_for(100)
+        assert auto.threshold(99) == math.inf
+        assert auto.threshold(100) == 10.0
 
     def test_constant_is_exact_square_root(self):
-        for n in (1, 4, 100, 144, 10_000):
-            assert ClipPolicy.on().constant(n) == math.sqrt(n)
+        for n in (1, 4, 99, 100, 144, 10_000):
+            assert ClipPolicy.on().threshold(n) == math.sqrt(n)
+            assert ClipPolicy.off().threshold(n) == math.inf
 
     @given(st.floats(0, 1e6), st.integers(1, 10_000))
     def test_clipped_never_exceeds_sqrt_n(self, rho, n):
