@@ -70,11 +70,7 @@ def aug_is_baseline(
     if rng is None:
         raise ValueError("synthetic generation needs a generator")
     rng_synth, rng_bound = rng.spawn(2)
-    if d0_sampler is None:
-        inits = dataset.initial_states()
-        starts = inits[rng_synth.integers(0, len(dataset), size=n_synth)]
-    else:
-        starts = d0_sampler(rng_synth, n_synth)
+    starts = (d0_sampler or dataset.sample_initial_states)(rng_synth, n_synth)
     synth = model.rollout_batch(target, starts, dataset.horizon, rng_synth).returns(
         dataset.discount
     )
@@ -117,9 +113,7 @@ def _expected_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     probs = policy.action_probs(states)
     return sum(
-        probs[:, a, None] * polynomial_features(
-            np.column_stack([states, np.full(states.shape[0], float(a))]), degree
-        )
+        probs[:, a, None] * polynomial_features(states, a, degree)
         for a in range(probs.shape[1])
     )
 
@@ -132,8 +126,7 @@ class PolynomialQ:
         self.degree = degree
 
     def q_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        z = np.column_stack([states, np.asarray(actions, dtype=float)[:, None]])
-        return polynomial_features(z, self.degree) @ self.coef
+        return polynomial_features(states, actions, self.degree) @ self.coef
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
         """E_{a ~ policy} Q(s, a) over actions 0..A-1."""
@@ -141,13 +134,12 @@ class PolynomialQ:
 
 
 def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
-    """Dataset steps, then those of ``extra``, as ``(states, actions,
-    rewards, next_states, terminal)`` with float actions."""
+    """Dataset steps, then those of ``extra``, as ``RolloutBatch.flatten``
+    gives them."""
     rows = dataset.batch.flatten()
-    if extra is not None:
-        rows = [np.concatenate(pair) for pair in zip(rows, extra.flatten())]
-    states, actions, rewards, next_states, terminal = rows
-    return states, actions.astype(float), rewards, next_states, terminal
+    if extra is None:
+        return rows
+    return tuple(np.concatenate(pair) for pair in zip(rows, extra.flatten()))
 
 
 def fit_q(
@@ -172,9 +164,7 @@ def fit_q(
     states, actions, rewards, next_states, terminal = _transition_rows(
         dataset, synthetic
     )
-    feats = polynomial_features(
-        np.column_stack([states, actions[:, None]]), spec.degree
-    )
+    feats = polynomial_features(states, actions, spec.degree)
     expected = np.zeros_like(feats)
     expected[~terminal] = _expected_features(next_states[~terminal], target, spec.degree)
     solved = solve_least_squares(
@@ -206,7 +196,7 @@ def stepwise_dr_values(
     b = dataset.batch
     flat_states = b.states[:, :T][mask]
     q_sa = np.zeros((n, T))
-    q_sa[mask] = q.q_values(flat_states, b.actions[:, :T][mask].astype(float))
+    q_sa[mask] = q.q_values(flat_states, b.actions[:, :T][mask])
     eq = np.zeros((n, T))
     eq[mask] = q.expected_q(flat_states, target)
 
@@ -241,11 +231,8 @@ def dr_baseline(
             if n_synth > 0:
                 if rng is None:
                     raise ValueError("augmentation needs a generator")
-                inits = dataset.initial_states()
-                starts = inits[rng.integers(0, len(dataset), size=n_synth)]
-                synthetic = model.rollout_batch(
-                    target, starts, dataset.horizon, rng
-                )
+                starts = dataset.sample_initial_states(rng, n_synth)
+                synthetic = model.rollout_batch(target, starts, dataset.horizon, rng)
         q = fit_q(dataset, target, q_spec or FittedQSpec(), synthetic)
     values = stepwise_dr_values(dataset, target, behavior, q, clip)
     return clt_interval(values, alpha)

@@ -17,6 +17,7 @@ import numpy as np
 from .cpgen import EpsConfig
 from .errors import OpeCiError
 from .harness import (
+    METHOD_QUALIFIERS,
     StudyConfig,
     emit_results,
     make_env_spec,
@@ -104,8 +105,12 @@ def _cmd_drppi(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    result = _run_method(args, f"{args.method}:{args.bound}")
-    return _write_interval(args, result, method=args.method, bound=args.bound)
+    """``--bound`` defaults to the method's own bound, which the JSON records."""
+    bound = args.bound or METHOD_QUALIFIERS[args.method][0]
+    if bound not in METHOD_QUALIFIERS[args.method]:
+        raise OpeCiError(f"--bound {bound} is not available for --method {args.method}")
+    result = _run_method(args, f"{args.method}:{bound}")
+    return _write_interval(args, result, method=args.method, bound=bound)
 
 
 def _cmd_coverage(args) -> int:
@@ -184,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["is", "wis", "pdis", "augis", "dm", "dr", "augdr"],
     )
-    base.add_argument("--bound", default="clt", choices=["clt", "bootstrap"])
+    base.add_argument("--bound", choices=["clt", "bootstrap"],
+                      help="default: the method's own bound")
     base.add_argument("--alpha", type=float, default=0.05)
     _setting(base, "--clip", "clip", choices=["auto", "on", "off"])
     _setting(base, "--nsynth", "n_synth", type=int)

@@ -66,11 +66,8 @@ def half_estimate(
     discount = correction_data.discount
     n_half = len(correction_data)
 
-    if d0_sampler is None:
-        inits = correction_data.initial_states()
-        starts = inits[rng_model.integers(0, n_half, size=cfg.n_model_rollouts)]
-    else:
-        starts = d0_sampler(rng_model, cfg.n_model_rollouts)
+    sampler = d0_sampler or correction_data.sample_initial_states
+    starts = sampler(rng_model, cfg.n_model_rollouts)
     model_returns = model.rollout_batch(
         target, starts, horizon, rng_model
     ).returns(discount)

@@ -86,20 +86,6 @@ class Simulator:
         )
         return TrajectoryDataset(batch, discount, self.horizon)
 
-    def sample_returns(
-        self,
-        policy,
-        n: int,
-        rng: np.random.Generator,
-        discount: float = 1.0,
-        initial_state: State | None = None,
-    ) -> np.ndarray:
-        if initial_state is None:
-            starts = self.sample_initial_states(rng, n)
-        else:
-            starts = np.tile(np.asarray(initial_state, dtype=float), (n, 1))
-        return self.rollout_batch(policy, starts, self.horizon, rng).returns(discount)
-
 
 @dataclass(frozen=True)
 class InventoryEnv(Simulator):
@@ -237,9 +223,11 @@ def monte_carlo_value(
     """Sample mean and standard error of returns over independent rollouts."""
     if n_rollouts < 2:
         raise InsufficientSamples("monte_carlo_value needs at least 2 rollouts")
-    returns = env.sample_returns(
-        policy, n_rollouts, rng, discount=discount, initial_state=initial_state
-    )
+    if initial_state is None:
+        starts = env.sample_initial_states(rng, n_rollouts)
+    else:
+        starts = np.tile(np.asarray(initial_state, dtype=float), (n_rollouts, 1))
+    returns = env.rollout_batch(policy, starts, env.horizon, rng).returns(discount)
     mean = float(returns.mean())
     se = float(returns.std(ddof=1) / np.sqrt(n_rollouts))
     return mean, se

@@ -70,9 +70,6 @@ class EnvSpec:
     s0: State | None = None
     value_rollouts: int = 100_000
 
-    def d0_sampler(self):
-        return self.env.sample_initial_states
-
     def describe(self) -> dict:
         return {
             "name": self.name,
@@ -237,13 +234,29 @@ def make_model_factory(env_spec: EnvSpec, config: StudyConfig, ground_truth: flo
     raise ValueError(f"unknown model kind {config.model!r}")
 
 
+# The qualifiers each method takes after a colon, its default first: the
+# interval bound of the baselines, drppi's correction; cpgen takes none.
+METHOD_QUALIFIERS = {
+    **dict.fromkeys(("is", "wis", "pdis", "augis"), ("clt", "bootstrap")),
+    "dm": ("bootstrap",), "dr": ("clt",), "augdr": ("clt",),
+    "drppi": ("pdis", "is", "wis"), "cpgen": (),
+}
+
+
 def _parse_method(method: str) -> tuple[str, str | None]:
-    parts = method.split(":")
-    if len(parts) == 1:
-        return parts[0], None
-    if len(parts) == 2:
-        return parts[0], parts[1]
-    raise ValueError(f"cannot parse method spec {method!r}")
+    """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
+    defaulted; ``ValueError`` for an unknown name or qualifier."""
+    name, colon, qualifier = method.partition(":")
+    allowed = METHOD_QUALIFIERS.get(name)
+    if allowed is None:
+        known = ", ".join(METHOD_QUALIFIERS)
+        raise ValueError(f"unknown method {method!r}; use one of {known}")
+    if not colon:
+        return name, allowed[0] if allowed else None
+    if qualifier not in allowed:
+        takes = f"the qualifier {' or '.join(allowed)}" if allowed else "no qualifier"
+        raise ValueError(f"method {method!r}: {name} takes {takes}")
+    return name, qualifier
 
 
 @dataclass(frozen=True)
@@ -265,30 +278,28 @@ def make_method(
     name, qualifier = _parse_method(method)
     factory = make_model_factory(env_spec, config, ground_truth)
     clip = config.clip_policy()
-    d0 = env_spec.d0_sampler()
+    d0 = env_spec.env.sample_initial_states
 
     def n_synth(dataset):
         return config.n_synth if config.n_synth is not None else 10 * len(dataset)
 
     if name in ("is", "wis", "pdis"):
         kind = CorrectionKind(name)
-        bound = qualifier or "clt"
 
         def run(dataset, alpha, rng):
             return MethodResult(is_baseline(
                 dataset, env_spec.behavior, env_spec.target, alpha,
-                kind, bound, clip, rng, config.n_boot,
+                kind, qualifier, clip, rng, config.n_boot,
             ))
 
         return run
 
     if name == "augis":
-        bound = qualifier or "clt"
 
         def run(dataset, alpha, rng):
             return MethodResult(aug_is_baseline(
                 dataset, factory().fit(dataset), env_spec.behavior, env_spec.target,
-                n_synth(dataset), alpha, bound, clip, rng,
+                n_synth(dataset), alpha, qualifier, clip, rng,
                 d0_sampler=d0, n_boot=config.n_boot,
             ))
 
@@ -318,7 +329,7 @@ def make_method(
         return run
 
     if name == "drppi":
-        correction = CorrectionKind(qualifier or "pdis")
+        correction = CorrectionKind(qualifier)
 
         def run(dataset, alpha, rng):
             cfg = DrPpiConfig(
@@ -335,22 +346,20 @@ def make_method(
 
         return run
 
-    if name == "cpgen":
-        if env_spec.s0 is None:
-            raise ValueError("cpgen studies need an EnvSpec with a fixed s0")
+    # cpgen, the one method left
+    if env_spec.s0 is None:
+        raise ValueError("cpgen studies need an EnvSpec with a fixed s0")
 
-        def run(dataset, alpha, rng):
-            result = cp_gen_detailed(
-                dataset, env_spec.behavior, env_spec.target, env_spec.s0, alpha,
-                M=config.cpgen_m, N_gen=config.cpgen_n_gen,
-                n_pe_rollouts=config.cpgen_rollouts,
-                cfg=eps, model_factory=factory, rng=rng,
-            )
-            return MethodResult(result.interval, details=result)
+    def run(dataset, alpha, rng):
+        result = cp_gen_detailed(
+            dataset, env_spec.behavior, env_spec.target, env_spec.s0, alpha,
+            M=config.cpgen_m, N_gen=config.cpgen_n_gen,
+            n_pe_rollouts=config.cpgen_rollouts,
+            cfg=eps, model_factory=factory, rng=rng,
+        )
+        return MethodResult(result.interval, details=result)
 
-        return run
-
-    raise ValueError(f"unknown method {method!r}")
+    return run
 
 
 def run_coverage_study(
@@ -374,6 +383,7 @@ def run_coverage_study(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _parse_method(method)  # refuse a bad spec before the ground truth
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)
     run = make_method(method, env_spec, config, ground_truth)
 

@@ -8,7 +8,9 @@ initial states and the first reward belongs to step one.  Steps at or beyond
 ``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
 trajectory by trajectory through ``step_mask()``, and take discounted returns
 from ``RolloutBatch.returns`` alone, which skips the padding; ``Trajectory`` and
-``Transition`` are a read-only per-step view of one row.  Actions are
+``Transition`` are a read-only per-step view of one row.  A dataset is also
+an initial-state sampler, ``sample_initial_states(rng, n)``, which model
+rollouts on real data start from.  Actions are
 integers.  All types are immutable after construction and all functions are
 pure; randomness always enters through an explicit generator argument.
 """
@@ -231,6 +233,11 @@ class TrajectoryDataset:
     def initial_states(self) -> np.ndarray:
         return self.batch.states[:, 0]
 
+    def sample_initial_states(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` initial states resampled uniformly from the dataset's own: an
+        environment's sampler, for real data that no simulator can draw."""
+        return self.initial_states()[rng.integers(0, len(self), size=n)]
+
     def subset(self, indices) -> "TrajectoryDataset":
         idx = np.asarray(indices, dtype=np.int64)
         b = self.batch
@@ -311,14 +318,18 @@ def _json_record(text: str, where: str, keys: tuple[str, ...]) -> dict:
 
 
 def read_jsonl_dataset(path, env: str | None = None) -> TrajectoryDataset:
-    """Dataset of a JSON Lines file and its sidecar; a malformed line raises
-    ``ValueError`` naming the file and the line.  With ``env``, a sidecar
-    that names another environment raises ``ValueError``; a sidecar that
-    names none is read."""
+    """Dataset of a JSON Lines file and its sidecar.  ``ValueError`` names the
+    file and the line of a malformed line, and the sidecar and the key of a
+    ``gamma`` that is no JSON number or a ``horizon`` that is no JSON integer.
+    With ``env``, a sidecar that names another environment raises it too."""
     path = Path(path)
     lines = path.read_text().splitlines()
     meta_path = dataset_meta_path(path)
     meta = _json_record(meta_path.read_text(), str(meta_path), ("gamma", "horizon"))
+    if type(meta["gamma"]) not in (int, float):  # type(), so that true is no number
+        raise ValueError(f"{meta_path}: gamma must be a number, got {meta['gamma']!r}")
+    if type(meta["horizon"]) is not int:
+        raise ValueError(f"{meta_path}: horizon must be an integer, got {meta['horizon']!r}")
     if env is not None and meta.get("env", env) != env:
         raise ValueError(
             f"{meta_path}: the dataset comes from the {meta['env']!r} environment, "
@@ -353,5 +364,5 @@ def read_jsonl_dataset(path, env: str | None = None) -> TrajectoryDataset:
     return TrajectoryDataset(
         RolloutBatch.pad(states, actions, rewards),
         float(meta["gamma"]),
-        int(meta["horizon"]),
+        meta["horizon"],
     )

@@ -6,7 +6,7 @@ independent generator streams may run concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,9 +14,12 @@ from .errors import SingularDesign
 from .mdp import RolloutBatch, TrajectoryDataset, _roll_out
 
 
-def polynomial_features(z: np.ndarray, degree: int) -> np.ndarray:
-    """Feature map [1, z_i, (z_i z_j for i <= j when degree == 2)]."""
-    z = np.asarray(z, dtype=float)
+def polynomial_features(states: np.ndarray, actions, degree: int) -> np.ndarray:
+    """Feature map [1, z_i, (z_i z_j for i <= j when degree == 2)] of the
+    inputs z = [s, float(a)], from ``(N, d)`` states and ``(N,)`` actions (or
+    one action for every row); the library's one ``(s, a)`` layout."""
+    states = np.asarray(states, dtype=float)
+    z = np.column_stack([states, np.broadcast_to(actions, len(states))])
     cols = [np.ones(z.shape[0]), *z.T]
     if degree == 2:
         p = z.shape[1]
@@ -38,15 +41,6 @@ def solve_least_squares(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         gram = X.T @ X + _RIDGE * np.eye(X.shape[1])
         coef = np.linalg.solve(gram, X.T @ Y)
     return coef
-
-
-def _fit_rows(dataset: TrajectoryDataset):
-    """``(Zr, yr, Zs, Ys)``: ``[s, a]`` inputs with their rewards over every
-    step, and the inputs of the steps that have a successor with that
-    successor state, all in trajectory-major order."""
-    states, actions, rewards, next_states, terminal = dataset.batch.flatten()
-    z = np.column_stack([states, actions.astype(float)])
-    return z, rewards, z[~terminal], next_states[~terminal]
 
 
 @dataclass
@@ -79,13 +73,15 @@ class GaussianRegressionModel:
 
         Consecutive transitions within each trajectory supply the dynamics
         rows, so trajectories of length one contribute to the reward fit only.
+        The features are row-wise, so the dynamics design is the reward
+        design's rows that have a successor.
         """
-        Zr, yr, Zs, Ys = _fit_rows(dataset)
-        if Zs.shape[0] == 0:
+        states, actions, yr, next_states, terminal = dataset.batch.flatten()
+        if terminal.all():
             raise SingularDesign("no consecutive transitions to fit dynamics from")
 
-        Xr = polynomial_features(Zr, self.degree)
-        Xs = polynomial_features(Zs, self.degree)
+        Xr = polynomial_features(states, actions, self.degree)
+        Xs, Ys = Xr[~terminal], next_states[~terminal]
         state_coef = solve_least_squares(Xs, Ys)
         reward_coef = solve_least_squares(Xr, yr)
 
@@ -96,17 +92,11 @@ class GaussianRegressionModel:
         self._state_dim = Ys.shape[1]
         return self
 
-    def _require_fitted(self) -> None:
-        if not self.fitted:
-            raise SingularDesign("model must be fitted before rolling out")
-
     def _step(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         """Mean maps plus Gaussian noise: the reward noise is drawn first,
         then the state noise; next states are clipped to ``state_box``."""
         n = states.shape[0]
-        feats = polynomial_features(
-            np.column_stack([states, actions.astype(float)[:, None]]), self.degree
-        )
+        feats = polynomial_features(states, actions, self.degree)
         rewards = feats @ self._reward_coef + rng.standard_normal(n) * self._reward_scale
         x = feats @ self._state_coef + rng.standard_normal(
             (n, self._state_dim)
@@ -116,7 +106,8 @@ class GaussianRegressionModel:
         return x, rewards
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        self._require_fitted()
+        if not self.fitted:
+            raise SingularDesign("model must be fitted before rolling out")
         starts = np.asarray(initial_states, dtype=float).reshape(-1, self._state_dim)
         return _roll_out(self._step, policy, starts, horizon, rng)
 
@@ -151,9 +142,4 @@ class RewardOffsetModel:
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
         batch = self.base.rollout_batch(policy, initial_states, horizon, rng)
-        return RolloutBatch(
-            batch.states,
-            batch.actions,
-            batch.rewards + self.reward_offset,
-            batch.lengths,
-        )
+        return replace(batch, rewards=batch.rewards + self.reward_offset)

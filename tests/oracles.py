@@ -129,7 +129,7 @@ def per_trajectory_transition_rows(dataset, extra=None):
     for traj in trajs:
         s = traj.states()
         states.append(s)
-        actions.append(np.asarray(traj.actions(), dtype=float))
+        actions.append(np.asarray(traj.actions(), dtype=np.int64))
         rewards.append(traj.rewards())
         next_states.append(np.vstack([s[1:], np.zeros((1, s.shape[1]))]))
         term = np.zeros(len(traj), dtype=bool)
@@ -377,8 +377,7 @@ class PerSweepQ:
         self.degree = degree
 
     def q_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        z = np.column_stack([states, np.asarray(actions, dtype=float)[:, None]])
-        return polynomial_features(z, self.degree) @ self.coef
+        return polynomial_features(states, actions, self.degree) @ self.coef
 
     def expected_q(self, states: np.ndarray, policy) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -397,9 +396,7 @@ def per_sweep_fit_q(
     states, actions, rewards, next_states, terminal = _transition_rows(
         dataset, synthetic
     )
-    feats = polynomial_features(
-        np.column_stack([states, actions[:, None]]), spec.degree
-    )
+    feats = polynomial_features(states, actions, spec.degree)
     sweeps = spec.sweeps if spec.sweeps is not None else dataset.horizon
     q = PerSweepQ(np.zeros(feats.shape[1]), spec.degree)
     cont = ~terminal
@@ -498,9 +495,7 @@ def gaussian_model_rollout(model, policy, initial_states, horizon, rng) -> Rollo
     rewards = np.empty((n, horizon))
     for t in range(horizon):
         a = policy_sample(policy, x, rng)
-        feats = polynomial_features(
-            np.column_stack([x, a.astype(float)[:, None]]), model.degree
-        )
+        feats = polynomial_features(x, a, model.degree)
         states[:, t] = x
         actions[:, t] = a
         rewards[:, t] = (

@@ -14,7 +14,7 @@ from ope_ci.baselines import (
     stepwise_dr_values,
 )
 from ope_ci.envs import oracle_value
-from ope_ci.models import OracleModel, RewardOffsetModel
+from ope_ci.models import GaussianRegressionModel, OracleModel, RewardOffsetModel
 from ope_ci.policies import TabularPolicy
 from ope_ci.reweighting import (
     ClipPolicy,
@@ -69,6 +69,22 @@ class TestAugIsBaseline:
             rng=np.random.default_rng(7),
         )
         assert augmented == base
+
+    @pytest.mark.parametrize("bound", ["clt", "bootstrap"])
+    def test_default_starts_are_the_dataset_sampler(
+        self, inventory_env, inventory_policies, bound
+    ):
+        behavior, target = inventory_policies
+        data = inventory_env.sample_dataset(behavior, 40, np.random.default_rng(3))
+        model = GaussianRegressionModel(state_box=inventory_env.state_box).fit(data)
+        got, want = (
+            aug_is_baseline(
+                data, model, behavior, target, 100, 0.1, bound, n_boot=200,
+                rng=np.random.default_rng(8), d0_sampler=d0,
+            )
+            for d0 in (None, data.sample_initial_states)
+        )
+        assert got == want
 
     def test_unbiased_model_keeps_nominal_coverage(self, finite_fixture):
         mdp, behavior, _ = finite_fixture

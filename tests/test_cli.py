@@ -211,6 +211,60 @@ class TestCoverageCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMethodSpecs:
+    @pytest.mark.parametrize(
+        "method",
+        ["dm:foo", "cpgen:xyz", "dr:x", "augdr:x", "drppi:foo", "is:foo", "augis:x",
+         "is:clt:x", "bogus", "dm:"],
+    )
+    def test_bad_spec_refused_before_ground_truth(self, tmp_path, capsys, monkeypatch, method):
+        # these ran the 100k-rollout ground truth first, then either wrote a
+        # row under the spec's label or failed in a trial
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "bad.csv"
+        code = run_cli(
+            "coverage", "--method", method, "--s0", 5, "--n", 50, "--trials", 2,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        err = single_error_line(capsys)
+        assert repr(method) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("method", "bound"),
+        [("is", "clt"), ("augis", "clt"), ("dm", "bootstrap"), ("dr", "clt"), ("augdr", "clt")],
+    )
+    def test_default_bound_is_the_one_used(self, small_dataset, tmp_path, method, bound):
+        # dm recorded "clt" for its bootstrap interval
+        out, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        args = ["baseline", "--data", small_dataset, "--method", method, "--nsynth", 40,
+                "--rollouts", 50, "--nboot", 200, "--seed", 9]
+        assert run_cli(*args, "--out", out) == 0
+        assert run_cli(*args, "--bound", bound, "--out", explicit) == 0
+        assert json.loads(out.read_text())["bound"] == bound
+        assert out.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize(
+        ("method", "bound"), [("dm", "clt"), ("dr", "bootstrap"), ("augdr", "bootstrap")]
+    )
+    def test_bound_the_method_cannot_give_exits_two(
+        self, small_dataset, tmp_path, capsys, method, bound
+    ):
+        # dr --bound bootstrap wrote "bootstrap" for the CLT interval
+        out = tmp_path / "out.json"
+        code = run_cli(
+            "baseline", "--data", small_dataset, "--method", method, "--bound", bound,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert single_error_line(capsys).startswith(f"error: --bound {bound} ")
+        assert not out.exists()
+
+
 class TestAlphaValidation:
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, "nan"])
     @pytest.mark.parametrize("command", ["cpgen", "drppi", "baseline", "coverage"])
@@ -455,6 +509,25 @@ class TestDatasetFileErrors:
         )
         assert self.run_drppi(bad, tmp_path) == 2
         assert f"{bad} line 4:" in single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("horizon", None), ("horizon", 20.9), ("horizon", 20.0), ("horizon", True),
+            ("horizon", "20"), ("gamma", [1]), ("gamma", "x"), ("gamma", True),
+            ("gamma", None),
+        ],
+    )
+    def test_sidecar_value_of_wrong_type(self, small_dataset, tmp_path, capsys, key, value):
+        # null and [1] ended in a TypeError traceback, 20.9 was read as 20,
+        # true as 1, and "x" gave a message that named no file
+        bad = rewrite_record(small_dataset, tmp_path / "bad.jsonl", json.dumps)
+        meta_path = bad.with_name(bad.name + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, key: value}) + "\n")
+        assert self.run_drppi(bad, tmp_path) == 2
+        kind = "an integer" if key == "horizon" else "a number"
+        assert f"{meta_path}: {key} must be {kind}, got " in single_error_line(capsys)
 
     def test_malformed_json_line(self, small_dataset, tmp_path, capsys):
         bad = rewrite_record(

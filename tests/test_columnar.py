@@ -8,7 +8,12 @@ from ope_ci.baselines import _transition_rows
 from ope_ci.cpgen import generation_score_pairs
 from ope_ci.envs import FiniteMdp
 from ope_ci.mdp import read_jsonl_dataset, write_jsonl_dataset
-from ope_ci.models import OracleModel, _fit_rows
+from ope_ci.models import (
+    GaussianRegressionModel,
+    OracleModel,
+    polynomial_features,
+    solve_least_squares,
+)
 from ope_ci.policies import TabularPolicy
 from ope_ci.reweighting import step_ratio_table
 
@@ -75,8 +80,20 @@ def test_ratio_table_matches_per_trajectory_table(case):
 
 
 def test_model_fit_rows_match_per_trajectory_rows(case):
+    """The model's coefficients and residual scales equal those of least
+    squares on the per-trajectory rows, bit for bit."""
     *_, ds = case
-    assert_all_equal(_fit_rows(ds), per_trajectory_fit_rows(ds))
+    Zr, yr, Zs, Ys = per_trajectory_fit_rows(ds)
+    for degree in (1, 2):
+        model = GaussianRegressionModel(degree=degree).fit(ds)
+        Xr = polynomial_features(Zr[:, :-1], Zr[:, -1], degree)
+        Xs = polynomial_features(Zs[:, :-1], Zs[:, -1], degree)
+        state_coef, reward_coef = solve_least_squares(Xs, Ys), solve_least_squares(Xr, yr)
+        assert_all_equal(
+            [model._state_coef, model._reward_coef, model._state_scale],
+            [state_coef, reward_coef, (Ys - Xs @ state_coef).std(axis=0)],
+        )
+        assert model._reward_scale == float((yr - Xr @ reward_coef).std())
 
 
 @pytest.mark.parametrize("with_synthetic", [False, True])

@@ -13,7 +13,7 @@ from ope_ci.drppi import (
 )
 from ope_ci.envs import monte_carlo_value, oracle_value
 from ope_ci.errors import DatasetTooSmall
-from ope_ci.models import OracleModel
+from ope_ci.models import GaussianRegressionModel, OracleModel
 from ope_ci.reweighting import ClipPolicy, CorrectionKind, normal_quantile
 
 from oracles import normal_quantile_oracle
@@ -49,6 +49,22 @@ class TestHalfEstimate:
         truth = oracle_value(mdp, behavior, 0.9)
         se = np.std(means, ddof=1) / math.sqrt(len(means))
         assert abs(np.mean(means) - truth) <= 4 * se
+
+    def test_default_starts_are_the_correction_data_sampler(
+        self, inventory_env, inventory_policies
+    ):
+        behavior, target = inventory_policies
+        first, second = inventory_env.sample_dataset(
+            behavior, 40, np.random.default_rng(3)
+        ).split_half()
+        model = GaussianRegressionModel(state_box=inventory_env.state_box).fit(first)
+        got, want = (
+            half_estimate(
+                model, second, behavior, target, cfg_with(), np.random.default_rng(8), d0
+            )
+            for d0 in (None, second.sample_initial_states)
+        )
+        assert got == want
 
     def test_flat_reward_fixture_by_hand(self, flat_reward_mdp):
         # return is always 2; correction term j must equal 2 * (rho_j - 1)

@@ -82,6 +82,15 @@ class TestTrajectoryTypes:
         assert traj.initial_state == (3.0,)
         assert dataset_of([traj]).initial_states().tolist() == [[3.0]]
 
+    def test_sample_initial_states_resamples_the_dataset_starts(self):
+        starts = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+        batch = RolloutBatch.pad(starts[:, None, :], [[0]] * 3, [[0.0]] * 3)
+        ds = TrajectoryDataset(batch, 1.0, 1)
+        drawn = ds.sample_initial_states(np.random.default_rng(4), 50)
+        picks = np.random.default_rng(4).integers(0, 3, size=50)
+        assert drawn.shape == (50, 2)
+        assert np.array_equal(drawn, starts[picks])
+
     def test_dataset_rejects_mixed_state_dims(self):
         with pytest.raises(ValueError):
             RolloutBatch.pad([[[0.0]], [[0.0, 1.0]]], [[0], [0]], [[1.0], [1.0]])

@@ -51,13 +51,11 @@ def affine_dataset(rng, n_traj=40, length=6, noise=0.0):
 
 class TestPolynomialFeatures:
     def test_degree_one_layout(self):
-        z = np.array([[2.0, 3.0]])
-        feats = polynomial_features(z, 1)
+        feats = polynomial_features(np.array([[2.0]]), np.array([3]), 1)
         assert list(feats[0]) == [1.0, 2.0, 3.0]
 
     def test_degree_two_layout(self):
-        z = np.array([[2.0, 3.0]])
-        feats = polynomial_features(z, 2)
+        feats = polynomial_features(np.array([[2.0]]), np.array([3]), 2)
         assert list(feats[0]) == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
 
@@ -135,9 +133,7 @@ class TestGaussianRegressionRollout:
             model = GaussianRegressionModel(degree=1).fit(dataset)
             probe = np.random.default_rng(8).normal(size=(256, 2))
             acts = np.random.default_rng(9).integers(0, 3, size=256)
-            feats = polynomial_features(
-                np.column_stack([probe, acts.astype(float)[:, None]]), 1
-            )
+            feats = polynomial_features(probe, acts, 1)
             predicted = feats @ model._state_coef
             truth = probe @ A.T + acts[:, None] * b[None, :] + c
             errs.append(float(np.abs(predicted - truth).mean()))
