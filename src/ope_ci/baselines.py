@@ -10,6 +10,7 @@ import numpy as np
 
 from .mdp import ConfidenceInterval, RolloutBatch, TrajectoryDataset
 from .models import polynomial_features, solve_least_squares
+from .policies import _row_blocks
 from .reweighting import (
     ClipPolicy,
     CorrectionKind,
@@ -108,14 +109,19 @@ class FittedQSpec:
 
 
 def _expected_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
-    """Rows sum_a prob(a | s) * phi(s, a) over actions 0..A-1, from one
-    ``action_probs`` table."""
+    """Rows sum_a prob(a | s) * phi(s, a) over actions 0..A-1, from the
+    policy's action table built in ``_row_blocks``, so that each action's
+    feature temporaries stay block-sized; the rows equal those of one table
+    bit for bit."""
     states = np.asarray(states, dtype=float)
-    probs = policy.action_probs(states)
-    return sum(
-        probs[:, a, None] * polynomial_features(states, a, degree)
-        for a in range(probs.shape[1])
-    )
+    blocks = []
+    for rows in _row_blocks(len(states)):
+        probs = policy.action_probs(states[rows])
+        blocks.append(sum(
+            probs[:, a, None] * polynomial_features(states[rows], a, degree)
+            for a in range(probs.shape[1])
+        ))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class PolynomialQ:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSamples
-from .mdp import RolloutBatch, State, TrajectoryDataset, _roll_out
+from .mdp import RolloutBatch, State, TrajectoryDataset, _roll_out, _steps
 from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, _inverse_cdf
 
 
@@ -74,8 +74,13 @@ class Simulator:
 
     is_absorbing = None
 
+    def _start_states(self, initial_states) -> np.ndarray:
+        """``initial_states`` as ``(N, d)`` float rollout starts: the one
+        preparation behind ``rollout_batch`` and ``monte_carlo_value``."""
+        return np.asarray(initial_states, dtype=float).reshape(-1, self.state_dim)
+
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        starts = np.asarray(initial_states, dtype=float).reshape(-1, self.state_dim)
+        starts = self._start_states(initial_states)
         return _roll_out(self.step_batch, policy, starts, horizon, rng, self.is_absorbing)
 
     def sample_dataset(
@@ -172,6 +177,10 @@ class FiniteMdp(Simulator):
         draws = _inverse_cdf(table, rng.random(n))
         return draws.astype(float)[:, None]
 
+    def _start_states(self, initial_states) -> np.ndarray:
+        """Rollout starts truncate to integer state codes."""
+        return super()._start_states(initial_states).astype(int).astype(float)
+
     def is_absorbing(self, states: np.ndarray) -> np.ndarray:
         return np.isin(states[:, 0], tuple(self.absorbing))
 
@@ -180,11 +189,6 @@ class FiniteMdp(Simulator):
         u = rng.random(s.shape[0])
         nxt = _inverse_cdf(self.transition_probs[s, actions], u)
         return nxt.astype(float)[:, None], self.rewards[s, actions, nxt]
-
-    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        """Initial states truncate to integer state codes."""
-        s = np.asarray(initial_states, dtype=float).reshape(-1, 1).astype(int).astype(float)
-        return _roll_out(self.step_batch, policy, s, horizon, rng, self.is_absorbing)
 
 
 def oracle_value(
@@ -220,14 +224,27 @@ def monte_carlo_value(
     discount: float = 1.0,
     initial_state: State | None = None,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of returns over independent rollouts."""
+    """Sample mean and standard error of returns over independent rollouts.
+
+    The rollouts are the ones ``env.rollout_batch`` would record from the same
+    generator state, but no batch is kept: each step's discounted rewards are
+    added into one running return per rollout, so memory is linear in
+    ``n_rollouts``, not in rollouts times horizon.  The terms are added in
+    time order rather than in the pairwise order of ``RolloutBatch.returns``,
+    so each return agrees with that routine's within horizon·ε of the sum of
+    its terms' magnitudes."""
     if n_rollouts < 2:
         raise InsufficientSamples("monte_carlo_value needs at least 2 rollouts")
     if initial_state is None:
         starts = env.sample_initial_states(rng, n_rollouts)
     else:
         starts = np.tile(np.asarray(initial_state, dtype=float), (n_rollouts, 1))
-    returns = env.rollout_batch(policy, starts, env.horizon, rng).returns(discount)
+    starts = env._start_states(starts)
+    gammas = discount ** np.arange(env.horizon)
+    returns = np.zeros(n_rollouts)
+    steps = _steps(env.step_batch, policy, starts, env.horizon, rng, env.is_absorbing)
+    for t, (_, _, rewards, live) in enumerate(steps):
+        returns += np.where(live, rewards, 0.0) * gammas[t]
     mean = float(returns.mean())
     se = float(returns.std(ddof=1) / np.sqrt(n_rollouts))
     return mean, se

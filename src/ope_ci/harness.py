@@ -243,19 +243,22 @@ METHOD_QUALIFIERS = {
 }
 
 
-def _parse_method(method: str) -> tuple[str, str | None]:
+def _parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
     """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
-    defaulted; ``ValueError`` for an unknown name or qualifier."""
+    defaulted; ``ValueError`` for an unknown name or qualifier, and for
+    cpgen on an ``env_spec`` without a fixed s0."""
     name, colon, qualifier = method.partition(":")
     allowed = METHOD_QUALIFIERS.get(name)
     if allowed is None:
         known = ", ".join(METHOD_QUALIFIERS)
         raise ValueError(f"unknown method {method!r}; use one of {known}")
-    if not colon:
-        return name, allowed[0] if allowed else None
-    if qualifier not in allowed:
+    if colon and qualifier not in allowed:
         takes = f"the qualifier {' or '.join(allowed)}" if allowed else "no qualifier"
         raise ValueError(f"method {method!r}: {name} takes {takes}")
+    if name == "cpgen" and env_spec.s0 is None:
+        raise ValueError("cpgen studies need an EnvSpec with a fixed s0")
+    if not colon:
+        return name, allowed[0] if allowed else None
     return name, qualifier
 
 
@@ -275,7 +278,7 @@ def make_method(
 ):
     """Adapter (dataset, alpha, rng) -> MethodResult; ``eps`` sets cpgen's
     ball radii."""
-    name, qualifier = _parse_method(method)
+    name, qualifier = _parse_method(method, env_spec)
     factory = make_model_factory(env_spec, config, ground_truth)
     clip = config.clip_policy()
     d0 = env_spec.env.sample_initial_states
@@ -347,9 +350,6 @@ def make_method(
         return run
 
     # cpgen, the one method left
-    if env_spec.s0 is None:
-        raise ValueError("cpgen studies need an EnvSpec with a fixed s0")
-
     def run(dataset, alpha, rng):
         result = cp_gen_detailed(
             dataset, env_spec.behavior, env_spec.target, env_spec.s0, alpha,
@@ -383,7 +383,7 @@ def run_coverage_study(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _parse_method(method)  # refuse a bad spec before the ground truth
+    _parse_method(method, env_spec)  # refuse a bad spec before the ground truth
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)
     run = make_method(method, env_spec, config, ground_truth)
 

@@ -7,12 +7,17 @@ A dataset is one padded ``RolloutBatch`` plus its discount and horizon:
 initial states and the first reward belongs to step one.  Steps at or beyond
 ``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
 trajectory by trajectory through ``step_mask()``, and take discounted returns
-from ``RolloutBatch.returns`` alone, which skips the padding; ``Trajectory`` and
-``Transition`` are a read-only per-step view of one row.  A dataset is also
-an initial-state sampler, ``sample_initial_states(rng, n)``, which model
-rollouts on real data start from.  Actions are
-integers.  All types are immutable after construction and all functions are
-pure; randomness always enters through an explicit generator argument.
+from ``RolloutBatch.returns``, which skips the padding; ``Trajectory`` and
+``Transition`` are a read-only per-step view of one row.  ``returns`` is the
+one return routine of recorded batches.  The Monte Carlo ground truth records
+no batch: ``envs.monte_carlo_value`` adds each step of the rollout loop
+``_steps`` into one running return per row.  It adds the same terms in time
+order instead of numpy's pairwise order, so each of its returns agrees with
+``returns`` within horizon·ε of the sum of the terms' magnitudes.  A dataset
+is also an initial-state sampler, ``sample_initial_states(rng, n)``, which
+model rollouts on real data start from.  Actions are integers.  All types are
+immutable after construction and all functions are pure; randomness always
+enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -127,9 +132,9 @@ class RolloutBatch:
         return t[None, :] < self.lengths[:, None]
 
     def returns(self, discount: float) -> np.ndarray:
-        """Discounted return of each row over its own length, the library's
-        one return routine.  Padding never reaches the sum, so it may hold
-        anything, even NaN or infinity."""
+        """Discounted return of each row over its own length, the one return
+        routine of recorded batches.  Padding never reaches the sum, so it
+        may hold anything, even NaN or infinity."""
         gammas = discount ** np.arange(self.states.shape[1])
         return (np.where(self.step_mask(), self.rewards, 0.0) * gammas).sum(axis=1)
 
@@ -161,29 +166,40 @@ class RolloutBatch:
         return [self.trajectory(i) for i in range(self.size)]
 
 
-def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> RolloutBatch:
+def _steps(step, policy, x, horizon, rng, stopped=None):
     """The one rollout time loop.  Each step makes one ``policy_sample`` call
     for all rows, then ``step(states, actions, rng) -> (next_states,
-    rewards)``.  A row's rollout ends in a ``stopped`` (absorbing) state;
-    the row keeps stepping unrecorded, so every row takes every draw.  The
-    buffers are time-major, so each step writes one contiguous slice; they
-    are returned as C-ordered ``(N, T, ...)`` arrays, zero past each row's
-    length (which covers the steps skipped once every row has ended)."""
-    x, n = initial_states, initial_states.shape[0]
-    states = np.empty((horizon, n, x.shape[1]))
+    rewards)``, and yields ``(states, actions, rewards, live)``: the states
+    the actions were taken from, and which rows were still running.  A row's
+    rollout ends in a ``stopped`` (absorbing) state; the row keeps stepping
+    unrecorded, so every row takes every draw.  The loop ends early once
+    every row has ended.  A yielded ``live`` is never changed afterwards."""
+    live = np.ones(x.shape[0], dtype=bool) if stopped is None else ~stopped(x)
+    for _ in range(horizon):
+        if not live.any():
+            return
+        a = policy_sample(policy, x, rng)
+        x_next, r = step(x, a, rng)
+        yield x, a, r, live
+        x = x_next
+        if stopped is not None:
+            live = live & ~stopped(x)
+
+
+def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> RolloutBatch:
+    """The steps of ``_steps`` recorded into a padded batch.  The buffers are
+    time-major, so each step writes one contiguous slice; they are returned
+    as C-ordered ``(N, T, ...)`` arrays, zero past each row's length (which
+    covers the steps skipped once every row has ended)."""
+    n, d = initial_states.shape
+    states = np.empty((horizon, n, d))
     actions = np.empty((horizon, n), dtype=np.int64)
     rewards = np.empty((horizon, n))
-    live = np.ones(n, dtype=bool) if stopped is None else ~stopped(x)
     lengths = np.zeros(n, dtype=np.int64)
-    for t in range(horizon):
-        if not live.any():
-            break
-        a = policy_sample(policy, x, rng)
-        states[t], actions[t] = x, a
-        x, rewards[t] = step(x, a, rng)
+    steps = _steps(step, policy, initial_states, horizon, rng, stopped)
+    for t, (x, a, r, live) in enumerate(steps):
+        states[t], actions[t], rewards[t] = x, a, r
         lengths += live
-        if stopped is not None:
-            live &= ~stopped(x)
     states = np.ascontiguousarray(states.swapaxes(0, 1))
     actions = np.ascontiguousarray(actions.T)
     rewards = np.ascontiguousarray(rewards.T)
@@ -320,16 +336,27 @@ def _json_record(text: str, where: str, keys: tuple[str, ...]) -> dict:
 def read_jsonl_dataset(path, env: str | None = None) -> TrajectoryDataset:
     """Dataset of a JSON Lines file and its sidecar.  ``ValueError`` names the
     file and the line of a malformed line, and the sidecar and the key of a
-    ``gamma`` that is no JSON number or a ``horizon`` that is no JSON integer.
-    With ``env``, a sidecar that names another environment raises it too."""
+    ``gamma`` that is no JSON number in (0, 1], a ``horizon`` that is no JSON
+    integer of at least 1 and the longest trajectory's length, or a
+    ``state_dim`` (optional) that is no JSON integer equal to the states'
+    width.  With ``env``, a sidecar that names another environment raises it
+    too."""
     path = Path(path)
     lines = path.read_text().splitlines()
     meta_path = dataset_meta_path(path)
     meta = _json_record(meta_path.read_text(), str(meta_path), ("gamma", "horizon"))
-    if type(meta["gamma"]) not in (int, float):  # type(), so that true is no number
-        raise ValueError(f"{meta_path}: gamma must be a number, got {meta['gamma']!r}")
-    if type(meta["horizon"]) is not int:
-        raise ValueError(f"{meta_path}: horizon must be an integer, got {meta['horizon']!r}")
+    gamma, horizon = meta["gamma"], meta["horizon"]
+    if type(gamma) not in (int, float):  # type(), so that true is no number
+        raise ValueError(f"{meta_path}: gamma must be a number, got {gamma!r}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"{meta_path}: gamma must lie in (0, 1], got {gamma!r}")
+    if type(horizon) is not int:
+        raise ValueError(f"{meta_path}: horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
+        raise ValueError(f"{meta_path}: horizon must be at least 1, got {horizon}")
+    state_dim = meta.get("state_dim")
+    if "state_dim" in meta and type(state_dim) is not int:
+        raise ValueError(f"{meta_path}: state_dim must be an integer, got {state_dim!r}")
     if env is not None and meta.get("env", env) != env:
         raise ValueError(
             f"{meta_path}: the dataset comes from the {meta['env']!r} environment, "
@@ -361,8 +388,15 @@ def read_jsonl_dataset(path, env: str | None = None) -> TrajectoryDataset:
         states.append(s)
         actions.append(record["actions"])
         rewards.append(r)
-    return TrajectoryDataset(
-        RolloutBatch.pad(states, actions, rewards),
-        float(meta["gamma"]),
-        meta["horizon"],
-    )
+    longest = max(map(len, actions), default=0)
+    if horizon < longest:
+        raise ValueError(
+            f"{meta_path}: horizon {horizon} is below the longest trajectory's "
+            f"{longest} steps"
+        )
+    if states and state_dim is not None and state_dim != states[0].shape[1]:
+        raise ValueError(
+            f"{meta_path}: state_dim {state_dim} differs from the "
+            f"{states[0].shape[1]} coordinates of the states"
+        )
+    return TrajectoryDataset(RolloutBatch.pad(states, actions, rewards), float(gamma), horizon)

@@ -191,6 +191,28 @@ def clt_interval(samples, alpha: float) -> ConfidenceInterval:
     return ConfidenceInterval(mean - half, mean + half, 1.0 - alpha, point=mean)
 
 
+# Index cells of one block of bootstrap resamples: 512 KB of indices and as
+# much of gathered samples fit in a typical L2 cache, where blocks of
+# 5,000,000 cells took 80 MB.
+_BOOT_CELLS = 65_536
+
+
+def _bootstrap_means(samples: np.ndarray, n_boot: int, rng: np.random.Generator) -> np.ndarray:
+    """Means of ``n_boot`` resamples of ``samples``, drawn in blocks of whole
+    rows of at most ``_BOOT_CELLS`` indices (one row when a row is larger).
+    ``Generator.integers`` gives one stream however a bounded draw is split
+    into calls, and each mean sums its own row, so the means equal those of
+    one ``(n_boot, n)`` draw bit for bit, in memory independent of
+    ``n_boot``."""
+    n = samples.size
+    means = np.empty(n_boot)
+    rows = max(1, _BOOT_CELLS // n)
+    for lo in range(0, n_boot, rows):
+        take = min(rows, n_boot - lo)
+        means[lo : lo + take] = samples[rng.integers(0, n, size=(take, n))].mean(axis=1)
+    return means
+
+
 def bootstrap_interval(
     samples,
     alpha: float,
@@ -205,16 +227,7 @@ def bootstrap_interval(
         raise ValueError(f"n_boot must be at least 100, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    n = samples.size
-    means = np.empty(n_boot)
-    # Chunked so huge (B, n) index blocks never materialize at once.
-    chunk = max(1, int(5_000_000 // max(n, 1)))
-    done = 0
-    while done < n_boot:
-        take = min(chunk, n_boot - done)
-        idx = rng.integers(0, n, size=(take, n))
-        means[done : done + take] = samples[idx].mean(axis=1)
-        done += take
+    means = _bootstrap_means(samples, n_boot, rng)
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return ConfidenceInterval(
         float(lo), float(hi), 1.0 - alpha, point=float(samples.mean())

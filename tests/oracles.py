@@ -20,7 +20,12 @@ them to rounding, because the ball sums are a row-wise reduction rather than
 a matrix-vector product.  The softmax policy table and the policy draw are
 the row-layout ones the library used before it built the table action-major
 and walked the CDF one column at a time; tables, draws and generator state
-must match them bit for bit.
+must match them bit for bit.  Fitted Q's expected features come from one
+action table of all rows, as the library built them before it built the
+table in blocks of rows, and must match bit for bit.  The bootstrap means
+come from one ``(n_boot, n)`` index draw, as the library drew them before it
+resampled in blocks of rows; means and generator state must match them bit
+for bit.
 """
 from __future__ import annotations
 
@@ -425,6 +430,21 @@ def cumsum_policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -
     cdf = np.cumsum(policy.action_probs(states), axis=1)
     u = rng.random(cdf.shape[0])
     return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
+
+
+def one_table_expected_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
+    """Rows sum_a prob(a | s) * phi(s, a) from one action table of all rows."""
+    probs = policy.action_probs(states)
+    return sum(
+        probs[:, a, None] * polynomial_features(states, a, degree)
+        for a in range(probs.shape[1])
+    )
+
+
+def one_call_bootstrap_means(samples, n_boot: int, rng: np.random.Generator) -> np.ndarray:
+    """Means of ``n_boot`` resamples of ``samples`` from one index draw."""
+    samples = np.asarray(samples, dtype=float)
+    return samples[rng.integers(0, samples.size, size=(n_boot, samples.size))].mean(axis=1)
 
 
 def inventory_rollout(env, policy, initial_states, horizon, rng) -> RolloutBatch:

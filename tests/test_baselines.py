@@ -6,6 +6,7 @@ import pytest
 from ope_ci.baselines import (
     FittedQSpec,
     PolynomialQ,
+    _expected_features,
     aug_is_baseline,
     dm_baseline,
     dr_baseline,
@@ -13,7 +14,7 @@ from ope_ci.baselines import (
     is_baseline,
     stepwise_dr_values,
 )
-from ope_ci.envs import oracle_value
+from ope_ci.envs import inventory_policy_pair, oracle_value
 from ope_ci.models import GaussianRegressionModel, OracleModel, RewardOffsetModel
 from ope_ci.policies import TabularPolicy
 from ope_ci.reweighting import (
@@ -24,7 +25,7 @@ from ope_ci.reweighting import (
     step_ratio_table,
 )
 
-from oracles import ZeroQ, per_sweep_fit_q, prob
+from oracles import ZeroQ, one_table_expected_features, per_sweep_fit_q, prob
 
 
 class TestIsBaseline:
@@ -260,6 +261,17 @@ class TestFittedQ:
             dr_baseline(data, behavior, target, 0.05, augment=(OracleModel(mdp), -3), rng=rng)
         with pytest.raises(ValueError, match="n_synth must be at least 0, got -5"):
             aug_is_baseline(data, OracleModel(mdp), behavior, target, -5, 0.05, rng=rng)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("rows", [1, 8192, 8193, 20_001])
+def test_blocked_expected_features_equal_one_table(rows, degree):
+    """Fitted Q builds its expected features from the action table in blocks
+    of at most ``_TABLE_ROWS`` rows; they equal those of one table bit for bit."""
+    _, target = inventory_policy_pair()
+    states = np.random.default_rng(rows).uniform(-3.0, 14.0, size=(rows, 1))
+    got = _expected_features(states, target, degree)
+    assert np.array_equal(got, one_table_expected_features(states, target, degree))
 
 
 CASES = [

@@ -264,6 +264,21 @@ class TestMethodSpecs:
         assert single_error_line(capsys).startswith(f"error: --bound {bound} ")
         assert not out.exists()
 
+    def test_cpgen_without_s0_refused_before_ground_truth(self, tmp_path, capsys, monkeypatch):
+        # ran the 100k-rollout ground truth before it failed
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "nos0.csv"
+        code = run_cli(
+            "coverage", "--method", "cpgen", "--n", 20, "--trials", 1, "--seed", 1,
+            "--out", out,
+        )
+        assert code == 2
+        assert "fixed s0" in single_error_line(capsys)
+        assert not out.exists()
+
 
 class TestAlphaValidation:
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, "nan"])
@@ -528,6 +543,45 @@ class TestDatasetFileErrors:
         assert self.run_drppi(bad, tmp_path) == 2
         kind = "an integer" if key == "horizon" else "a number"
         assert f"{meta_path}: {key} must be {kind}, got " in single_error_line(capsys)
+
+    def edit_sidecar(self, small_dataset, tmp_path, **changes):
+        """A copy of the dataset whose sidecar takes ``changes``; a change to
+        None deletes its key."""
+        bad = rewrite_record(small_dataset, tmp_path / "bad.jsonl", json.dumps)
+        meta_path = bad.with_name(bad.name + ".meta.json")
+        meta = {**json.loads(meta_path.read_text()), **changes}
+        meta = {key: value for key, value in meta.items() if value is not None}
+        meta_path.write_text(json.dumps(meta) + "\n")
+        return bad, meta_path
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("gamma", 1.5, "gamma must lie in (0, 1], got 1.5"),
+            ("gamma", 0.0, "gamma must lie in (0, 1], got 0.0"),
+            ("gamma", -1, "gamma must lie in (0, 1], got -1"),
+            ("horizon", 0, "horizon must be at least 1, got 0"),
+            ("horizon", 2, "horizon 2 is below the longest trajectory's 20 steps"),
+            ("horizon", 19, "horizon 19 is below the longest trajectory's 20 steps"),
+            ("state_dim", 7, "state_dim 7 differs from the 1 coordinates of the states"),
+            ("state_dim", 1.0, "state_dim must be an integer, got 1.0"),
+            ("state_dim", "1", "state_dim must be an integer, got '1'"),
+        ],
+    )
+    def test_sidecar_value_out_of_range(
+        self, small_dataset, tmp_path, capsys, key, value, message
+    ):
+        # gamma 1.5 and horizon 2 exited 2 with messages that named no file,
+        # and state_dim 7 over one-coordinate states was not read at all
+        bad, meta_path = self.edit_sidecar(small_dataset, tmp_path, **{key: value})
+        assert self.run_drppi(bad, tmp_path) == 2
+        assert single_error_line(capsys) == f"error: {meta_path}: {message}\n"
+
+    def test_sidecar_without_state_dim_is_read(self, small_dataset, tmp_path):
+        data, _ = self.edit_sidecar(small_dataset, tmp_path, state_dim=None)
+        out = tmp_path / "out.json"
+        assert run_cli("drppi", "--data", data, "--Nf", 100, "--seed", 1, "--out", out) == 0
+        assert math.isfinite(json.loads(out.read_text())["lo"])
 
     def test_malformed_json_line(self, small_dataset, tmp_path, capsys):
         bad = rewrite_record(

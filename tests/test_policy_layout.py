@@ -10,6 +10,7 @@ import pytest
 
 from ope_ci.envs import small_finite_mdp
 from ope_ci.policies import (
+    _TABLE_ROWS,
     SoftmaxOrderUpToPolicy,
     TabularPolicy,
     policy_sample,
@@ -60,13 +61,40 @@ def test_softmax_matches_row_layout(capacity, temperature):
         assert_same_draws(policy, states, seed=capacity + 7)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 100_003])
+@pytest.mark.parametrize("rows", [1, 7, 8192, 8193, 100_003])
 def test_softmax_matches_row_layout_at_batch_sizes(rows):
-    """Sizes that leave a remainder after every vector width."""
+    """Sizes that leave a remainder after every vector width, and one table
+    block of ``policy_sample`` and one row more."""
     policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
     states = np.random.default_rng(rows).uniform(-3.0, 14.0, size=(rows, 1))
     assert_close_to_row_layout(policy, states)
     assert_same_draws(policy, states, seed=rows)
+
+
+class BlockRecorder:
+    """A policy that records the tables it hands out."""
+
+    def __init__(self, policy):
+        self.policy, self.tables = policy, []
+
+    def action_probs(self, states):
+        self.tables.append(self.policy.action_probs(states))
+        return self.tables[-1]
+
+
+@pytest.mark.parametrize("rows", [8192, 8193, 16_385, 24_577, 100_003])
+def test_blocked_tables_equal_one_table(rows):
+    """``policy_sample`` builds its table in blocks of at most ``_TABLE_ROWS``
+    rows, which together equal the one table of all rows bit for bit.  A
+    one-row block would not: numpy sums its one column in pairwise order."""
+    policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
+    states = np.random.default_rng(rows).uniform(-3.0, 14.0, size=(rows, 1))
+    recorder = BlockRecorder(policy)
+    got = policy_sample(recorder, states, np.random.default_rng(rows))
+    assert max(len(table) for table in recorder.tables) <= _TABLE_ROWS
+    assert len(recorder.tables) == -(-rows // _TABLE_ROWS)
+    assert np.array_equal(np.concatenate(recorder.tables), policy.action_probs(states))
+    assert np.array_equal(got, cumsum_policy_sample(policy, states, np.random.default_rng(rows)))
 
 
 def test_tabular_draws_match_cumsum():

@@ -11,6 +11,7 @@ from ope_ci.mdp import RolloutBatch, TrajectoryDataset
 from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
+    _bootstrap_means,
     bootstrap_interval,
     clip_ratio,
     clt_interval,
@@ -21,7 +22,8 @@ from ope_ci.reweighting import (
     wis_returns,
 )
 
-from oracles import normal_quantile_oracle
+from oracles import normal_quantile_oracle, one_call_bootstrap_means
+from test_envs import traced_peak_mb
 from test_mdp import RatioStubPolicy
 
 
@@ -234,6 +236,32 @@ class TestBootstrapInterval:
             w_clt = clt_interval(samples, 0.05).width
             inside += abs(w_boot - w_clt) <= 0.25 * w_clt
         assert inside >= 48
+
+    @pytest.mark.parametrize(
+        ("n", "n_boot"), [(2, 2000), (7, 2000), (200, 2000), (5_500, 200), (70_000, 4)]
+    )
+    def test_blocked_means_equal_one_call_draw(self, n, n_boot):
+        # 70,000 indices exceed one block, so each block holds one row
+        samples = np.random.default_rng(n).standard_normal(n)
+        rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
+        got = _bootstrap_means(samples, n_boot, rng_got)
+        assert np.array_equal(got, one_call_bootstrap_means(samples, n_boot, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_interval_is_percentiles_of_one_call_means(self):
+        samples = np.random.default_rng(5).exponential(size=200)
+        ci = bootstrap_interval(samples, 0.1, 2000, np.random.default_rng(8))
+        means = one_call_bootstrap_means(samples, 2000, np.random.default_rng(8))
+        assert [ci.lower, ci.upper] == np.quantile(means, [0.05, 0.95]).tolist()
+
+    def test_memory_is_independent_of_replicates(self):
+        """n = 5,500 and 2,000 replicates peaked at 76 MB in blocks of
+        5,000,000 indices; blocks of 65,536 keep the peak near 1 MB."""
+        samples = np.random.default_rng(1).standard_normal(5_500)
+        peak = traced_peak_mb(
+            lambda: bootstrap_interval(samples, 0.05, 2000, np.random.default_rng(2))
+        )
+        assert peak < 4.0
 
 
 class TestReweightedDispatch:

@@ -1,15 +1,27 @@
 """The shared rollout loop against the per-environment loops it replaced, bit
 for bit: every batch array with its dtype, and the generator state after the
-rollout, so that the random stream is consumed in the same order."""
+rollout, so that the random stream is consumed in the same order.  The Monte
+Carlo value, which folds the same loop's steps into running returns, against
+the returns of the recorded batch."""
+import math
+
 import numpy as np
 import pytest
 
-from ope_ci.envs import FiniteMdp, InventoryEnv, inventory_policy_pair, small_finite_mdp
+from ope_ci.envs import (
+    FiniteMdp,
+    InventoryEnv,
+    inventory_policy_pair,
+    monte_carlo_value,
+    small_finite_mdp,
+)
 from ope_ci.models import GaussianRegressionModel
 from ope_ci.policies import TabularPolicy
 
 from oracles import finite_rollout, gaussian_model_rollout, inventory_rollout
 from test_columnar import short_lived_mdp
+
+EPS = np.finfo(float).eps
 
 
 def absorbing_mdp():
@@ -104,3 +116,45 @@ def test_gaussian_model(env_name, boxed):
     )
     lo, hi = env.state_box
     assert ((batch.states >= lo) & (batch.states <= hi)).all() == boxed
+
+
+def assert_fold_matches_batch(env, policy, n, discount, initial_state=None, seed=23):
+    """``monte_carlo_value`` against the returns ``rollout_batch`` records from
+    the same generator state.  Each folded return adds the batch return's
+    terms in time order, within horizon·ε of the sum of their magnitudes;
+    each of the two means adds its own rounding of at most
+    (⌈log2 n⌉ + 16)·ε of the mean magnitude under numpy's pairwise sum."""
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    mean, se = monte_carlo_value(env, policy, n, rng_got, discount, initial_state)
+    if initial_state is None:
+        starts = env.sample_initial_states(rng_want, n)
+    else:
+        starts = np.tile(np.asarray(initial_state, dtype=float), (n, 1))
+    batch = env.rollout_batch(policy, starts, env.horizon, rng_want)
+    returns = batch.returns(discount)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    terms = np.where(batch.step_mask(), batch.rewards, 0.0) * discount ** np.arange(env.horizon)
+    magnitude = np.abs(terms).sum(axis=1).mean()
+    ulps = env.horizon + 2 * (math.ceil(math.log2(n)) + 16)
+    assert abs(mean - returns.mean()) <= ulps * EPS * magnitude
+    assert se == pytest.approx(returns.std(ddof=1) / math.sqrt(n), rel=1e-9)
+    return mean, se
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+@pytest.mark.parametrize("initial_state", [None, (4.5,)])
+def test_monte_carlo_fold_matches_batch_on_inventory(discount, initial_state):
+    _, target = inventory_policy_pair()
+    assert_fold_matches_batch(InventoryEnv(), target, 3000, discount, initial_state)
+
+
+@pytest.mark.parametrize("initial_state", [None, (1.7,), (2.2,)])
+def test_monte_carlo_fold_matches_batch_on_absorbing_mdp(initial_state):
+    mdp, policy = absorbing_mdp()
+    assert_fold_matches_batch(mdp, policy, 3000, 0.9, initial_state)
+
+
+def test_monte_carlo_starts_truncate_to_state_codes():
+    """A start of 3.4 is the absorbing state 3: every rollout has length 0."""
+    mdp, policy = absorbing_mdp()
+    assert assert_fold_matches_batch(mdp, policy, 50, 0.9, (3.4,)) == (0.0, 0.0)
