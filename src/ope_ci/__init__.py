@@ -17,6 +17,7 @@ from .cpgen import (
     EpsConfig,
     GridSpec,
     ScorePair,
+    ScorePairs,
     WeightedScoreDistribution,
     conformal_band,
     cp_gen_detailed,

@@ -211,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--s0", default=None)
     add_drppi(cov)
     _setting(cov, "--nsynth", "n_synth", type=int)
+    _setting(cov, "--Ngen", "cpgen_n_gen", type=int)
     cov.add_argument("--cache-dir", default=None, dest="cache_dir")
     cov.add_argument("--format", default="csv", choices=["csv", "json"])
     cov.add_argument("--seed", type=int, required=True)

@@ -21,7 +21,9 @@ from .reweighting import trajectory_ratios
 
 _EPS_FLOOR = 1e-9
 _MASS_TOL = 1e-9
-_CHUNK_CELLS = 1 << 20  # (query, pair) cells per epsilon-ball chunk
+# (query, pair) cells per dense chunk: a float64 temporary of 65,536 cells
+# takes 512 KB, which fits in L2.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,28 @@ class ScorePair:
     def __post_init__(self) -> None:
         if self.pair_ratio < 0:
             raise ValueError("pair ratios must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class ScorePairs:
+    """Score pairs as columns: row i of ``states`` (pairs, state_dim) is pair
+    i's shared initial state, ``scores[i]`` its return difference and
+    ``ratios[i]`` its pair ratio.  ``generation_score_pairs`` returns one;
+    the band accepts it or a list of ``ScorePair``."""
+
+    states: np.ndarray
+    scores: np.ndarray
+    ratios: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.scores.shape[0]
+        if self.states.shape[0] != n or self.ratios.shape != (n,):
+            raise ValueError("states, scores and ratios must have one row per pair")
+        if (self.ratios < 0).any():
+            raise ValueError("pair ratios must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,10 @@ class WeightedScoreDistribution:
 
 
 def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(states, scores, ratios)`` of a ``ScorePairs`` or a list of
+    ``ScorePair``."""
+    if isinstance(pairs, ScorePairs):
+        return pairs.states, pairs.scores, pairs.ratios
     states = np.array([p.initial_state for p in pairs], dtype=float)
     scores = np.array([p.score for p in pairs], dtype=float)
     ratios = np.array([p.pair_ratio for p in pairs], dtype=float)
@@ -104,7 +132,13 @@ def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _median_distance(values: np.ndarray) -> float:
-    """Median pairwise distance, deterministically subsampled for large sets."""
+    """Median pairwise distance, deterministically subsampled for large sets.
+
+    The distances of pairs i < j are written in row order into one array of
+    n(n-1)/2, from row blocks of about ``_CHUNK_CELLS`` values; each distance
+    is the one the full n x n matrix holds, so the multiset and its median
+    are too.
+    """
     n = values.shape[0]
     if n < 2:
         return 0.0
@@ -112,12 +146,20 @@ def _median_distance(values: np.ndarray) -> float:
         keep = np.unique(np.linspace(0, n - 1, 512).astype(int))
         values = values[keep]
         n = values.shape[0]
-    if values.ndim == 1:
-        diffs = np.abs(values[:, None] - values[None, :])
-    else:
-        diffs = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(-1))
-    upper = diffs[np.triu_indices(n, k=1)]
-    return float(np.median(upper))
+    upper = np.empty(n * (n - 1) // 2)
+    step = max(1, _CHUNK_CELLS // values.size)
+    done = 0
+    for top in range(0, n - 1, step):
+        rows = np.arange(top, min(top + step, n - 1))
+        diffs = values[top + 1 :][None] - values[rows][:, None]
+        if values.ndim == 1:
+            np.abs(diffs, out=diffs)
+        else:
+            diffs = np.sqrt((diffs**2).sum(-1))
+        block = diffs[np.arange(top + 1, n)[None, :] > rows[:, None]]
+        upper[done : done + block.size] = block
+        done += block.size
+    return float(np.median(upper, overwrite_input=True))
 
 
 def resolve_eps(train_pairs, cfg: EpsConfig) -> tuple[float, float]:
@@ -297,9 +339,11 @@ def _eps_ball_weights(
     every query score shares.  For 1-D states ``_ball_counts_and_sums``
     gives every ball, and only rows with an empty ball take the dense path;
     for other dimensions every row does.  The dense path runs in chunks of
-    ``_CHUNK_CELLS // pairs`` rows (at least one), so memory is linear in
-    the number of pairs; each row's ball sum is a row-wise reduction, so its
-    value does not depend on the chunk it lands in.
+    ``_CHUNK_CELLS // pairs`` rows (at least one), so each of its
+    temporaries holds about ``_CHUNK_CELLS`` cells (512 KB) and memory is
+    linear in the number of pairs; each row's ball sum and k-nearest pick is
+    a row-wise reduction, so its value does not depend on the chunk it lands
+    in.
     """
     n_train = train_ratios.shape[0]
     rows = max(1, _CHUNK_CELLS // n_train)
@@ -337,7 +381,7 @@ def weighted_distribution(
     total = weights.sum() + query_weight
     if total == 0.0:
         raise DegenerateWeights("weight normalizer is zero")
-    scores = np.array([p.score for p in cal_pairs], dtype=float)
+    _, scores, _ = _pair_arrays(cal_pairs)
     return WeightedScoreDistribution(scores, weights / total, query_weight / total)
 
 
@@ -359,8 +403,9 @@ def conformal_band(
     accepted candidates is returned; on the default grid, ``UnboundedBand``
     is raised when the top candidate is accepted through the +inf tail.
 
-    ``weight_fn(state_tuple, score) -> weight`` overrides the epsilon-ball
-    estimator, e.g. with exactly enumerated weights.
+    ``cal_pairs`` and ``train_pairs`` are ``ScorePairs`` records or lists
+    of ``ScorePair``.  ``weight_fn(state_tuple, score) -> weight`` overrides
+    the epsilon-ball estimator, e.g. with exactly enumerated weights.
     """
     if len(cal_pairs) == 0:
         raise ValueError("calibration pairs must be nonempty")
@@ -449,10 +494,11 @@ def generation_score_pairs(
     dataset: TrajectoryDataset,
     per_trajectory: int,
     rng: np.random.Generator,
-) -> list[ScorePair]:
+) -> ScorePairs:
     """Pair each real trajectory with ``per_trajectory`` model rollouts from
     its initial state under the behavior policy, in (trajectory, rollout)
-    order, and reduce each pair to a ScorePair."""
+    order, and reduce the pairs to one columnar ``ScorePairs``: row i is
+    pair i's initial state, score and ratio."""
     starts = np.repeat(dataset.initial_states(), per_trajectory, axis=0)
     batch = model.rollout_batch(behavior, starts, dataset.horizon, rng)
     generated = TrajectoryDataset(batch, dataset.discount, dataset.horizon)
@@ -460,10 +506,7 @@ def generation_score_pairs(
         trajectory_ratios(dataset, target, behavior), per_trajectory
     ) * trajectory_ratios(generated, target, behavior)
     scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
-    return [
-        ScorePair(tuple(state), float(score), float(ratio))
-        for state, score, ratio in zip(starts.tolist(), scores, ratios)
-    ]
+    return ScorePairs(starts, scores, ratios)
 
 
 def cp_gen_detailed(

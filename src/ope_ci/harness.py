@@ -246,7 +246,7 @@ METHOD_QUALIFIERS = {
 def _parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
     """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
     defaulted; ``ValueError`` for an unknown name or qualifier, and for
-    cpgen on an ``env_spec`` without a fixed s0."""
+    cpgen on an ``env_spec`` without a fixed s0 (the CLI's ``--s0``)."""
     name, colon, qualifier = method.partition(":")
     allowed = METHOD_QUALIFIERS.get(name)
     if allowed is None:
@@ -256,7 +256,7 @@ def _parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
         takes = f"the qualifier {' or '.join(allowed)}" if allowed else "no qualifier"
         raise ValueError(f"method {method!r}: {name} takes {takes}")
     if name == "cpgen" and env_spec.s0 is None:
-        raise ValueError("cpgen studies need an EnvSpec with a fixed s0")
+        raise ValueError("cpgen studies need a fixed s0; pass its coordinates with --s0")
     if not colon:
         return name, allowed[0] if allowed else None
     return name, qualifier

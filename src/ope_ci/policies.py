@@ -81,12 +81,17 @@ class TabularPolicy:
 
 
 def policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Vector of prob(action | state); 0 for an action outside 0..A-1."""
-    rows = policy.action_probs(states)
+    """Vector of prob(action | state); 0 for an action outside 0..A-1.  The
+    table is built and gathered in ``_row_blocks``, so no table holds more
+    than ``_TABLE_ROWS`` rows, and the gathered values equal the one table's
+    bit for bit."""
     actions = np.asarray(actions, dtype=np.int64)
-    valid = (actions >= 0) & (actions < rows.shape[1])
     out = np.zeros(len(actions))
-    out[valid] = rows[np.flatnonzero(valid), actions[valid]]
+    for rows in _row_blocks(len(actions)):
+        table = policy.action_probs(states[rows])
+        taken = actions[rows]
+        valid = (taken >= 0) & (taken < table.shape[1])
+        out[rows][valid] = table[np.flatnonzero(valid), taken[valid]]
     return out
 
 

@@ -25,7 +25,11 @@ action table of all rows, as the library built them before it built the
 table in blocks of rows, and must match bit for bit.  The bootstrap means
 come from one ``(n_boot, n)`` index draw, as the library drew them before it
 resampled in blocks of rows; means and generator state must match them bit
-for bit.
+for bit.  The gathered policy probabilities likewise come from one action
+table of all rows.  The median pairwise distance is taken over the upper
+triangle of the full distance matrix, picked with ``triu_indices``, as the
+library took it before it wrote the triangle from blocks of rows; the
+medians must match bit for bit.
 """
 from __future__ import annotations
 
@@ -439,6 +443,35 @@ def one_table_expected_features(states: np.ndarray, policy, degree: int) -> np.n
         probs[:, a, None] * polynomial_features(states, a, degree)
         for a in range(probs.shape[1])
     )
+
+
+def one_table_policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """prob(action | state) gathered from one action table of all rows; 0 for
+    an action outside 0..A-1."""
+    rows = policy.action_probs(states)
+    actions = np.asarray(actions, dtype=np.int64)
+    valid = (actions >= 0) & (actions < rows.shape[1])
+    out = np.zeros(len(actions))
+    out[valid] = rows[np.flatnonzero(valid), actions[valid]]
+    return out
+
+
+def triangle_median_distance(values: np.ndarray) -> float:
+    """Median over i < j of the distance between rows i and j of ``values``,
+    read off the full matrix with ``triu_indices``; sets above 512 rows are
+    subsampled as the library does."""
+    n = values.shape[0]
+    if n < 2:
+        return 0.0
+    if n > 512:
+        keep = np.unique(np.linspace(0, n - 1, 512).astype(int))
+        values = values[keep]
+        n = values.shape[0]
+    if values.ndim == 1:
+        diffs = np.abs(values[:, None] - values[None, :])
+    else:
+        diffs = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(-1))
+    return float(np.median(diffs[np.triu_indices(n, k=1)]))
 
 
 def one_call_bootstrap_means(samples, n_boot: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from ope_ci.cli import main
 from ope_ci.cpgen import EpsConfig, cp_gen_detailed
+from ope_ci.errors import OpeCiError
 from ope_ci.harness import make_env_spec
 from ope_ci.mdp import read_jsonl_dataset
 from ope_ci.models import GaussianRegressionModel
@@ -276,8 +277,27 @@ class TestMethodSpecs:
             "--out", out,
         )
         assert code == 2
-        assert "fixed s0" in single_error_line(capsys)
+        err = single_error_line(capsys)
+        assert "fixed s0" in err
+        # the message named the library's EnvSpec, not the flag
+        assert err == "error: cpgen studies need a fixed s0; pass its coordinates with --s0\n"
         assert not out.exists()
+
+    def test_coverage_ngen_reaches_the_study(self, tmp_path, monkeypatch):
+        # coverage had no --Ngen, the remedy the unbounded-band message names
+        seen = {}
+
+        def study(*args, config, **kwargs):
+            seen["config"] = config
+            raise OpeCiError("study stopped")
+
+        monkeypatch.setattr("ope_ci.cli.run_coverage_study", study)
+        code = run_cli(
+            "coverage", "--method", "cpgen", "--s0", 5, "--Ngen", 7, "--n", 20,
+            "--trials", 1, "--seed", 1, "--out", tmp_path / "cov.csv",
+        )
+        assert code == 2
+        assert seen["config"].cpgen_n_gen == 7
 
 
 class TestAlphaValidation:
@@ -348,8 +368,9 @@ class TestValueErrorsExitTwo:
             (["--method", "augdr", "--nsynth", -3], "--nsynth"),
             (["--method", "drppi:pdis", "--Nf", 1], "--Nf"),
             (["--method", "drppi:pdis", "--M", 0], "--M"),
+            (["--method", "cpgen", "--s0", 5, "--Ngen", 0], "--Ngen"),
         ],
-        ids=["augdr-nsynth", "drppi-nf", "drppi-m"],
+        ids=["augdr-nsynth", "drppi-nf", "drppi-m", "cpgen-ngen"],
     )
     def test_coverage_rejects_flag_before_ground_truth(self, tmp_path, capsys, flags, flag):
         cache, out = tmp_path / "cache", tmp_path / "cov.csv"

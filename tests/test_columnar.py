@@ -118,14 +118,15 @@ def test_score_pairs_match_per_trajectory_pairs(case):
         behavior, starts, ds.horizon, np.random.default_rng(34)
     )
     reals = list(ds)
-    for k, p in enumerate(pairs):
+    assert len(pairs) == 2 * len(reals)
+    for k in range(len(pairs)):
         real, fake = reals[k // 2], gen.trajectory(k)
-        assert p.initial_state == real.initial_state == fake.initial_state
-        assert p.score == pytest.approx(
+        assert tuple(pairs.states[k]) == real.initial_state == fake.initial_state
+        assert pairs.scores[k] == pytest.approx(
             trajectory_return(real, ds.discount) - trajectory_return(fake, ds.discount),
             rel=1e-12, abs=1e-9,
         )
-        assert p.pair_ratio == pytest.approx(
+        assert pairs.ratios[k] == pytest.approx(
             likelihood_ratio(real, target, behavior)
             * likelihood_ratio(fake, target, behavior),
             rel=1e-12,

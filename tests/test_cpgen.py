@@ -11,6 +11,7 @@ from ope_ci.cpgen import (
     EpsConfig,
     GridSpec,
     ScorePair,
+    ScorePairs,
     WeightedScoreDistribution,
     _eps_ball_weights,
     _pair_arrays,
@@ -29,6 +30,7 @@ from oracles import (
     dense_eps_ball_weights,
     nearest_k_mean,
     split_conformal_band,
+    triangle_median_distance,
     weighted_quantile,
 )
 
@@ -81,6 +83,24 @@ class TestEstimateWeightEps:
         # pairwise state distances {1, 1, 2} -> median 1; scores scale by 10
         assert eps_s == pytest.approx(0.5)
         assert eps_r == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 512, 513, 3200])
+@pytest.mark.parametrize("width", [None, 1, 2], ids=["1-D", "one-column", "2-D"])
+@pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "ties"])
+@pytest.mark.parametrize("block_rows", [None, 1, 7], ids=["default", "row", "seven-rows"])
+def test_median_distance_equals_triangle_formula(n, width, lattice, block_rows):
+    """The triangle written from row blocks has the full matrix's distances,
+    so its median equals the ``triu_indices`` one bit for bit."""
+    rng = np.random.default_rng(n)
+    values = rng.normal(0.0, 500.0, (n,) if width is None else (n, width))
+    if lattice:
+        values = np.round(values / 100.0)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(cpgen, "_CHUNK_CELLS", block_rows * min(values.size, 512 * values[0].size))
+        got = cpgen._median_distance(values)
+    assert got == triangle_median_distance(values)
 
 
 BOUNDARY_ROWS = 7  # chunk rows in the chunked-weight properties
@@ -162,6 +182,34 @@ class TestChunkedEpsBallWeights:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_grid_call_memory_is_cache_sized(self):
+        # the grid call of an n=1600 trial: one shared query state and 512
+        # candidates against 3,200 training pairs, where the candidates with
+        # an empty ball take the dense k-nearest fallback; in one chunk of
+        # 2**20 cells they peaked near 23 MB
+        rng = np.random.default_rng(0)
+        n = 3200
+        t_states, t_scores = rng.uniform(0, 10, (n, 1)), rng.normal(0, 500, n)
+        t_ratios = rng.exponential(size=n)
+        deltas = GridSpec().resolve(rng.normal(0, 500, n))
+        query = np.array([[5.0]])
+        args = (query, deltas, t_states, t_scores, t_ratios, 0.25, 25.0, 5)
+        counts, _ = cpgen._ball_counts_and_sums(
+            query[:, 0], deltas, t_states[:, 0], t_scores, t_ratios, 0.25, 25.0
+        )
+        assert (counts == 0).sum() >= 200
+        tracemalloc.start()
+        try:
+            got = _eps_ball_weights(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        np.testing.assert_allclose(
+            got, dense_eps_ball_weights(np.tile(query, (deltas.size, 1)), *args[1:]),
+            rtol=1e-12, atol=0,
+        )
 
 
 def dense_ball_counts(q_states, q_scores, t_states, t_scores, eps_state, eps_score):
@@ -489,10 +537,49 @@ class TestGenerationScorePairs:
         assert len(pairs) == 18
         for i, traj in enumerate(ds):
             for m in range(3):
-                assert pairs[i * 3 + m].initial_state == traj.initial_state
+                assert tuple(pairs.states[i * 3 + m]) == traj.initial_state
 
     def test_identity_policies_give_unit_ratios(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture
         ds = mdp.sample_dataset(behavior, 5, rng, 0.9)
         pairs = generation_score_pairs(OracleModel(mdp), behavior, behavior, ds, 2, rng)
-        assert all(p.pair_ratio == 1.0 for p in pairs)
+        assert (pairs.ratios == 1.0).all()
+
+    def test_record_and_pair_list_give_the_same_band(self, inventory_env, inventory_policies):
+        # the record holds the values a ScorePair per row held, and the band
+        # and the weighted distribution read either form alike
+        behavior, target = inventory_policies
+        ds = inventory_env.sample_dataset(behavior, 40, np.random.default_rng(12))
+        model = GaussianRegressionModel(degree=2, state_box=inventory_env.state_box).fit(ds)
+        records = [
+            generation_score_pairs(model, behavior, target, ds, 4, np.random.default_rng(s))
+            for s in (13, 14)
+        ]
+        lists = [
+            [ScorePair(tuple(s), float(v), float(r)) for s, v, r in zip(
+                rec.states.tolist(), rec.scores, rec.ratios)]
+            for rec in records
+        ]
+        for record, listed in zip(records, lists):
+            assert len(record) == len(listed) == 160
+            for got, want in zip(_pair_arrays(record), _pair_arrays(listed)):
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(got, want)
+        assert conformal_band(*records, (5.0,), 0.1) == conformal_band(*lists, (5.0,), 0.1)
+        weights = np.linspace(0.5, 2.0, 160)
+        by_record = weighted_distribution(records[0], weights, 1.0)
+        by_list = weighted_distribution(lists[0], weights, 1.0)
+        assert np.array_equal(by_record.scores, by_list.scores)
+
+    @pytest.mark.parametrize(
+        "states, scores, ratios, message",
+        [
+            (np.zeros((3, 1)), np.zeros(3), np.array([1.0, -0.5, 1.0]), "nonnegative"),
+            (np.zeros((2, 1)), np.zeros(3), np.ones(3), "one row per pair"),
+            (np.zeros((3, 1)), np.zeros(3), np.ones(4), "one row per pair"),
+        ],
+        ids=["negative-ratio", "short-states", "long-ratios"],
+    )
+    def test_record_rejects_bad_columns(self, states, scores, ratios, message):
+        with pytest.raises(ValueError, match=message):
+            ScorePairs(states, scores, ratios)

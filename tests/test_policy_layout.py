@@ -13,10 +13,11 @@ from ope_ci.policies import (
     _TABLE_ROWS,
     SoftmaxOrderUpToPolicy,
     TabularPolicy,
+    policy_probs,
     policy_sample,
 )
 
-from oracles import cumsum_policy_sample, row_softmax_action_probs
+from oracles import cumsum_policy_sample, one_table_policy_probs, row_softmax_action_probs
 
 EPS = np.finfo(float).eps
 
@@ -95,6 +96,24 @@ def test_blocked_tables_equal_one_table(rows):
     assert len(recorder.tables) == -(-rows // _TABLE_ROWS)
     assert np.array_equal(np.concatenate(recorder.tables), policy.action_probs(states))
     assert np.array_equal(got, cumsum_policy_sample(policy, states, np.random.default_rng(rows)))
+
+
+@pytest.mark.parametrize("rows", [k * _TABLE_ROWS + d for k in (1, 2, 3) for d in (-1, 1)])
+def test_blocked_probs_equal_one_table_gather(rows):
+    """``policy_probs`` builds and gathers its table in blocks of at most
+    ``_TABLE_ROWS`` rows; the probabilities, 0 for actions outside 0..A-1
+    included, equal those gathered from the one table of all rows bit for
+    bit."""
+    policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
+    rng = np.random.default_rng(rows)
+    states = rng.uniform(-3.0, 14.0, size=(rows, 1))
+    actions = rng.integers(-2, 14, size=rows)
+    recorder = BlockRecorder(policy)
+    got = policy_probs(recorder, states, actions)
+    assert max(len(table) for table in recorder.tables) <= _TABLE_ROWS
+    assert len(recorder.tables) == -(-rows // _TABLE_ROWS)
+    assert np.array_equal(got, one_table_policy_probs(policy, states, actions))
+    assert (got == 0.0).any() and (got > 0.0).any()
 
 
 def test_tabular_draws_match_cumsum():
