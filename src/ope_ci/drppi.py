@@ -1,6 +1,6 @@
-"""Cross-fitted doubly-robust population-value intervals (the `drppi`
-estimator): model-based value plus a reweighted correction on held-out
-trajectories, with a plug-in variance and a normal-quantile interval."""
+"""Doubly-robust population-value intervals (the `drppi` estimator): one
+fold loop, cross-fitted or single-fit, of model value plus a held-out
+reweighted correction, with the shared plug-in variance and normal interval."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,8 @@ from .mdp import ConfidenceInterval, TrajectoryDataset
 from .reweighting import (
     ClipPolicy,
     CorrectionKind,
-    normal_quantile,
+    _normal_interval,
+    _plug_in_variance,
     reweighted_returns,
 )
 
@@ -102,12 +103,10 @@ def cross_fit_variance(
     n_model_rollouts: int,
 ) -> float:
     """Plug-in variance of the averaged cross-fit estimate."""
-    return 0.25 * (
-        var_model_1 / n_model_rollouts
-        + var_correction_1 / n_half_1
-        + var_model_2 / n_model_rollouts
-        + var_correction_2 / n_half_2
-    )
+    return _plug_in_variance([
+        (0.5, var_model_1, n_model_rollouts), (0.5, var_correction_1, n_half_1),
+        (0.5, var_model_2, n_model_rollouts), (0.5, var_correction_2, n_half_2),
+    ])
 
 
 def dr_ppi_estimate(
@@ -127,31 +126,22 @@ def dr_ppi_estimate(
     """
     if len(dataset) < 4:
         raise DatasetTooSmall("the estimator needs at least 4 trajectories")
+    folds = [((dataset, dataset), rng)]
     if cfg.cross_fit:
         first, second = dataset.split_half()
-        rng_a, rng_b = rng.spawn(2)
-        model_1 = model_factory().fit(first)
-        half_1 = half_estimate(model_1, second, behavior, target, cfg, rng_a, d0_sampler)
-        model_2 = model_factory().fit(second)
-        half_2 = half_estimate(model_2, first, behavior, target, cfg, rng_b, d0_sampler)
-        value = (half_1.value + half_2.value) / 2.0
-        variance = cross_fit_variance(
-            half_1.var_model, half_1.var_correction, half_1.n_half,
-            half_2.var_model, half_2.var_correction, half_2.n_half,
-            cfg.n_model_rollouts,
-        )
-        return value, variance
-    model = model_factory().fit(dataset)
-    half = half_estimate(model, dataset, behavior, target, cfg, rng, d0_sampler)
-    variance = (
-        half.var_model / cfg.n_model_rollouts + half.var_correction / half.n_half
+        folds = zip([(first, second), (second, first)], rng.spawn(2))
+    halves = [
+        half_estimate(model_factory().fit(fit), held_out, behavior, target, cfg, r, d0_sampler)
+        for (fit, held_out), r in folds
+    ]
+    # the sum starts from the first value, so a lone -0.0 keeps its sign
+    value = sum((h.value for h in halves[1:]), halves[0].value) / len(halves)
+    return value, _plug_in_variance(
+        (1.0 / len(halves), var, n) for h in halves
+        for var, n in ((h.var_model, cfg.n_model_rollouts), (h.var_correction, h.n_half))
     )
-    return half.value, variance
 
 
 def interval_from_estimate(value: float, variance: float, alpha: float) -> ConfidenceInterval:
     """value +/- z_{1-alpha/2} * sqrt(variance)."""
-    half_width = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance)
-    return ConfidenceInterval(
-        value - half_width, value + half_width, 1.0 - alpha, point=value
-    )
+    return _normal_interval(value, math.sqrt(variance), alpha)

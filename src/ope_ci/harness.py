@@ -405,7 +405,7 @@ def run_coverage_study(
         del result
         lowers[t] = ci.lower
         uppers[t] = ci.upper
-        points[t] = ci.point if ci.point is not None else 0.5 * (ci.lower + ci.upper)
+        points[t] = ci.point
         if variance is not None:
             variances[t] = variance
         covered[t] = ci.contains(ground_truth)

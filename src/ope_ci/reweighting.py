@@ -1,5 +1,5 @@
-"""Importance-sampling return corrections (IS, WIS, PDIS), ratio clipping,
-and the CLT / bootstrap interval primitives shared by every estimator.
+"""IS, WIS and PDIS return corrections, ratio clipping, and the interval
+primitives: one plug-in variance, one normal interval, the bootstrap.
 
 ``ClipPolicy.threshold`` is the one clip rule, and ``clipped_prefixes`` the
 one table of clipped cumulative ratios: PDIS and the stepwise doubly-robust
@@ -177,6 +177,17 @@ def reweighted_returns(
 # Interval primitives.
 
 
+def _plug_in_variance(strata) -> float:
+    """Sum of w^2 * var / n over ``(w, var, n)`` strata, in the order given."""
+    return sum(w * w * var / n for w, var, n in strata)
+
+
+def _normal_interval(point: float, se: float, alpha: float) -> ConfidenceInterval:
+    """point +/- z_{1-alpha/2} * se."""
+    half = normal_quantile(1.0 - alpha / 2.0) * se
+    return ConfidenceInterval(point - half, point + half, 1.0 - alpha, point=point)
+
+
 def clt_interval(samples, alpha: float) -> ConfidenceInterval:
     """mean +/- z_{1-alpha/2} * sd / sqrt(n) with the n-1 sample deviation."""
     samples = np.asarray(samples, dtype=float)
@@ -184,11 +195,8 @@ def clt_interval(samples, alpha: float) -> ConfidenceInterval:
         raise InsufficientSamples("clt_interval needs at least 2 samples")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    mean = float(samples.mean())
-    half = normal_quantile(1.0 - alpha / 2.0) * float(
-        samples.std(ddof=1) / math.sqrt(samples.size)
-    )
-    return ConfidenceInterval(mean - half, mean + half, 1.0 - alpha, point=mean)
+    se = float(samples.std(ddof=1) / math.sqrt(samples.size))
+    return _normal_interval(float(samples.mean()), se, alpha)
 
 
 # Index cells of one block of bootstrap resamples: 512 KB of indices and as

@@ -396,6 +396,18 @@ class TestValueErrorsExitTwo:
         assert err.endswith("use a larger N_gen (--Ngen) or a larger alpha\n")
         assert not out.exists()
 
+    def test_coverage_stops_at_the_first_unbounded_band(self, tmp_path, capsys):
+        # the study does not skip or widen an unbounded trial: it exits 2
+        # and names the flag that bounds the band
+        out = tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", "--method", "cpgen", "--s0", 5, "--n", 50, "--trials", 5,
+            "--alpha", 0.01, "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert "--Ngen" in single_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         [["baseline", "--method", "is"], ["drppi", "--Nf", 100, "--M", 2]],

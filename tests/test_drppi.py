@@ -170,6 +170,22 @@ class TestDrPpiEstimate:
             + half.var_correction / half.n_half
         )
 
+    @pytest.mark.parametrize("cross_fit", [True, False])
+    def test_negative_zero_value_keeps_its_sign(self, finite_fixture, monkeypatch, cross_fit):
+        # a sum started from 0.0 would turn a lone -0.0 into +0.0
+        mdp, behavior, target = finite_fixture
+        data = mdp.sample_dataset(behavior, 20, np.random.default_rng(4), 0.9)
+
+        def zero_half(model, correction_data, *args):
+            return HalfEstimate(-0.0, 1.0, 2.0, len(correction_data))
+
+        monkeypatch.setattr("ope_ci.drppi.half_estimate", zero_half)
+        value, _ = dr_ppi_estimate(
+            data, behavior, target, cfg_with(cross_fit=cross_fit), lambda: OracleModel(mdp),
+            np.random.default_rng(5),
+        )
+        assert math.copysign(1.0, value) == -1.0
+
     def test_estimate_near_truth_on_inventory(
         self, inventory_env, inventory_policies
     ):

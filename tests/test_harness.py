@@ -6,14 +6,23 @@ import pytest
 
 from ope_ci.harness import (
     CSV_COLUMNS,
+    METHOD_QUALIFIERS,
     StudyConfig,
     config_digest,
     derive_seed,
     emit_results,
     ground_truth_value,
     make_env_spec,
+    make_method,
     run_coverage_study,
 )
+
+# every name:qualifier the registry takes; cpgen takes no qualifier
+METHOD_SPECS = [
+    f"{name}:{qualifier}" if qualifier else name
+    for name, qualifiers in METHOD_QUALIFIERS.items()
+    for qualifier in qualifiers or (None,)
+]
 
 
 class TestSeedDerivation:
@@ -153,6 +162,18 @@ class TestCoverageStudy:
         assert report.mean_width == pytest.approx(
             float((details.uppers - details.lowers).mean())
         )
+
+    @pytest.mark.parametrize("method", METHOD_SPECS)
+    def test_every_method_interval_carries_its_point(self, method):
+        # coverage studies read the point error from ``interval.point``
+        spec = make_env_spec("inventory", s0=(5.0,))
+        config = StudyConfig(n_model_rollouts=32, pairs_per_trajectory=2, cpgen_rollouts=32,
+                             n_synth=40, dm_rollouts=32, n_boot=200)
+        run = make_method(method, spec, config, ground_truth=0.0)
+        rng = np.random.default_rng(8)
+        dataset = spec.env.sample_dataset(spec.behavior, 60, rng, spec.discount)
+        point = run(dataset, 0.1, rng).interval.point
+        assert isinstance(point, float) and np.isfinite(point)
 
     def test_cpgen_method_requires_s0(self):
         spec = make_env_spec("finite", discount=0.9)

@@ -12,6 +12,7 @@ from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
     _bootstrap_means,
+    _plug_in_variance,
     bootstrap_interval,
     clip_ratio,
     clt_interval,
@@ -209,6 +210,32 @@ class TestCltInterval:
             big = rng.standard_normal(800)
             ratios.append(clt_interval(big, 0.05).width / clt_interval(small, 0.05).width)
         assert 0.45 <= float(np.mean(ratios)) <= 0.56
+
+    def test_standard_error_is_sd_over_root_n(self):
+        # sd / sqrt(n) and sqrt(var / n) round differently on this sample;
+        # the interval is built from the first
+        samples = np.array([1.053, 1.776, -2.553, -0.138, 1.014])
+        z = normal_quantile(0.975)
+        mean = float(samples.mean())
+        half = z * float(samples.std(ddof=1) / math.sqrt(samples.size))
+        variance_form = z * math.sqrt(float(samples.var(ddof=1)) / samples.size)
+        assert (mean - half, mean + half) != (mean - variance_form, mean + variance_form)
+        ci = clt_interval(samples, 0.05)
+        assert (ci.lower, ci.upper, ci.point) == (mean - half, mean + half, mean)
+
+
+class TestPlugInVariance:
+    def test_matches_the_restated_forms_bit_for_bit(self):
+        # squared weights 1/4 and 1 scale by a power of two, which is exact,
+        # so scaling each ratio equals scaling their sum, bit for bit
+        rng = np.random.default_rng(2024)
+        for _ in range(10_000):
+            a, b, c, d = (float(v) for v in rng.lognormal(0.0, 3.0, size=4))
+            N, n1, n2 = (int(k) for k in rng.integers(2, 100_000, size=3))
+            cross_fit = 0.25 * (a / N + b / n1 + c / N + d / n2)
+            strata = [(0.5, a, N), (0.5, b, n1), (0.5, c, N), (0.5, d, n2)]
+            assert _plug_in_variance(strata) == cross_fit
+            assert _plug_in_variance([(1.0, a, N), (1.0, b, n1)]) == a / N + b / n1
 
 
 class TestBootstrapInterval:
