@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(dr)
     add_model(dr)
     dr.add_argument("--data", required=True)
-    dr.add_argument("--correction", default="pdis", choices=["is", "wis", "pdis"])
+    corrections = METHOD_QUALIFIERS["drppi"]
+    dr.add_argument("--correction", default=corrections[0], choices=corrections)
     dr.add_argument("--alpha", type=float, default=0.05)
     add_drppi(dr)
     dr.add_argument("--seed", type=int, required=True)
@@ -184,13 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(base)
     add_model(base)
     base.add_argument("--data", required=True)
-    base.add_argument(
-        "--method",
-        required=True,
-        choices=["is", "wis", "pdis", "augis", "dm", "dr", "augdr"],
-    )
-    base.add_argument("--bound", choices=["clt", "bootstrap"],
-                      help="default: the method's own bound")
+    # every registry method without a subcommand of its own; its qualifier is a bound
+    baselines = [m for m in METHOD_QUALIFIERS if m not in ("drppi", "cpgen")]
+    base.add_argument("--method", required=True, choices=baselines)
+    bounds = list(dict.fromkeys(b for m in baselines for b in METHOD_QUALIFIERS[m]))
+    base.add_argument("--bound", choices=bounds, help="default: the method's own bound")
     base.add_argument("--alpha", type=float, default=0.05)
     _setting(base, "--clip", "clip", choices=["auto", "on", "off"])
     _setting(base, "--nsynth", "n_synth", type=int)

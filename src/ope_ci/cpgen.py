@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import DatasetTooSmall, DegenerateWeights, EmptyBand, NoTrainingPairs, UnboundedBand
 from .mdp import ConfidenceInterval, State, TrajectoryDataset
+from .policies import _BLOCK_CELLS, _row_blocks
 from .reweighting import trajectory_ratios
 
 _EPS_FLOOR = 1e-9
 _MASS_TOL = 1e-9
-# (query, pair) cells per dense chunk: a float64 temporary of 65,536 cells
-# takes 512 KB, which fits in L2.
-_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,9 @@ def _median_distance(values: np.ndarray) -> float:
     """Median pairwise distance, deterministically subsampled for large sets.
 
     The distances of pairs i < j are written in row order into one array of
-    n(n-1)/2, from row blocks of about ``_CHUNK_CELLS`` values; each distance
-    is the one the full n x n matrix holds, so the multiset and its median
-    are too.
+    n(n-1)/2, from ``_row_blocks`` of at most ``_BLOCK_CELLS`` values; each
+    distance is the one the full n x n matrix holds, so the multiset and its
+    median are too.
     """
     n = values.shape[0]
     if n < 2:
@@ -147,16 +145,15 @@ def _median_distance(values: np.ndarray) -> float:
         values = values[keep]
         n = values.shape[0]
     upper = np.empty(n * (n - 1) // 2)
-    step = max(1, _CHUNK_CELLS // values.size)
     done = 0
-    for top in range(0, n - 1, step):
-        rows = np.arange(top, min(top + step, n - 1))
+    for rows in _row_blocks(n - 1, _BLOCK_CELLS // values.size):
+        top = rows.start
         diffs = values[top + 1 :][None] - values[rows][:, None]
         if values.ndim == 1:
             np.abs(diffs, out=diffs)
         else:
             diffs = np.sqrt((diffs**2).sum(-1))
-        block = diffs[np.arange(top + 1, n)[None, :] > rows[:, None]]
+        block = diffs[np.arange(top + 1, n)[None, :] > np.arange(top, rows.stop)[:, None]]
         upper[done : done + block.size] = block
         done += block.size
     return float(np.median(upper, overwrite_input=True))
@@ -338,15 +335,14 @@ def _eps_ball_weights(
     ``query_states`` holds one row per query score, or a single row that
     every query score shares.  For 1-D states ``_ball_counts_and_sums``
     gives every ball, and only rows with an empty ball take the dense path;
-    for other dimensions every row does.  The dense path runs in chunks of
-    ``_CHUNK_CELLS // pairs`` rows (at least one), so each of its
-    temporaries holds about ``_CHUNK_CELLS`` cells (512 KB) and memory is
-    linear in the number of pairs; each row's ball sum and k-nearest pick is
-    a row-wise reduction, so its value does not depend on the chunk it lands
-    in.
+    for other dimensions every row does.  The dense path runs in
+    ``_row_blocks`` of ``_BLOCK_CELLS // pairs`` rows (at least one), so each
+    of its temporaries holds at most ``_BLOCK_CELLS`` cells (512 KB) or one
+    row, and memory is linear in the number of pairs; each row's ball sum
+    and k-nearest pick is a row-wise reduction, so its value does not depend
+    on the chunk it lands in.
     """
     n_train = train_ratios.shape[0]
-    rows = max(1, _CHUNK_CELLS // n_train)
     k = min(k_nearest, n_train)
     shared = query_states.shape[0] == 1
     out = np.empty(query_scores.shape[0])
@@ -359,10 +355,9 @@ def _eps_ball_weights(
         filled = counts > 0
         out[filled] = sums[filled] / counts[filled]
         dense = np.flatnonzero(~filled)
-    if shared and dense.size:
-        d_shared = _state_distances(query_states, train_states)
-    for start in range(0, dense.size, rows):
-        chunk = dense[start : start + rows]
+    d_shared = _state_distances(query_states, train_states) if shared else None
+    for block in _row_blocks(dense.size, _BLOCK_CELLS // n_train):
+        chunk = dense[block]
         out[chunk] = _ball_means(
             d_shared if shared else _state_distances(query_states[chunk], train_states),
             query_scores[chunk], train_scores, train_ratios, eps_state, eps_score, k,

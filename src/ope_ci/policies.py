@@ -113,28 +113,30 @@ def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 # policies) take 720 KB, which fits in L2, where an unblocked 100k-row table
 # took 8.8 MB.
 _TABLE_ROWS = 8192
+# Most cells of one block of any other chunked loop (bootstrap indices,
+# distance rows): a float64 temporary of 65,536 cells takes 512 KB, which
+# fits in L2.
+_BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """The fewest blocks of at most ``_TABLE_ROWS`` of ``n`` rows, with sizes
-    that differ by one at most.  In a table of two or more rows each row
-    depends on its own state alone, so tables built block by block equal the
-    one table of all rows bit for bit.  A one-row block, which this split
-    never makes from more rows, would break that: numpy adds the one column
-    of a one-row action-major table in pairwise order."""
-    blocks = max(1, -(-n // _TABLE_ROWS))
+def _row_blocks(n: int, most: int = _TABLE_ROWS) -> list[slice]:
+    """The fewest blocks of at most ``max(1, most)`` of ``n`` rows, with sizes
+    that differ by one at most; zero rows give one empty block.  In a table
+    of two or more rows each row depends on its own state alone, so tables
+    built block by block equal the one table of all rows bit for bit.  A
+    one-row block, which this split never makes from more rows at the
+    default ``most``, would break that: numpy adds the one column of a
+    one-row action-major table in pairwise order."""
+    blocks = max(1, -(-n // max(1, most)))
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
 
 def policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One action per state by inverse CDF, from one ``rng.random(N)`` draw;
-    above ``_TABLE_ROWS`` rows the table is built and walked in
-    ``_row_blocks``, with the one table's draws."""
-    n = len(states)
-    if n <= _TABLE_ROWS:
-        return _inverse_cdf(policy.action_probs(states), rng.random(n))
-    u = rng.random(n)
-    actions = np.empty(n, dtype=np.int64)
-    for rows in _row_blocks(n):
+    the table is built and walked in ``_row_blocks``, with the one table's
+    draws."""
+    u = rng.random(len(states))
+    actions = np.empty(len(states), dtype=np.int64)
+    for rows in _row_blocks(len(states)):
         actions[rows] = _inverse_cdf(policy.action_probs(states[rows]), u[rows])
     return actions

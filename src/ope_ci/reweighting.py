@@ -19,7 +19,7 @@ from .errors import (
     ZeroBehaviorProbability,
 )
 from .mdp import ConfidenceInterval, TrajectoryDataset
-from .policies import policy_probs
+from .policies import _BLOCK_CELLS, _row_blocks, policy_probs
 
 _AUTO_MIN_N = 100  # sample count from which "auto" clipping is on
 
@@ -184,6 +184,8 @@ def _plug_in_variance(strata) -> float:
 
 def _normal_interval(point: float, se: float, alpha: float) -> ConfidenceInterval:
     """point +/- z_{1-alpha/2} * se."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     half = normal_quantile(1.0 - alpha / 2.0) * se
     return ConfidenceInterval(point - half, point + half, 1.0 - alpha, point=point)
 
@@ -193,31 +195,22 @@ def clt_interval(samples, alpha: float) -> ConfidenceInterval:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise InsufficientSamples("clt_interval needs at least 2 samples")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     return _normal_interval(float(samples.mean()), se, alpha)
 
 
-# Index cells of one block of bootstrap resamples: 512 KB of indices and as
-# much of gathered samples fit in a typical L2 cache, where blocks of
-# 5,000,000 cells took 80 MB.
-_BOOT_CELLS = 65_536
-
-
 def _bootstrap_means(samples: np.ndarray, n_boot: int, rng: np.random.Generator) -> np.ndarray:
-    """Means of ``n_boot`` resamples of ``samples``, drawn in blocks of whole
-    rows of at most ``_BOOT_CELLS`` indices (one row when a row is larger).
-    ``Generator.integers`` gives one stream however a bounded draw is split
-    into calls, and each mean sums its own row, so the means equal those of
-    one ``(n_boot, n)`` draw bit for bit, in memory independent of
+    """Means of ``n_boot`` resamples of ``samples``, drawn in ``_row_blocks``
+    of whole rows of at most ``_BLOCK_CELLS`` indices (one row when a row is
+    larger).  ``Generator.integers`` gives one stream however a bounded draw
+    is split into calls, and each mean sums its own row, so the means equal
+    those of one ``(n_boot, n)`` draw bit for bit, in memory independent of
     ``n_boot``."""
     n = samples.size
     means = np.empty(n_boot)
-    rows = max(1, _BOOT_CELLS // n)
-    for lo in range(0, n_boot, rows):
-        take = min(rows, n_boot - lo)
-        means[lo : lo + take] = samples[rng.integers(0, n, size=(take, n))].mean(axis=1)
+    for rows in _row_blocks(n_boot, _BLOCK_CELLS // n):
+        draw = rng.integers(0, n, size=(rows.stop - rows.start, n))
+        means[rows] = samples[draw].mean(axis=1)
     return means
 
 

@@ -25,6 +25,7 @@ from ope_ci.envs import oracle_value
 from ope_ci.errors import DegenerateWeights, EmptyBand, NoTrainingPairs, UnboundedBand
 from ope_ci.harness import StudyConfig, make_env_spec, make_method
 from ope_ci.models import GaussianRegressionModel, OracleModel
+from ope_ci.policies import _row_blocks
 
 from oracles import (
     dense_eps_ball_weights,
@@ -98,7 +99,7 @@ def test_median_distance_equals_triangle_formula(n, width, lattice, block_rows):
         values = np.round(values / 100.0)
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(cpgen, "_CHUNK_CELLS", block_rows * min(values.size, 512 * values[0].size))
+            mp.setattr(cpgen, "_BLOCK_CELLS", block_rows * min(values.size, 512 * values[0].size))
         got = cpgen._median_distance(values)
     assert got == triangle_median_distance(values)
 
@@ -108,11 +109,11 @@ BOUNDARY_ROWS = 7  # chunk rows in the chunked-weight properties
 
 @st.composite
 def ball_queries(draw, shared_state=False):
-    """Training pairs and queries for the epsilon-ball weights.  Queries
-    ``BOUNDARY_ROWS - 1`` and ``BOUNDARY_ROWS`` (and, with a shared state,
-    every query) sit far from the pairs when ``far`` is drawn, so their balls
-    are empty and they fall back to the nearest pairs on both sides of the
-    first chunk boundary."""
+    """Training pairs and queries for the epsilon-ball weights.  The two
+    queries around the first boundary of ``_row_blocks(n_query,
+    BOUNDARY_ROWS)`` (and, with a shared state, every query) sit far from the
+    pairs when ``far`` is drawn, so their balls are empty and they fall back
+    to the nearest pairs on both sides of the first chunk boundary."""
     d = draw(st.sampled_from([1, 2]))
     n_train = draw(st.integers(1, 40))
     n_query = draw(st.integers(1, 60).filter(lambda n: n % BOUNDARY_ROWS != 0))
@@ -123,7 +124,8 @@ def ball_queries(draw, shared_state=False):
     q_states = rng.normal(size=(1 if shared_state else n_query, d))
     q_scores = np.round(rng.normal(size=n_query), 1)
     if draw(st.booleans()):
-        q_scores[BOUNDARY_ROWS - 1 : BOUNDARY_ROWS + 1] = 50.0
+        first = _row_blocks(n_query, BOUNDARY_ROWS)[0].stop
+        q_scores[first - 1 : first + 1] = 50.0
         if shared_state:
             q_states[:] = 50.0
     eps_state = draw(st.floats(0.05, 2.0))
@@ -137,7 +139,7 @@ def chunked_weights(args, rows=None):
     library's default chunk)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(cpgen, "_CHUNK_CELLS", rows * args[4].shape[0])
+            mp.setattr(cpgen, "_BLOCK_CELLS", rows * args[4].shape[0])
         return _eps_ball_weights(*args)
 
 

@@ -265,6 +265,13 @@ class TestInterval:
         ci = interval_from_estimate(3.0, 0.0, 0.05)
         assert (ci.lower, ci.upper, ci.point) == (3.0, 3.0, 3.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.5, math.nan])
+    def test_alpha_outside_unit_interval_is_named(self, alpha):
+        """A bad ``alpha`` is reported as such, not as inverted endpoints or
+        a bad quantile level."""
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            interval_from_estimate(1.0, 0.25, alpha)
+
 
 class TestConfigValidation:
     def test_bad_rollout_count(self):

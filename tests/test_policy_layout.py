@@ -5,12 +5,15 @@ within (A−1)·u of the exact one, u = ε/2 being the unit roundoff (Higham 199
 *The accuracy of floating point summation*), so with the division's rounding
 the probabilities agree within A·ε.  The drawn actions and the generator state
 after the draw equal the ``cumsum`` draw's on the same table, bit for bit."""
+import math
+
 import numpy as np
 import pytest
 
 from ope_ci.envs import small_finite_mdp
 from ope_ci.policies import (
     _TABLE_ROWS,
+    _row_blocks,
     SoftmaxOrderUpToPolicy,
     TabularPolicy,
     policy_probs,
@@ -83,7 +86,7 @@ class BlockRecorder:
         return self.tables[-1]
 
 
-@pytest.mark.parametrize("rows", [8192, 8193, 16_385, 24_577, 100_003])
+@pytest.mark.parametrize("rows", [1, 2, 8192, 8193, 16_385, 24_577, 100_003])
 def test_blocked_tables_equal_one_table(rows):
     """``policy_sample`` builds its table in blocks of at most ``_TABLE_ROWS``
     rows, which together equal the one table of all rows bit for bit.  A
@@ -114,6 +117,19 @@ def test_blocked_probs_equal_one_table_gather(rows):
     assert len(recorder.tables) == -(-rows // _TABLE_ROWS)
     assert np.array_equal(got, one_table_policy_probs(policy, states, actions))
     assert (got == 0.0).any() and (got > 0.0).any()
+
+
+@pytest.mark.parametrize("most", [0, 1, 2, 7, _TABLE_ROWS])
+def test_row_blocks_split_evenly(most):
+    """The fewest blocks of at most ``max(1, most)`` rows, in order and with
+    sizes that differ by one at most; zero rows give one empty block."""
+    for n in range(65):
+        blocks = _row_blocks(n, most)
+        sizes = [len(range(n)[block]) for block in blocks]
+        assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+        assert max(sizes) <= max(1, most)
+        assert max(sizes) - min(sizes) <= 1
+        assert len(blocks) == max(1, math.ceil(n / max(1, most)))
 
 
 def test_tabular_draws_match_cumsum():
