@@ -10,7 +10,7 @@ import numpy as np
 
 from .mdp import ConfidenceInterval, RolloutBatch, TrajectoryDataset
 from .models import polynomial_features, solve_least_squares
-from .policies import _row_blocks
+from .policies import _BLOCK_CELLS, _row_blocks
 from .reweighting import (
     ClipPolicy,
     CorrectionKind,
@@ -109,19 +109,21 @@ class FittedQSpec:
 
 
 def _expected_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
-    """Rows sum_a prob(a | s) * phi(s, a) over actions 0..A-1, from the
-    policy's action table built in ``_row_blocks``, so that each action's
-    feature temporaries stay block-sized; the rows equal those of one table
-    bit for bit."""
+    """Rows E_{a ~ policy} phi(s, a) over actions 0..A-1.  phi is at most
+    quadratic in a, so a row is phi(s, E a) with its a^2 column (the last,
+    at degree 2) set to E a^2.  The moments walk each ``_row_blocks`` action
+    table one column at a time in action order, so blocked rows equal those
+    of one table bit for bit."""
     states = np.asarray(states, dtype=float)
-    blocks = []
+    mean, square = np.zeros(len(states)), np.zeros(len(states))
     for rows in _row_blocks(len(states)):
-        probs = policy.action_probs(states[rows])
-        blocks.append(sum(
-            probs[:, a, None] * polynomial_features(states[rows], a, degree)
-            for a in range(probs.shape[1])
-        ))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for a, column in enumerate(policy.action_probs(states[rows]).T):
+            mean[rows] += column * a
+            square[rows] += column * (a * a)
+    feats = polynomial_features(states, mean, degree)
+    if degree == 2:
+        feats[:, -1] = square
+    return feats
 
 
 class PolynomialQ:
@@ -139,15 +141,6 @@ class PolynomialQ:
         return _expected_features(states, policy, self.degree) @ self.coef
 
 
-def _transition_rows(dataset: TrajectoryDataset, extra: RolloutBatch | None):
-    """Dataset steps, then those of ``extra``, as ``RolloutBatch.flatten``
-    gives them."""
-    rows = dataset.batch.flatten()
-    if extra is None:
-        return rows
-    return tuple(np.concatenate(pair) for pair in zip(rows, extra.flatten()))
-
-
 def fit_q(
     dataset: TrajectoryDataset,
     target,
@@ -159,25 +152,36 @@ def fit_q(
     Each sweep regresses r + gamma * E_{a' ~ target} Q(s', a') (zero beyond
     each trajectory's last step) onto the features X = phi(s, a).  Q is
     linear in phi, so that target is r + gamma * Phi c, where row i of Phi
-    is E_{a' ~ target} phi(s'_i, a') (zero on terminal rows) and c the
-    previous coefficients.  Every sweep regresses onto the same X, and the
-    solve is linear in its right-hand side (on the ``lstsq`` branch and on
-    the ridge branch alike, and X alone picks the branch).  So one
-    least-squares solve of X [a | B] = [r, gamma Phi] gives every sweep as
-    c <- a + B c, run from c = 0.  Synthetic rollouts, when given, join the
-    regression data only.
+    is E_{a' ~ target} phi(s'_i, a') (zero on terminal rows; the features of
+    the action moments, see ``_expected_features``) and c the previous
+    coefficients.  Every sweep regresses onto the same X, and the solve is
+    linear in its right-hand side (on the ``lstsq`` branch and on the ridge
+    branch alike, and X alone picks the branch).  So one least-squares solve
+    of X [a | B] = [r, gamma Phi] gives every sweep as c <- a + B c, run from
+    c = 0.  Synthetic rollouts, when given, join the regression data only.
+    The M rows of [X | r | gamma Phi] are built from blocks of trajectories
+    of at most ``_BLOCK_CELLS`` cells.  Each block's R factor is folded by
+    one QR into the R factor of the rows before it, and R's top p rows are
+    solved with the rank tolerance of M rows; so beyond the synthetic batch
+    itself, memory does not grow with the number of synthetic rollouts.
     """
-    states, actions, rewards, next_states, terminal = _transition_rows(
-        dataset, synthetic
-    )
-    feats = polynomial_features(states, actions, spec.degree)
-    expected = np.zeros_like(feats)
-    expected[~terminal] = _expected_features(next_states[~terminal], target, spec.degree)
-    solved = solve_least_squares(
-        feats, np.column_stack([rewards, dataset.discount * expected])
-    )
+    p = polynomial_features(dataset.batch.states[0, :1], 0, spec.degree).shape[1]
+    width = 2 * p + 1  # the columns of [X | r | gamma Phi]
+    R, M = np.zeros((0, width)), 0
+    for batch in (dataset.batch,) if synthetic is None else (dataset.batch, synthetic):
+        for b in _row_blocks(batch.size, _BLOCK_CELLS // width // batch.states.shape[1]):
+            states, actions, rewards, next_states, terminal = RolloutBatch(
+                batch.states[b], batch.actions[b], batch.rewards[b], batch.lengths[b]
+            ).flatten()
+            expected = np.zeros((len(states), p))
+            expected[~terminal] = _expected_features(next_states[~terminal], target, spec.degree)
+            X = polynomial_features(states, actions, spec.degree)
+            block = np.column_stack([X, rewards, dataset.discount * expected])
+            block = np.linalg.qr(block, mode="r")  # raw rows stacked under R: ~10x less accurate
+            R, M = np.linalg.qr(np.vstack([R, block]), mode="r"), M + len(states)
+    solved = solve_least_squares(R[:p, :p], R[:p, p:], rows=M)
     offset, step = solved[:, 0], solved[:, 1:]
-    coef = np.zeros(feats.shape[1])
+    coef = np.zeros(p)
     for _ in range(spec.sweeps if spec.sweeps is not None else dataset.horizon):
         coef = offset + step @ coef
     return PolynomialQ(coef, spec.degree)

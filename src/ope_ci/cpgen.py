@@ -141,9 +141,9 @@ def _median_distance(values: np.ndarray) -> float:
     if n < 2:
         return 0.0
     if n > 512:
-        keep = np.unique(np.linspace(0, n - 1, 512).astype(int))
-        values = values[keep]
-        n = values.shape[0]
+        # Strictly increasing for n > 512, so no index repeats.
+        values = values[np.linspace(0, n - 1, 512).astype(int)]
+        n = 512
     upper = np.empty(n * (n - 1) // 2)
     done = 0
     for rows in _row_blocks(n - 1, _BLOCK_CELLS // values.size):
@@ -156,7 +156,10 @@ def _median_distance(values: np.ndarray) -> float:
         block = diffs[np.arange(top + 1, n)[None, :] > np.arange(top, rows.stop)[:, None]]
         upper[done : done + block.size] = block
         done += block.size
-    return float(np.median(upper, overwrite_input=True))
+    mid = upper.size // 2  # np.median's partition (NaN last), without its numpy.ma import
+    upper.partition([mid - 1, mid, -1])
+    middle = upper[mid - 1 + upper.size % 2 : mid + 1]
+    return math.nan if np.isnan(upper[-1]) else float(middle.mean())
 
 
 def resolve_eps(train_pairs, cfg: EpsConfig) -> tuple[float, float]:

@@ -32,10 +32,15 @@ def polynomial_features(states: np.ndarray, actions, degree: int) -> np.ndarray:
 _RIDGE = 1e-6  # weight of the identity in the rank-deficient fallback
 
 
-def solve_least_squares(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def solve_least_squares(X: np.ndarray, Y: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Least-squares coefficients of Y on X, ridged when X is rank-deficient.
+    X and Y may be the top p rows of the R factor of [design | targets], with
+    ``rows`` the design's row count M (default ``X.shape[0]``): the rank
+    tolerance is eps * max(M, p), numpy's default for the design itself."""
     if X.shape[0] == 0:
         raise SingularDesign("no rows available for the regression")
-    coef, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    rcond = np.finfo(float).eps * max(X.shape[0] if rows is None else rows, X.shape[1])
+    coef, _, rank, _ = np.linalg.lstsq(X, Y, rcond=rcond)
     if rank < X.shape[1]:
         # Rank-deficient design: fall back to a lightly ridged solve.
         gram = X.T @ X + _RIDGE * np.eye(X.shape[1])

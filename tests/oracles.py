@@ -20,9 +20,13 @@ them to rounding, because the ball sums are a row-wise reduction rather than
 a matrix-vector product.  The softmax policy table and the policy draw are
 the row-layout ones the library used before it built the table action-major
 and walked the CDF one column at a time; tables, draws and generator state
-must match them bit for bit.  Fitted Q's expected features come from one
-action table of all rows, as the library built them before it built the
-table in blocks of rows, and must match bit for bit.  The bootstrap means
+must match them bit for bit.  Fitted Q's expected features are the
+features of the action moments E a, E a^2 taken from one action table of
+all rows, as the library took them before it built the table in blocks of
+rows, and must match bit for bit; the per-action sum of features, which the
+library used before it took moments, must match them to rounding.  The
+fitted-Q regression rows come from one flatten of every trajectory, as the
+library took them before it flattened blocks of trajectories.  The bootstrap means
 come from one ``(n_boot, n)`` index draw, as the library drew them before it
 resampled in blocks of rows; means and generator state must match them bit
 for bit.  The gathered policy probabilities likewise come from one action
@@ -38,7 +42,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from ope_ci.baselines import FittedQSpec, _transition_rows
+from ope_ci.baselines import FittedQSpec
 from ope_ci.cpgen import _MASS_TOL, WeightedScoreDistribution
 from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
@@ -127,6 +131,15 @@ def per_trajectory_fit_rows(dataset):
         np.concatenate(dyn_inputs),
         np.concatenate(next_states),
     )
+
+
+def transition_rows(dataset, extra=None):
+    """Dataset steps, then those of ``extra``, from one
+    ``RolloutBatch.flatten`` of each batch."""
+    rows = dataset.batch.flatten()
+    if extra is None:
+        return rows
+    return tuple(np.concatenate(pair) for pair in zip(rows, extra.flatten()))
 
 
 def per_trajectory_transition_rows(dataset, extra=None):
@@ -402,7 +415,7 @@ def per_sweep_fit_q(
 ) -> PerSweepQ:
     """Fitted-Q iteration that evaluates E_{a' ~ target} Q(s', a') from
     scratch on every sweep."""
-    states, actions, rewards, next_states, terminal = _transition_rows(
+    states, actions, rewards, next_states, terminal = transition_rows(
         dataset, synthetic
     )
     feats = polynomial_features(states, actions, spec.degree)
@@ -443,6 +456,21 @@ def one_table_expected_features(states: np.ndarray, policy, degree: int) -> np.n
         probs[:, a, None] * polynomial_features(states, a, degree)
         for a in range(probs.shape[1])
     )
+
+
+def one_table_moment_features(states: np.ndarray, policy, degree: int) -> np.ndarray:
+    """Rows phi(s, E a) with the a^2 column (the last, at degree 2) set to
+    E a^2, the moments walked over one action table of all rows in action
+    order."""
+    probs = policy.action_probs(states)
+    mean, square = np.zeros(len(states)), np.zeros(len(states))
+    for a in range(probs.shape[1]):
+        mean += probs[:, a] * a
+        square += probs[:, a] * (a * a)
+    feats = polynomial_features(states, mean, degree)
+    if degree == 2:
+        feats[:, -1] = square
+    return feats
 
 
 def one_table_policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

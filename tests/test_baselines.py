@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from ope_ci.reweighting import (
     step_ratio_table,
 )
 
-from oracles import ZeroQ, one_table_expected_features, per_sweep_fit_q, prob
+from oracles import (
+    ZeroQ,
+    one_table_expected_features,
+    one_table_moment_features,
+    per_sweep_fit_q,
+    prob,
+)
 
 
 class TestIsBaseline:
@@ -266,12 +273,42 @@ class TestFittedQ:
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("rows", [1, 8192, 8193, 20_001])
 def test_blocked_expected_features_equal_one_table(rows, degree):
-    """Fitted Q builds its expected features from the action table in blocks
-    of at most ``_TABLE_ROWS`` rows; they equal those of one table bit for bit."""
+    """Fitted Q builds its expected features from action moments taken from
+    the action table in blocks of at most ``_TABLE_ROWS`` rows; they equal
+    those of one table bit for bit, and the per-action sum of features to
+    rounding (the moment form drops sum_a prob(a | s) * 1 and
+    sum_a prob(a | s) * s, which equal 1 and s only to rounding)."""
     _, target = inventory_policy_pair()
     states = np.random.default_rng(rows).uniform(-3.0, 14.0, size=(rows, 1))
     got = _expected_features(states, target, degree)
-    assert np.array_equal(got, one_table_expected_features(states, target, degree))
+    assert np.array_equal(got, one_table_moment_features(states, target, degree))
+    np.testing.assert_allclose(
+        got, one_table_expected_features(states, target, degree), rtol=1e-13, atol=0
+    )
+
+
+def test_fit_q_memory_does_not_grow_with_synthetic_rollouts(inventory_env, inventory_policies):
+    """fit_q folds fixed-size blocks of rows into an R factor, so its peak
+    traced allocation above its inputs is the same at 4,000 and 16,000
+    synthetic rollouts (the full-height design of 16,000 would take 15 MB)."""
+    behavior, target = inventory_policies
+    data = inventory_env.sample_dataset(behavior, 20, np.random.default_rng(41), 1.0)
+    rng = np.random.default_rng(42)
+    starts = data.initial_states()[rng.integers(0, len(data), size=16_000)]
+    model = OracleModel(inventory_env)
+    peaks = []
+    for synthetic in (
+        model.rollout_batch(target, starts[:4_000], data.horizon, rng),
+        model.rollout_batch(target, starts, data.horizon, rng),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_q(data, target, FittedQSpec(), synthetic)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 CASES = [

@@ -4,7 +4,6 @@ finite-MDP data whose longest trajectory stops short of the horizon."""
 import numpy as np
 import pytest
 
-from ope_ci.baselines import _transition_rows
 from ope_ci.cpgen import generation_score_pairs
 from ope_ci.envs import FiniteMdp
 from ope_ci.mdp import read_jsonl_dataset, write_jsonl_dataset
@@ -23,6 +22,7 @@ from oracles import (
     per_trajectory_ratio_table,
     per_trajectory_transition_rows,
     trajectory_return,
+    transition_rows,
 )
 
 
@@ -104,7 +104,7 @@ def test_fitted_q_rows_match_per_trajectory_rows(case, with_synthetic):
         starts = ds.initial_states()[::3]
         synthetic = env.rollout_batch(target, starts, ds.horizon, np.random.default_rng(33))
     assert_all_equal(
-        _transition_rows(ds, synthetic), per_trajectory_transition_rows(ds, synthetic)
+        transition_rows(ds, synthetic), per_trajectory_transition_rows(ds, synthetic)
     )
 
 

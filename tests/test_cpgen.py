@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,33 @@ def test_median_distance_equals_triangle_formula(n, width, lattice, block_rows):
             mp.setattr(cpgen, "_BLOCK_CELLS", block_rows * min(values.size, 512 * values[0].size))
         got = cpgen._median_distance(values)
     assert got == triangle_median_distance(values)
+
+
+def test_median_distance_of_nan_is_nan():
+    values = np.array([0.0, np.nan, 3.0, 1.0])
+    assert math.isnan(cpgen._median_distance(values))
+    assert math.isnan(triangle_median_distance(values))
+
+
+def test_median_distance_imports_no_masked_arrays():
+    """Neither the subsample of a set above 512 rows nor the median calls
+    ``np.unique`` or ``np.median``, whose lazy import of ``numpy.ma`` costs
+    the first call in each process 12-20 ms."""
+    code = (
+        "import sys, numpy as np, ope_ci\n"
+        "from ope_ci.cpgen import _median_distance\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "_median_distance(np.arange(600.0))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    path = [str(Path(cpgen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 BOUNDARY_ROWS = 7  # chunk rows in the chunked-weight properties

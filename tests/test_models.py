@@ -9,7 +9,9 @@ from ope_ci.models import (
     GaussianRegressionModel,
     OracleModel,
     RewardOffsetModel,
+    _RIDGE,
     polynomial_features,
+    solve_least_squares,
 )
 from ope_ci.policies import TabularPolicy
 
@@ -57,6 +59,52 @@ class TestPolynomialFeatures:
     def test_degree_two_layout(self):
         feats = polynomial_features(np.array([[2.0]]), np.array([3]), 2)
         assert list(feats[0]) == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+
+
+class TestSolveFromRFactor:
+    """Given the design's row count M, ``solve_least_squares`` on the top p
+    rows of the R factor of [X | Y] solves the problem of X itself, on the
+    ``lstsq`` branch and on the ridge branch alike."""
+
+    @staticmethod
+    def r_factor(X, Y):
+        p = X.shape[1]
+        R = np.linalg.qr(np.column_stack([X, Y]), mode="r")
+        return R[:p, :p], R[:p, p:]
+
+    def test_inventory_design_matches_lstsq(self, inventory_env, inventory_policies):
+        behavior, _ = inventory_policies
+        data = inventory_env.sample_dataset(behavior, 200, np.random.default_rng(51), 1.0)
+        states, actions, rewards, next_states, _ = data.batch.flatten()
+        X = polynomial_features(states, actions, 2)
+        Y = np.column_stack([rewards, next_states])
+        R11, R12 = self.r_factor(X, Y)
+        np.testing.assert_allclose(
+            solve_least_squares(R11, R12, rows=len(X)),
+            np.linalg.lstsq(X, Y, rcond=None)[0],
+            rtol=1e-10, atol=0,
+        )
+
+    def test_rank_tolerance_counts_the_design_rows(self):
+        """sigma_min / sigma_max = 1e-13 lies between eps * p and eps * M, so
+        X is rank-deficient at numpy's tolerance and R11 alone is not."""
+        rng = np.random.default_rng(52)
+        M, p = 20_000, 6
+        U = np.linalg.qr(rng.standard_normal((M, p)))[0]
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        X = (U * np.geomspace(1e-2, 1e-15, p)) @ V.T
+        Y = rng.standard_normal((M, 2))
+        sigma = np.linalg.svd(X, compute_uv=False)
+        eps = np.finfo(float).eps
+        assert eps * p < sigma[-1] / sigma[0] < eps * M
+        R11, R12 = self.r_factor(X, Y)
+        ridge = np.linalg.solve(X.T @ X + _RIDGE * np.eye(p), X.T @ Y)
+        np.testing.assert_allclose(solve_least_squares(X, Y), ridge, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            solve_least_squares(R11, R12, rows=M), ridge, rtol=1e-10, atol=0
+        )
+        # Without the row count R11 reads as full rank and takes lstsq.
+        assert not np.allclose(solve_least_squares(R11, R12), ridge, rtol=1e-3)
 
 
 class TestGaussianRegressionFit:
