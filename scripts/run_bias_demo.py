@@ -33,15 +33,13 @@ def main(argv=None) -> int:
 
     spec = make_env_spec("inventory")
     config = StudyConfig(model="biased", bias_fraction=args.bias)
-    reports = []
-    for method in ("augis:clt", "drppi:pdis"):
-        report = run_coverage_study(
-            spec, method, args.n, args.trials, args.alpha, args.seed,
-            config=config, cache_dir=args.cache_dir,
-        )
-        reports.append(report)
+    reports = run_coverage_study(
+        spec, ("augis:clt", "drppi:pdis"), args.n, args.trials, args.alpha, args.seed,
+        config=config, cache_dir=args.cache_dir,
+    )
+    for report in reports:
         print(
-            f"{method:12s} coverage={report.empirical_coverage:6.3f} "
+            f"{report.method:12s} coverage={report.empirical_coverage:6.3f} "
             f"width={report.mean_width:10.1f}"
         )
     emit_results(reports, args.out, "csv")

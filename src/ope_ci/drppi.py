@@ -54,13 +54,15 @@ def half_estimate(
     cfg: DrPpiConfig,
     rng: np.random.Generator,
     d0_sampler=None,
-) -> HalfEstimate:
+    corrections=None,
+):
     """Model-based value plus the reweighted correction on held-out data.
 
     The model must have been fitted on data disjoint from
     ``correction_data``.  ``d0_sampler(rng, n) -> (n, d) array`` draws
     initial states for the model-value rollouts; when omitted, initial
-    states are bootstrap-resampled from the correction data.
+    states are bootstrap-resampled from the correction data.  A sequence of
+    ``corrections`` gives a list of one per kind, all on the same rollouts.
     """
     rng_model, rng_pairs = rng.spawn(2)
     horizon = correction_data.horizon
@@ -73,9 +75,6 @@ def half_estimate(
         target, starts, horizon, rng_model
     ).returns(discount)
 
-    corrected = reweighted_returns(
-        correction_data, target, behavior, cfg.correction, cfg.clip
-    )
     pair_starts = np.repeat(
         correction_data.initial_states(), cfg.pairs_per_trajectory, axis=0
     )
@@ -83,14 +82,17 @@ def half_estimate(
         target, pair_starts, horizon, rng_pairs
     ).returns(discount)
     pair_means = pair_returns.reshape(n_half, cfg.pairs_per_trajectory).mean(axis=1)
-    terms = corrected - pair_means
 
-    return HalfEstimate(
-        value=float(model_returns.mean() + terms.mean()),
-        var_model=float(model_returns.var(ddof=1)),
-        var_correction=float(terms.var(ddof=1)) if n_half > 1 else 0.0,
-        n_half=n_half,
-    )
+    halves = []
+    for kind in (cfg.correction,) if corrections is None else corrections:
+        terms = reweighted_returns(correction_data, target, behavior, kind, cfg.clip) - pair_means
+        halves.append(HalfEstimate(
+            value=float(model_returns.mean() + terms.mean()),
+            var_model=float(model_returns.var(ddof=1)),
+            var_correction=float(terms.var(ddof=1)) if n_half > 1 else 0.0,
+            n_half=n_half,
+        ))
+    return halves[0] if corrections is None else halves
 
 
 def cross_fit_variance(
@@ -118,7 +120,16 @@ def dr_ppi_estimate(
     rng: np.random.Generator,
     d0_sampler=None,
 ) -> tuple[float, float]:
-    """Point estimate and plug-in variance.
+    """Point estimate and plug-in variance of ``cfg.correction``."""
+    return dr_ppi_estimates(dataset, behavior, target, cfg, model_factory, rng, d0_sampler,
+                            (cfg.correction,))[0]
+
+
+def dr_ppi_estimates(
+    dataset, behavior, target, cfg, model_factory, rng, d0_sampler, corrections
+) -> list[tuple[float, float]]:
+    """``dr_ppi_estimate`` of each kind in ``corrections`` (not ``cfg.correction``),
+    from one fold loop whose model fits and rollouts they share.
 
     Cross-fitting fits one model per half and corrects it on the other
     half; without cross-fitting a single model is fitted and corrected on
@@ -130,16 +141,20 @@ def dr_ppi_estimate(
     if cfg.cross_fit:
         first, second = dataset.split_half()
         folds = zip([(first, second), (second, first)], rng.spawn(2))
-    halves = [
-        half_estimate(model_factory().fit(fit), held_out, behavior, target, cfg, r, d0_sampler)
+    per_fold = [
+        half_estimate(model_factory().fit(fit), held_out, behavior, target, cfg, r,
+                      d0_sampler, corrections)
         for (fit, held_out), r in folds
     ]
-    # the sum starts from the first value, so a lone -0.0 keeps its sign
-    value = sum((h.value for h in halves[1:]), halves[0].value) / len(halves)
-    return value, _plug_in_variance(
-        (1.0 / len(halves), var, n) for h in halves
-        for var, n in ((h.var_model, cfg.n_model_rollouts), (h.var_correction, h.n_half))
-    )
+    estimates = []
+    for halves in zip(*per_fold):  # the halves of one correction kind
+        # the sum starts from the first value, so a lone -0.0 keeps its sign
+        value = sum((h.value for h in halves[1:]), halves[0].value) / len(halves)
+        estimates.append((value, _plug_in_variance(
+            (1.0 / len(halves), var, n) for h in halves
+            for var, n in ((h.var_model, cfg.n_model_rollouts), (h.var_correction, h.n_half))
+        )))
+    return estimates
 
 
 def interval_from_estimate(value: float, variance: float, alpha: float) -> ConfidenceInterval:

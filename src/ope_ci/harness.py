@@ -7,18 +7,19 @@ config digest.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import aug_is_baseline, dm_baseline, dr_baseline, is_baseline
 from .cpgen import EpsConfig, cp_gen_detailed
-from .drppi import DrPpiConfig, dr_ppi_estimate, interval_from_estimate
+from .drppi import DrPpiConfig, dr_ppi_estimates, interval_from_estimate
 from .envs import (
     InventoryEnv,
     inventory_policy_pair,
@@ -272,14 +273,47 @@ class MethodResult:
     details: object = None
 
 
+def _drppi_runner(corrections, env_spec: EnvSpec, config: StudyConfig, factory):
+    """Runner (dataset, alpha, rng) -> a drppi MethodResult per correction kind."""
+    cfg = DrPpiConfig(
+        n_model_rollouts=config.n_model_rollouts,
+        pairs_per_trajectory=config.pairs_per_trajectory,
+        correction=corrections[0],
+        clip=config.clip_policy(),
+        cross_fit=config.crossfit,
+    )
+
+    def run(dataset, alpha, rng):
+        return [MethodResult(interval_from_estimate(value, variance, alpha), variance)
+                for value, variance in dr_ppi_estimates(
+                    dataset, env_spec.behavior, env_spec.target, cfg, factory, rng,
+                    env_spec.env.sample_initial_states, corrections)]
+
+    return run
+
+
 def make_method(
-    method: str, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
+    method, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
     eps: EpsConfig = EpsConfig(),
 ):
     """Adapter (dataset, alpha, rng) -> MethodResult; ``eps`` sets cpgen's
-    ball radii."""
-    name, qualifier = _parse_method(method, env_spec)
+    ball radii.  A sequence of specs gives one runner of a MethodResult list:
+    each spec runs on a deep copy of ``rng`` (it keeps ``spawn`` state), as
+    it would alone, and the drppi specs share one fold loop."""
     factory = make_model_factory(env_spec, config, ground_truth)
+    if not isinstance(method, str):
+        alone = {m: make_method(m, env_spec, config, ground_truth, eps)
+                 for m in method if _parse_method(m, env_spec)[0] != "drppi"}
+        kinds = [CorrectionKind(_parse_method(m, env_spec)[1]) for m in method if m not in alone]
+        drppi = _drppi_runner(kinds, env_spec, config, factory) if kinds else None
+
+        def run_all(dataset, alpha, rng):
+            shared = iter(drppi(dataset, alpha, copy.deepcopy(rng)) if drppi else ())
+            return [alone[m](dataset, alpha, copy.deepcopy(rng)) if m in alone else next(shared)
+                    for m in method]
+
+        return run_all
+    name, qualifier = _parse_method(method, env_spec)
     clip = config.clip_policy()
     d0 = env_spec.env.sample_initial_states
 
@@ -332,22 +366,8 @@ def make_method(
         return run
 
     if name == "drppi":
-        correction = CorrectionKind(qualifier)
-
-        def run(dataset, alpha, rng):
-            cfg = DrPpiConfig(
-                n_model_rollouts=config.n_model_rollouts,
-                pairs_per_trajectory=config.pairs_per_trajectory,
-                correction=correction,
-                clip=clip,
-                cross_fit=config.crossfit,
-            )
-            value, variance = dr_ppi_estimate(
-                dataset, env_spec.behavior, env_spec.target, cfg, factory, rng, d0
-            )
-            return MethodResult(interval_from_estimate(value, variance, alpha), variance)
-
-        return run
+        run_kinds = _drppi_runner([CorrectionKind(qualifier)], env_spec, config, factory)
+        return lambda dataset, alpha, rng: run_kinds(dataset, alpha, rng)[0]
 
     # cpgen, the one method left
     def run(dataset, alpha, rng):
@@ -364,7 +384,7 @@ def make_method(
 
 def run_coverage_study(
     env_spec: EnvSpec,
-    method: str,
+    method,
     n_trajectories: int,
     trials: int,
     alpha: float,
@@ -373,68 +393,64 @@ def run_coverage_study(
     cache_dir: str | Path | None = None,
     return_details: bool = False,
 ):
-    """Repeated-trial coverage of one method against the ground truth.
+    """Repeated-trial coverage of one method spec, or of a sequence of specs,
+    against the ground truth; deterministic given ``seed``.
 
-    Each trial draws a fresh behavior dataset from a derived seed, runs the
-    method, and records whether the interval covers the ground truth; the
-    whole study is deterministic given ``seed``.
-    """
+    Each trial draws one dataset from a derived seed, and every spec runs
+    on it with a deep copy of the trial's method stream, so it sees the
+    bytes it sees alone; the drppi corrections share their fold fits and
+    rollouts.  A sequence gives a list of the one-spec results: reports, or
+    (report, TrialDetails) pairs with ``return_details``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _parse_method(method, env_spec)  # refuse a bad spec before the ground truth
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    if not [_parse_method(spec, env_spec) for spec in methods]:  # checked before the ground truth
+        raise ValueError("no method specs to study")
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)
-    run = make_method(method, env_spec, config, ground_truth)
+    run = make_method(methods, env_spec, config, ground_truth)
 
-    lowers = np.empty(trials)
-    uppers = np.empty(trials)
-    points = np.empty(trials)
-    variances = np.full(trials, np.nan)
-    covered = np.zeros(trials, dtype=bool)
+    lowers, uppers, points, variances = (np.empty((len(methods), trials)) for _ in range(4))
+    covered = np.zeros((len(methods), trials), dtype=bool)
     for t in range(trials):
         trial_rng = np.random.default_rng(derive_seed(seed, t))
         data_rng, method_rng = trial_rng.spawn(2)
         dataset = env_spec.env.sample_dataset(
             env_spec.behavior, n_trajectories, data_rng, env_spec.discount
         )
-        result = run(dataset, alpha, method_rng)
-        ci, variance = result.interval, result.variance
         # cpgen's details, held into the next trial, pin ~2 MB of small-object
-        # arenas at n=1600 and raise the study's peak RSS
-        del result
-        lowers[t] = ci.lower
-        uppers[t] = ci.upper
-        points[t] = ci.point
-        if variance is not None:
-            variances[t] = variance
-        covered[t] = ci.contains(ground_truth)
+        # arenas at n=1600 and raise the study's peak RSS: keep the intervals
+        results = [(r.interval, r.variance) for r in run(dataset, alpha, method_rng)]
+        for k, (ci, variance) in enumerate(results):
+            lowers[k, t], uppers[k, t], points[k, t] = ci.lower, ci.upper, ci.point
+            variances[k, t] = np.nan if variance is None else variance
+            covered[k, t] = ci.contains(ground_truth)
 
-    digest = config_digest(
-        {
-            "env": env_spec.describe(),
-            "method": method,
-            "n_trajectories": n_trajectories,
-            "trials": trials,
-            "alpha": alpha,
-            "seed": seed,
-            "seed_mix": SEED_MIX,
-            "config": config.describe(),
-        }
-    )
-    report = CoverageReport(
-        method=method,
-        trials=trials,
-        empirical_coverage=float(covered.sum() / trials),
-        mean_width=float((uppers - lowers).mean()),
-        mean_point_error=float(np.abs(points - ground_truth).mean()),
-        ground_truth=float(ground_truth),
-        alpha=alpha,
-        config_digest=digest,
-    )
-    if return_details:
-        return report, TrialDetails(lowers, uppers, points, variances, covered)
-    return report
+    study = {
+        "env": env_spec.describe(),
+        "n_trajectories": n_trajectories,
+        "trials": trials,
+        "alpha": alpha,
+        "seed": seed,
+        "seed_mix": SEED_MIX,
+        "config": config.describe(),
+    }
+    studies = []
+    for k, spec in enumerate(methods):
+        report = CoverageReport(
+            method=spec,
+            trials=trials,
+            empirical_coverage=float(covered[k].sum() / trials),
+            mean_width=float((uppers[k] - lowers[k]).mean()),
+            mean_point_error=float(np.abs(points[k] - ground_truth).mean()),
+            ground_truth=float(ground_truth),
+            alpha=alpha,
+            config_digest=config_digest({**study, "method": spec}),
+        )
+        details = TrialDetails(lowers[k], uppers[k], points[k], variances[k], covered[k])
+        studies.append((report, details) if return_details else report)
+    return studies[0] if isinstance(method, str) else studies
 
 
 CSV_COLUMNS = (
@@ -450,16 +466,9 @@ CSV_COLUMNS = (
 
 
 def _report_row(report: CoverageReport) -> dict:
-    return {
-        "method": report.method,
-        "trials": report.trials,
-        "coverage": report.empirical_coverage,
-        "mean_width": report.mean_width,
-        "mean_point_error": report.mean_point_error,
-        "ground_truth": report.ground_truth,
-        "alpha": report.alpha,
-        "config_digest": report.config_digest,
-    }
+    row = asdict(report)
+    row["coverage"] = row.pop("empirical_coverage")
+    return {column: row[column] for column in CSV_COLUMNS}
 
 
 def emit_results(reports, path, fmt: str = "csv") -> None:

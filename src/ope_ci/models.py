@@ -19,14 +19,14 @@ def polynomial_features(states: np.ndarray, actions, degree: int) -> np.ndarray:
     inputs z = [s, float(a)], from ``(N, d)`` states and ``(N,)`` actions (or
     one action for every row); the library's one ``(s, a)`` layout."""
     states = np.asarray(states, dtype=float)
-    z = np.column_stack([states, np.broadcast_to(actions, len(states))])
-    cols = [np.ones(z.shape[0]), *z.T]
+    q = states.shape[1] + 1  # the inputs z = [s, a]
+    out = np.empty((len(states), 1 + q + (q * (q + 1) // 2 if degree == 2 else 0)))
+    out[:, 0], out[:, 1:q], out[:, q] = 1.0, states, actions
     if degree == 2:
-        p = z.shape[1]
-        for i in range(p):
-            for j in range(i, p):
-                cols.append(z[:, i] * z[:, j])
-    return np.column_stack(cols)
+        pairs = [(i, j) for i in range(1, q + 1) for j in range(i, q + 1)]
+        for k, (i, j) in enumerate(pairs, start=q + 1):
+            np.multiply(out[:, i], out[:, j], out=out[:, k])
+    return out
 
 
 _RIDGE = 1e-6  # weight of the identity in the rank-deficient fallback

@@ -214,6 +214,22 @@ def _bootstrap_means(samples: np.ndarray, n_boot: int, rng: np.random.Generator)
     return means
 
 
+def _linear_quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """``np.quantile(values, qs)`` bit for bit (its ``linear`` rule, kth list
+    and NaN) from one ``np.partition``, without the ``numpy.ma`` import (about
+    17 ms) that ``np.quantile`` and ``np.unique`` make on first use."""
+    n = values.size
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.where(virtual >= n - 1, -1.0, np.floor(virtual))  # -1: the last value
+    gamma, lo = virtual - lo, lo.astype(np.intp)
+    hi = np.where(lo < 0, lo, lo + 1)
+    part = np.partition(values, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = part[lo], part[hi]
+    out = a + (b - a) * gamma
+    np.subtract(b, (b - a) * (1 - gamma), out=out, where=gamma >= 0.5)  # numpy's _lerp
+    return np.where(np.isnan(part[-1]), part[-1], out)
+
+
 def bootstrap_interval(
     samples,
     alpha: float,
@@ -229,7 +245,7 @@ def bootstrap_interval(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     means = _bootstrap_means(samples, n_boot, rng)
-    lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = _linear_quantiles(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return ConfidenceInterval(
         float(lo), float(hi), 1.0 - alpha, point=float(samples.mean())
     )

@@ -33,7 +33,9 @@ for bit.  The gathered policy probabilities likewise come from one action
 table of all rows.  The median pairwise distance is taken over the upper
 triangle of the full distance matrix, picked with ``triu_indices``, as the
 library took it before it wrote the triangle from blocks of rows; the
-medians must match bit for bit.
+medians must match bit for bit.  The polynomial features are stacked from a
+list of columns, as the library built them before it wrote one preallocated
+array, and must match bit for bit.
 """
 from __future__ import annotations
 
@@ -471,6 +473,19 @@ def one_table_moment_features(states: np.ndarray, policy, degree: int) -> np.nda
     if degree == 2:
         feats[:, -1] = square
     return feats
+
+
+def column_stack_polynomial_features(states: np.ndarray, actions, degree: int) -> np.ndarray:
+    """Features [1, z_i, (z_i z_j for i <= j at degree 2)] of z = [s, a],
+    stacked column by column from a list."""
+    states = np.asarray(states, dtype=float)
+    z = np.column_stack([states, np.broadcast_to(actions, len(states))])
+    cols = [np.ones(z.shape[0]), *z.T]
+    if degree == 2:
+        for i in range(z.shape[1]):
+            for j in range(i, z.shape[1]):
+                cols.append(z[:, i] * z[:, j])
+    return np.column_stack(cols)
 
 
 def one_table_policy_probs(policy, states: np.ndarray, actions: np.ndarray) -> np.ndarray:

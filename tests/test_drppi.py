@@ -8,6 +8,7 @@ from ope_ci.drppi import (
     HalfEstimate,
     cross_fit_variance,
     dr_ppi_estimate,
+    dr_ppi_estimates,
     half_estimate,
     interval_from_estimate,
 )
@@ -83,6 +84,28 @@ class TestHalfEstimate:
         expected_value = 2.0 + terms.mean()
         assert half.value == pytest.approx(expected_value, abs=1e-12)
         assert half.var_correction == pytest.approx(np.var(terms, ddof=1), rel=1e-12)
+
+    def test_corrections_share_the_model_rollouts(self, inventory_env, inventory_policies):
+        """Each kind's half equals its own one-kind call bit for bit, and the
+        model rolls out once (model values, then pairs) for all of them."""
+        behavior, target = inventory_policies
+        first, second = inventory_env.sample_dataset(
+            behavior, 40, np.random.default_rng(3)
+        ).split_half()
+        model = GaussianRegressionModel(state_box=inventory_env.state_box).fit(first)
+        rollouts = []
+        model_rollout = model.rollout_batch
+        model.rollout_batch = lambda *args: rollouts.append(1) or model_rollout(*args)
+        kinds = [CorrectionKind.WIS, CorrectionKind.PDIS, CorrectionKind.IS]
+        halves = half_estimate(
+            model, second, behavior, target, cfg_with(clip=ClipPolicy()),
+            np.random.default_rng(8), corrections=kinds,
+        )
+        assert len(rollouts) == 2
+        for kind, half in zip(kinds, halves):
+            cfg = cfg_with(correction=kind, clip=ClipPolicy())
+            assert half == half_estimate(model, second, behavior, target, cfg,
+                                         np.random.default_rng(8))
 
     def test_pair_means_converge_to_conditional_value(self, finite_fixture):
         # with many rollouts per trajectory the correction's subtracted term
@@ -177,7 +200,7 @@ class TestDrPpiEstimate:
         data = mdp.sample_dataset(behavior, 20, np.random.default_rng(4), 0.9)
 
         def zero_half(model, correction_data, *args):
-            return HalfEstimate(-0.0, 1.0, 2.0, len(correction_data))
+            return [HalfEstimate(-0.0, 1.0, 2.0, len(correction_data))]
 
         monkeypatch.setattr("ope_ci.drppi.half_estimate", zero_half)
         value, _ = dr_ppi_estimate(
@@ -185,6 +208,33 @@ class TestDrPpiEstimate:
             np.random.default_rng(5),
         )
         assert math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("cross_fit", [True, False])
+    def test_estimates_of_many_kinds_equal_one_kind_estimates(
+        self, inventory_env, inventory_policies, cross_fit
+    ):
+        """One fold loop for every kind: one model fit per fold, and each
+        kind's (value, variance) equal to its own estimate bit for bit."""
+        behavior, target = inventory_policies
+        data = inventory_env.sample_dataset(behavior, 60, np.random.default_rng(6))
+        fits = []
+
+        def factory():
+            fits.append(1)
+            return GaussianRegressionModel(state_box=inventory_env.state_box)
+
+        kinds = [CorrectionKind.PDIS, CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.IS]
+        cfg = cfg_with(clip=ClipPolicy(), cross_fit=cross_fit)
+        got = dr_ppi_estimates(
+            data, behavior, target, cfg, factory, np.random.default_rng(7), None, kinds
+        )
+        assert len(fits) == (2 if cross_fit else 1)
+        for kind, estimate in zip(kinds, got):
+            assert estimate == dr_ppi_estimate(
+                data, behavior, target, cfg_with(correction=kind, clip=ClipPolicy(),
+                                                 cross_fit=cross_fit),
+                factory, np.random.default_rng(7),
+            )
 
     def test_estimate_near_truth_on_inventory(
         self, inventory_env, inventory_policies

@@ -8,6 +8,7 @@ from ope_ci.harness import (
     CSV_COLUMNS,
     METHOD_QUALIFIERS,
     StudyConfig,
+    TrialDetails,
     config_digest,
     derive_seed,
     emit_results,
@@ -16,6 +17,7 @@ from ope_ci.harness import (
     make_method,
     run_coverage_study,
 )
+from ope_ci.models import GaussianRegressionModel
 
 # every name:qualifier the registry takes; cpgen takes no qualifier
 METHOD_SPECS = [
@@ -202,6 +204,63 @@ class TestCoverageStudy:
         spec = make_env_spec("finite", discount=0.9)
         with pytest.raises(ValueError):
             run_coverage_study(spec, "nonsense", 20, 2, 0.1, 1)
+
+    def test_bad_or_empty_sequence_rejected_before_ground_truth(self, monkeypatch):
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("ground truth computed before the spec check")
+
+        monkeypatch.setattr("ope_ci.harness.ground_truth_value", no_ground_truth)
+        spec = make_env_spec("finite", discount=0.9)
+        with pytest.raises(ValueError, match="dm:foo"):
+            run_coverage_study(spec, ["is", "drppi:wis", "dm:foo"], 20, 1, 0.1, 1)
+        with pytest.raises(ValueError, match="no method specs"):
+            run_coverage_study(spec, [], 20, 1, 0.1, 1)
+
+
+SMALL = StudyConfig(n_model_rollouts=32, pairs_per_trajectory=2, cpgen_rollouts=32,
+                    n_synth=40, dm_rollouts=32, n_boot=200)
+
+
+def small_truth_spec(s0=None):
+    spec = make_env_spec("inventory", s0=s0)
+    return type(spec)(**{**spec.__dict__, "value_rollouts": 2000})
+
+
+class TestManySpecStudy:
+    def test_each_spec_equals_its_one_spec_study(self):
+        """Every registry spec (cpgen at a fixed s0), plus two that repeat a
+        kind under another spelling: each (report, details) pair of one study
+        of all of them equals that spec's study alone, field by field."""
+        spec = small_truth_spec(s0=(5.0,))
+        methods = [*METHOD_SPECS, "drppi", "is"]
+        together = run_coverage_study(
+            spec, methods, 40, 3, 0.1, 17, config=SMALL, return_details=True
+        )
+        assert [report.method for report, _ in together] == methods
+        for method, (report, details) in zip(methods, together):
+            alone, alone_details = run_coverage_study(
+                spec, method, 40, 3, 0.1, 17, config=SMALL, return_details=True
+            )
+            assert report == alone
+            for field in TrialDetails.__dataclass_fields__:
+                got, want = getattr(details, field), getattr(alone_details, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+
+    def test_one_draw_per_trial_and_one_fit_per_drppi_fold(self, monkeypatch):
+        spec = small_truth_spec()
+        draws, fits = [], []
+        sample, fit = type(spec.env).sample_dataset, GaussianRegressionModel.fit
+        monkeypatch.setattr(type(spec.env), "sample_dataset",
+                            lambda *args: draws.append(1) or sample(*args))
+        monkeypatch.setattr(GaussianRegressionModel, "fit",
+                            lambda *args: fits.append(1) or fit(*args))
+        reports = run_coverage_study(
+            spec, ["is:clt", "drppi:is", "drppi:wis", "drppi:pdis"], 40, 3, 0.1, 5,
+            config=SMALL,
+        )
+        assert [r.method for r in reports] == ["is:clt", "drppi:is", "drppi:wis", "drppi:pdis"]
+        assert len(draws) == 3
+        assert len(fits) == 3 * 2  # two cross-fit folds per trial
 
 
 class TestEmitResults:

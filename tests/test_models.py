@@ -15,6 +15,8 @@ from ope_ci.models import (
 )
 from ope_ci.policies import TabularPolicy
 
+from oracles import column_stack_polynomial_features
+
 
 class ConstantPolicy:
     """Always plays the same action; prob mass 1 on it."""
@@ -59,6 +61,19 @@ class TestPolynomialFeatures:
     def test_degree_two_layout(self):
         feats = polynomial_features(np.array([[2.0]]), np.array([3]), 2)
         assert list(feats[0]) == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rows", [0, 1, 50])
+    @pytest.mark.parametrize("action", ["array", "scalar"])
+    def test_one_array_equals_column_stack(self, degree, d, rows, action):
+        rng = np.random.default_rng(10 * degree + d)
+        states = rng.normal(size=(rows, d))
+        actions = rng.integers(0, 11, size=rows) if action == "array" else 3
+        got = polynomial_features(states, actions, degree)
+        want = column_stack_polynomial_features(states, actions, degree)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSolveFromRFactor:

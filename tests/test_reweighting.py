@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
     _bootstrap_means,
+    _linear_quantiles,
     _plug_in_variance,
     bootstrap_interval,
     clip_ratio,
@@ -280,6 +285,52 @@ class TestBootstrapInterval:
         ci = bootstrap_interval(samples, 0.1, 2000, np.random.default_rng(8))
         means = one_call_bootstrap_means(samples, 2000, np.random.default_rng(8))
         assert [ci.lower, ci.upper] == np.quantile(means, [0.05, 0.95]).tolist()
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed-zeros", "nan"])
+    @pytest.mark.parametrize("n", [100, 101, 2000])
+    def test_quantiles_equal_np_quantile_bit_for_bit(self, kind, n):
+        """Levels include 2/(n-1), whose upper index is n-2 (numpy's kth list
+        then names the last value twice), and 1e-20, whose upper level
+        rounds to 1; numpy's _lerp takes its other branch at t >= 0.5."""
+        rng = np.random.default_rng(n)
+        values = {
+            "random": rng.standard_normal(n),
+            "tied": rng.integers(0, 4, size=n).astype(float),
+            "signed-zeros": rng.choice([-0.0, 0.0, 1.0], size=n),
+            "nan": np.where(rng.random(n) < 0.01, np.nan, rng.standard_normal(n)),
+        }[kind]
+        for alpha in (0.05, 0.1, 0.01, 0.5, 0.999, 2 / (n - 1), 1e-20, *rng.random(30)):
+            levels = [alpha / 2, 1 - alpha / 2]
+            got = _linear_quantiles(values, levels)
+            assert got.tobytes() == np.quantile(values, levels).tobytes(), alpha
+
+    @given(
+        st.lists(st.sampled_from([-2.5, -0.0, 0.0, 0.1, 7.0]) | st.floats(-1e6, 1e6),
+                 min_size=100, max_size=400),
+        st.floats(1e-12, 1.0, exclude_max=True),
+    )
+    def test_quantiles_equal_np_quantile_on_drawn_values(self, values, alpha):
+        values = np.array(values)
+        levels = [alpha / 2, 1 - alpha / 2]
+        assert _linear_quantiles(values, levels).tobytes() == np.quantile(values, levels).tobytes()
+
+    def test_interval_imports_no_masked_arrays(self):
+        """``np.quantile`` imports ``numpy.ma`` on first use, 17-20 ms of
+        every process that draws a bootstrap interval."""
+        code = (
+            "import sys, numpy as np\n"
+            "from ope_ci.reweighting import bootstrap_interval\n"
+            "bootstrap_interval(np.arange(50.0), 0.05, 200, np.random.default_rng(1))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_memory_is_independent_of_replicates(self):
         """n = 5,500 and 2,000 replicates peaked at 76 MB in blocks of
