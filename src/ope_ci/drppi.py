@@ -54,15 +54,17 @@ def half_estimate(
     cfg: DrPpiConfig,
     rng: np.random.Generator,
     d0_sampler=None,
-    corrections=None,
-):
-    """Model-based value plus the reweighted correction on held-out data.
+    *,
+    corrections,
+) -> list[HalfEstimate]:
+    """Model-based value plus the reweighted correction on held-out data,
+    one ``HalfEstimate`` per kind in ``corrections`` (``cfg.correction`` is
+    not read), all on the same model rollouts.
 
     The model must have been fitted on data disjoint from
     ``correction_data``.  ``d0_sampler(rng, n) -> (n, d) array`` draws
     initial states for the model-value rollouts; when omitted, initial
-    states are bootstrap-resampled from the correction data.  A sequence of
-    ``corrections`` gives a list of one per kind, all on the same rollouts.
+    states are bootstrap-resampled from the correction data.
     """
     rng_model, rng_pairs = rng.spawn(2)
     horizon = correction_data.horizon
@@ -84,7 +86,7 @@ def half_estimate(
     pair_means = pair_returns.reshape(n_half, cfg.pairs_per_trajectory).mean(axis=1)
 
     halves = []
-    for kind in (cfg.correction,) if corrections is None else corrections:
+    for kind in corrections:
         terms = reweighted_returns(correction_data, target, behavior, kind, cfg.clip) - pair_means
         halves.append(HalfEstimate(
             value=float(model_returns.mean() + terms.mean()),
@@ -92,7 +94,7 @@ def half_estimate(
             var_correction=float(terms.var(ddof=1)) if n_half > 1 else 0.0,
             n_half=n_half,
         ))
-    return halves[0] if corrections is None else halves
+    return halves
 
 
 def cross_fit_variance(
@@ -143,7 +145,7 @@ def dr_ppi_estimates(
         folds = zip([(first, second), (second, first)], rng.spawn(2))
     per_fold = [
         half_estimate(model_factory().fit(fit), held_out, behavior, target, cfg, r,
-                      d0_sampler, corrections)
+                      d0_sampler, corrections=corrections)
         for (fit, held_out), r in folds
     ]
     estimates = []

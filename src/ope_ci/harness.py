@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -273,25 +273,6 @@ class MethodResult:
     details: object = None
 
 
-def _drppi_runner(corrections, env_spec: EnvSpec, config: StudyConfig, factory):
-    """Runner (dataset, alpha, rng) -> a drppi MethodResult per correction kind."""
-    cfg = DrPpiConfig(
-        n_model_rollouts=config.n_model_rollouts,
-        pairs_per_trajectory=config.pairs_per_trajectory,
-        correction=corrections[0],
-        clip=config.clip_policy(),
-        cross_fit=config.crossfit,
-    )
-
-    def run(dataset, alpha, rng):
-        return [MethodResult(interval_from_estimate(value, variance, alpha), variance)
-                for value, variance in dr_ppi_estimates(
-                    dataset, env_spec.behavior, env_spec.target, cfg, factory, rng,
-                    env_spec.env.sample_initial_states, corrections)]
-
-    return run
-
-
 def make_method(
     method, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
     eps: EpsConfig = EpsConfig(),
@@ -301,19 +282,37 @@ def make_method(
     each spec runs on a deep copy of ``rng`` (it keeps ``spawn`` state), as
     it would alone, and the drppi specs share one fold loop."""
     factory = make_model_factory(env_spec, config, ground_truth)
-    if not isinstance(method, str):
-        alone = {m: make_method(m, env_spec, config, ground_truth, eps)
-                 for m in method if _parse_method(m, env_spec)[0] != "drppi"}
-        kinds = [CorrectionKind(_parse_method(m, env_spec)[1]) for m in method if m not in alone]
-        drppi = _drppi_runner(kinds, env_spec, config, factory) if kinds else None
+    specs = (method,) if isinstance(method, str) else tuple(method)
+    parsed = {spec: _parse_method(spec, env_spec) for spec in specs}
+    alone = {spec: _method_runner(name, qualifier, env_spec, config, factory, eps)
+             for spec, (name, qualifier) in parsed.items() if name != "drppi"}
+    kinds = [CorrectionKind(parsed[spec][1]) for spec in specs if spec not in alone]
+    cfg = DrPpiConfig(  # its correction is not read: dr_ppi_estimates takes the kinds
+        n_model_rollouts=config.n_model_rollouts,
+        pairs_per_trajectory=config.pairs_per_trajectory,
+        clip=config.clip_policy(),
+        cross_fit=config.crossfit,
+    )
 
-        def run_all(dataset, alpha, rng):
-            shared = iter(drppi(dataset, alpha, copy.deepcopy(rng)) if drppi else ())
-            return [alone[m](dataset, alpha, copy.deepcopy(rng)) if m in alone else next(shared)
-                    for m in method]
+    def drppi(dataset, alpha, rng):  # a MethodResult per kind, from one fold loop
+        return [MethodResult(interval_from_estimate(value, variance, alpha), variance)
+                for value, variance in dr_ppi_estimates(
+                    dataset, env_spec.behavior, env_spec.target, cfg, factory, rng,
+                    env_spec.env.sample_initial_states, kinds)]
 
-        return run_all
-    name, qualifier = _parse_method(method, env_spec)
+    if isinstance(method, str):
+        return alone.get(method) or (lambda dataset, alpha, rng: drppi(dataset, alpha, rng)[0])
+
+    def run_all(dataset, alpha, rng):
+        shared = iter(drppi(dataset, alpha, copy.deepcopy(rng)) if kinds else ())
+        return [alone[spec](dataset, alpha, copy.deepcopy(rng)) if spec in alone
+                else next(shared) for spec in specs]
+
+    return run_all
+
+
+def _method_runner(name, qualifier, env_spec: EnvSpec, config: StudyConfig, factory, eps):
+    """``make_method``'s adapter of one parsed spec other than drppi."""
     clip = config.clip_policy()
     d0 = env_spec.env.sample_initial_states
 
@@ -365,10 +364,6 @@ def make_method(
 
         return run
 
-    if name == "drppi":
-        run_kinds = _drppi_runner([CorrectionKind(qualifier)], env_spec, config, factory)
-        return lambda dataset, alpha, rng: run_kinds(dataset, alpha, rng)[0]
-
     # cpgen, the one method left
     def run(dataset, alpha, rng):
         result = cp_gen_detailed(
@@ -406,7 +401,9 @@ def run_coverage_study(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     methods = (method,) if isinstance(method, str) else tuple(method)
-    if not [_parse_method(spec, env_spec) for spec in methods]:  # checked before the ground truth
+    for spec in methods:  # refuse a bad spec before the ground truth
+        _parse_method(spec, env_spec)
+    if not methods:
         raise ValueError("no method specs to study")
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)
     run = make_method(methods, env_spec, config, ground_truth)
@@ -466,9 +463,16 @@ CSV_COLUMNS = (
 
 
 def _report_row(report: CoverageReport) -> dict:
-    row = asdict(report)
-    row["coverage"] = row.pop("empirical_coverage")
-    return {column: row[column] for column in CSV_COLUMNS}
+    return {
+        "method": report.method,
+        "trials": report.trials,
+        "coverage": report.empirical_coverage,
+        "mean_width": report.mean_width,
+        "mean_point_error": report.mean_point_error,
+        "ground_truth": report.ground_truth,
+        "alpha": report.alpha,
+        "config_digest": report.config_digest,
+    }
 
 
 def emit_results(reports, path, fmt: str = "csv") -> None:

@@ -44,8 +44,8 @@ class TestHalfEstimate:
             data = mdp.sample_dataset(behavior, 40, rng, 0.9)
             half = half_estimate(
                 OracleModel(mdp), data, behavior, behavior, cfg, rng,
-                d0_sampler=mdp.sample_initial_states,
-            )
+                d0_sampler=mdp.sample_initial_states, corrections=(cfg.correction,),
+            )[0]
             means.append(half.value)
         truth = oracle_value(mdp, behavior, 0.9)
         se = np.std(means, ddof=1) / math.sqrt(len(means))
@@ -61,7 +61,8 @@ class TestHalfEstimate:
         model = GaussianRegressionModel(state_box=inventory_env.state_box).fit(first)
         got, want = (
             half_estimate(
-                model, second, behavior, target, cfg_with(), np.random.default_rng(8), d0
+                model, second, behavior, target, cfg_with(), np.random.default_rng(8), d0,
+                corrections=(CorrectionKind.IS,),
             )
             for d0 in (None, second.sample_initial_states)
         )
@@ -75,7 +76,8 @@ class TestHalfEstimate:
         half = half_estimate(
             OracleModel(mdp), data, behavior, target, cfg,
             np.random.default_rng(1), d0_sampler=mdp.sample_initial_states,
-        )
+            corrections=(cfg.correction,),
+        )[0]
         assert half.var_model == 0.0  # every return is exactly 2
         from ope_ci.reweighting import trajectory_ratios
 
@@ -103,9 +105,9 @@ class TestHalfEstimate:
         )
         assert len(rollouts) == 2
         for kind, half in zip(kinds, halves):
-            cfg = cfg_with(correction=kind, clip=ClipPolicy())
-            assert half == half_estimate(model, second, behavior, target, cfg,
-                                         np.random.default_rng(8))
+            assert [half] == half_estimate(model, second, behavior, target,
+                                           cfg_with(clip=ClipPolicy()),
+                                           np.random.default_rng(8), corrections=(kind,))
 
     def test_pair_means_converge_to_conditional_value(self, finite_fixture):
         # with many rollouts per trajectory the correction's subtracted term
@@ -160,10 +162,10 @@ class TestDrPpiEstimate:
         )
         first, second = data.split_half()
         rng_a, rng_b = np.random.default_rng(3).spawn(2)
-        h1 = half_estimate(OracleModel(mdp), second, behavior, target, cfg,
-                           rng_a, mdp.sample_initial_states)
-        h2 = half_estimate(OracleModel(mdp), first, behavior, target, cfg,
-                           rng_b, mdp.sample_initial_states)
+        h1, = half_estimate(OracleModel(mdp), second, behavior, target, cfg,
+                            rng_a, mdp.sample_initial_states, corrections=(cfg.correction,))
+        h2, = half_estimate(OracleModel(mdp), first, behavior, target, cfg,
+                            rng_b, mdp.sample_initial_states, corrections=(cfg.correction,))
         assert value == (h1.value + h2.value) / 2.0
         # swapping the halves (with their streams) leaves the aggregate
         # bit-identical
@@ -186,7 +188,8 @@ class TestDrPpiEstimate:
         half = half_estimate(
             OracleModel(mdp), data, behavior, target, cfg,
             np.random.default_rng(5), mdp.sample_initial_states,
-        )
+            corrections=(cfg.correction,),
+        )[0]
         assert value == half.value
         assert variance == (
             half.var_model / cfg.n_model_rollouts
@@ -199,7 +202,7 @@ class TestDrPpiEstimate:
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 20, np.random.default_rng(4), 0.9)
 
-        def zero_half(model, correction_data, *args):
+        def zero_half(model, correction_data, *args, corrections):
             return [HalfEstimate(-0.0, 1.0, 2.0, len(correction_data))]
 
         monkeypatch.setattr("ope_ci.drppi.half_estimate", zero_half)
