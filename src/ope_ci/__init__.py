@@ -27,7 +27,7 @@ from .drppi import (
     DrPpiConfig,
     HalfEstimate,
     cross_fit_variance,
-    dr_ppi_estimate,
+    dr_ppi_estimates,
     half_estimate,
     interval_from_estimate,
 )

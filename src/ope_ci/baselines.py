@@ -43,7 +43,7 @@ def is_baseline(
     rng: np.random.Generator | None = None,
     n_boot: int = 2000,
 ) -> ConfidenceInterval:
-    values = reweighted_returns(dataset, target, behavior, kind, clip)
+    values = reweighted_returns(dataset, target, behavior, [kind], clip)[0]
     return _interval(values, alpha, bound, rng, n_boot)
 
 

@@ -69,8 +69,8 @@ def _run_method(args, method: str, s0=None, eps=EpsConfig()):
     env_spec = make_env_spec(args.env, s0=s0)
     dataset = read_jsonl_dataset(args.data, env=args.env)
     # ground_truth only sets the offset of the "biased" model, not offered here
-    run = make_method(method, env_spec, config, ground_truth=0.0, eps=eps)
-    return run(dataset, args.alpha, np.random.default_rng(args.seed))
+    run = make_method([method], env_spec, config, ground_truth=0.0, eps=eps)
+    return run(dataset, args.alpha, np.random.default_rng(args.seed))[0]
 
 
 def _cmd_cpgen(args) -> int:
@@ -114,13 +114,17 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    # --s0 is cpgen's initial state; the other methods estimate the population value
+    population = [spec for spec in args.method if spec.partition(":")[0] != "cpgen"]
+    if args.s0 is not None and population:
+        raise OpeCiError(f"--s0 applies to cpgen only, not to {population[0]!r}")
     s0 = _parse_state(args.s0) if args.s0 is not None else None
     env_spec = make_env_spec(args.env, s0=s0, discount=args.gamma)
-    report = run_coverage_study(
+    reports = run_coverage_study(
         env_spec, args.method, args.n, args.trials, args.alpha, args.seed,
         config=_settings(args), cache_dir=args.cache_dir,
     )
-    emit_results([report], args.out, args.format)
+    emit_results(reports, args.out, args.format)
     return 0
 
 
@@ -201,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="repeated-trial coverage study")
     add_env(cov)
-    cov.add_argument("--method", required=True)
+    cov.add_argument("--method", required=True, nargs="+", help="one or more method specs")
     _setting(cov, "--model", "model", choices=["gaussian", "oracle", "biased"])
     cov.add_argument("--n", type=int, required=True)
     cov.add_argument("--trials", type=int, required=True)

@@ -12,7 +12,6 @@ from .errors import DatasetTooSmall
 from .mdp import ConfidenceInterval, TrajectoryDataset
 from .reweighting import (
     ClipPolicy,
-    CorrectionKind,
     _normal_interval,
     _plug_in_variance,
     reweighted_returns,
@@ -23,7 +22,6 @@ from .reweighting import (
 class DrPpiConfig:
     n_model_rollouts: int = 1000
     pairs_per_trajectory: int = 8
-    correction: CorrectionKind = CorrectionKind.PDIS
     clip: ClipPolicy = field(default_factory=ClipPolicy)
     cross_fit: bool = True
 
@@ -58,8 +56,8 @@ def half_estimate(
     corrections,
 ) -> list[HalfEstimate]:
     """Model-based value plus the reweighted correction on held-out data,
-    one ``HalfEstimate`` per kind in ``corrections`` (``cfg.correction`` is
-    not read), all on the same model rollouts.
+    one ``HalfEstimate`` per kind in ``corrections``, all on the same model
+    rollouts and one step-ratio table.
 
     The model must have been fitted on data disjoint from
     ``correction_data``.  ``d0_sampler(rng, n) -> (n, d) array`` draws
@@ -86,8 +84,8 @@ def half_estimate(
     pair_means = pair_returns.reshape(n_half, cfg.pairs_per_trajectory).mean(axis=1)
 
     halves = []
-    for kind in corrections:
-        terms = reweighted_returns(correction_data, target, behavior, kind, cfg.clip) - pair_means
+    for returns in reweighted_returns(correction_data, target, behavior, corrections, cfg.clip):
+        terms = returns - pair_means
         halves.append(HalfEstimate(
             value=float(model_returns.mean() + terms.mean()),
             var_model=float(model_returns.var(ddof=1)),
@@ -113,24 +111,10 @@ def cross_fit_variance(
     ])
 
 
-def dr_ppi_estimate(
-    dataset: TrajectoryDataset,
-    behavior,
-    target,
-    cfg: DrPpiConfig,
-    model_factory,
-    rng: np.random.Generator,
-    d0_sampler=None,
-) -> tuple[float, float]:
-    """Point estimate and plug-in variance of ``cfg.correction``."""
-    return dr_ppi_estimates(dataset, behavior, target, cfg, model_factory, rng, d0_sampler,
-                            (cfg.correction,))[0]
-
-
 def dr_ppi_estimates(
     dataset, behavior, target, cfg, model_factory, rng, d0_sampler, corrections
 ) -> list[tuple[float, float]]:
-    """``dr_ppi_estimate`` of each kind in ``corrections`` (not ``cfg.correction``),
+    """Point estimate and plug-in variance of each kind in ``corrections``,
     from one fold loop whose model fits and rollouts they share.
 
     Cross-fitting fits one model per half and corrects it on the other

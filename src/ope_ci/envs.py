@@ -86,6 +86,8 @@ class Simulator:
     def sample_dataset(
         self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
     ) -> TrajectoryDataset:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         batch = self.rollout_batch(
             policy, self.sample_initial_states(rng, n), self.horizon, rng
         )

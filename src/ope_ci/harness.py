@@ -274,37 +274,33 @@ class MethodResult:
 
 
 def make_method(
-    method, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
+    methods, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
     eps: EpsConfig = EpsConfig(),
 ):
-    """Adapter (dataset, alpha, rng) -> MethodResult; ``eps`` sets cpgen's
-    ball radii.  A sequence of specs gives one runner of a MethodResult list:
-    each spec runs on a deep copy of ``rng`` (it keeps ``spawn`` state), as
-    it would alone, and the drppi specs share one fold loop."""
+    """Runner (dataset, alpha, rng) -> a MethodResult per spec in ``methods``;
+    ``eps`` sets cpgen's ball radii.  Each spec runs on a deep copy of
+    ``rng`` (it keeps ``spawn`` state), as it would alone, and the drppi
+    specs share one fold loop."""
     factory = make_model_factory(env_spec, config, ground_truth)
-    specs = (method,) if isinstance(method, str) else tuple(method)
+    specs = tuple(methods)
     parsed = {spec: _parse_method(spec, env_spec) for spec in specs}
     alone = {spec: _method_runner(name, qualifier, env_spec, config, factory, eps)
              for spec, (name, qualifier) in parsed.items() if name != "drppi"}
     kinds = [CorrectionKind(parsed[spec][1]) for spec in specs if spec not in alone]
-    cfg = DrPpiConfig(  # its correction is not read: dr_ppi_estimates takes the kinds
+    cfg = DrPpiConfig(
         n_model_rollouts=config.n_model_rollouts,
         pairs_per_trajectory=config.pairs_per_trajectory,
         clip=config.clip_policy(),
         cross_fit=config.crossfit,
     )
 
-    def drppi(dataset, alpha, rng):  # a MethodResult per kind, from one fold loop
-        return [MethodResult(interval_from_estimate(value, variance, alpha), variance)
-                for value, variance in dr_ppi_estimates(
-                    dataset, env_spec.behavior, env_spec.target, cfg, factory, rng,
-                    env_spec.env.sample_initial_states, kinds)]
-
-    if isinstance(method, str):
-        return alone.get(method) or (lambda dataset, alpha, rng: drppi(dataset, alpha, rng)[0])
-
-    def run_all(dataset, alpha, rng):
-        shared = iter(drppi(dataset, alpha, copy.deepcopy(rng)) if kinds else ())
+    def run_all(dataset, alpha, rng):  # the drppi specs first, from one fold loop
+        shared = iter([
+            MethodResult(interval_from_estimate(value, variance, alpha), variance)
+            for value, variance in dr_ppi_estimates(
+                dataset, env_spec.behavior, env_spec.target, cfg, factory, copy.deepcopy(rng),
+                env_spec.env.sample_initial_states, kinds)
+        ] if kinds else ())
         return [alone[spec](dataset, alpha, copy.deepcopy(rng)) if spec in alone
                 else next(shared) for spec in specs]
 
@@ -400,6 +396,8 @@ def run_coverage_study(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
     methods = (method,) if isinstance(method, str) else tuple(method)
     for spec in methods:  # refuse a bad spec before the ground truth
         _parse_method(spec, env_spec)

@@ -1,9 +1,10 @@
 """IS, WIS and PDIS return corrections, ratio clipping, and the interval
 primitives: one plug-in variance, one normal interval, the bootstrap.
 
-``ClipPolicy.threshold`` is the one clip rule, and ``clipped_prefixes`` the
-one table of clipped cumulative ratios: PDIS and the stepwise doubly-robust
-baseline both read it."""
+``ClipPolicy.threshold`` is the one clip rule.  ``reweighted_returns`` reads
+every correction kind from one step-ratio table, and ``_prefixes`` is the one
+rule for clipped cumulative ratios: PDIS and the stepwise doubly-robust
+baseline (through ``clipped_prefixes``) both read it."""
 from __future__ import annotations
 
 import enum
@@ -105,14 +106,37 @@ def trajectory_ratios(dataset: TrajectoryDataset, target, behavior) -> np.ndarra
     return ratios.prod(axis=1)
 
 
+def reweighted_returns(
+    dataset: TrajectoryDataset, target, behavior, kinds, clip: ClipPolicy = ClipPolicy()
+) -> list[np.ndarray]:
+    """One per-trajectory array per kind in ``kinds``, all read from one
+    ``step_ratio_table``: ``is_returns``, ``wis_returns``, ``pdis_returns``."""
+    table = step_ratio_table(dataset, target, behavior)
+    n = len(dataset)
+    rho = np.minimum(table[0].prod(axis=1), clip.threshold(n))
+    out = []
+    for kind in kinds:
+        if kind is CorrectionKind.IS:
+            out.append(rho * dataset.returns())
+        elif kind is CorrectionKind.WIS:
+            if rho.sum() == 0.0:
+                raise DegenerateWeights("all importance ratios are zero")
+            out.append(n * rho / rho.sum() * dataset.returns())
+        elif kind is CorrectionKind.PDIS:
+            prefixes, rewards, gammas, mask = _prefixes(table, dataset, clip)
+            # grouped as gamma * (prefix * reward) so the stepwise doubly-robust
+            # value with a zero Q reduces to this expression bit for bit
+            out.append((gammas * (prefixes * rewards) * mask).sum(axis=1))
+        else:
+            raise ValueError(f"unknown correction kind {kind!r}")
+    return out
+
+
 def is_returns(
     dataset: TrajectoryDataset, target, behavior, clip: ClipPolicy = ClipPolicy()
 ) -> np.ndarray:
     """Per-trajectory clipped ratio times return."""
-    n = len(dataset)
-    rho = trajectory_ratios(dataset, target, behavior)
-    rho = np.minimum(rho, clip.threshold(n))
-    return rho * dataset.returns()
+    return reweighted_returns(dataset, target, behavior, [CorrectionKind.IS], clip)[0]
 
 
 def wis_returns(
@@ -123,22 +147,19 @@ def wis_returns(
     Ratios are clipped before normalization; normalization happens within
     whatever sample set the function is handed.
     """
-    n = len(dataset)
-    rho = trajectory_ratios(dataset, target, behavior)
-    rho = np.minimum(rho, clip.threshold(n))
-    total = rho.sum()
-    if total == 0.0:
-        raise DegenerateWeights("all importance ratios are zero")
-    return n * rho / total * dataset.returns()
+    return reweighted_returns(dataset, target, behavior, [CorrectionKind.WIS], clip)[0]
 
 
-def clipped_prefixes(
+def pdis_returns(
     dataset: TrajectoryDataset, target, behavior, clip: ClipPolicy = ClipPolicy()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (prefixes (n, T), rewards (n, T), gammas (T,), mask (n, T)):
-    the cumulative ratios rho_{1:t}, each clipped at ``clip.threshold(n)``,
-    the rewards, the discounts gamma^(t-1) and the valid steps."""
-    ratios, rewards, lengths = step_ratio_table(dataset, target, behavior)
+) -> np.ndarray:
+    """Per-decision values: sum_t gamma^(t-1) * clipped prefix ratio * r_t."""
+    return reweighted_returns(dataset, target, behavior, [CorrectionKind.PDIS], clip)[0]
+
+
+def _prefixes(table, dataset: TrajectoryDataset, clip: ClipPolicy):
+    """``clipped_prefixes`` of a ``step_ratio_table`` of ``dataset``."""
+    ratios, rewards, lengths = table
     T = ratios.shape[1]
     # The cap applies to each cumulative prefix product; clipping one prefix
     # does not propagate into later prefixes.
@@ -147,30 +168,13 @@ def clipped_prefixes(
     return prefixes, rewards, dataset.discount ** np.arange(T), mask
 
 
-def pdis_returns(
+def clipped_prefixes(
     dataset: TrajectoryDataset, target, behavior, clip: ClipPolicy = ClipPolicy()
-) -> np.ndarray:
-    """Per-decision values: sum_t gamma^(t-1) * clipped prefix ratio * r_t."""
-    prefixes, rewards, gammas, mask = clipped_prefixes(dataset, target, behavior, clip)
-    # grouped as gamma * (prefix * reward) so the stepwise doubly-robust
-    # value with a zero Q reduces to this expression bit for bit
-    return (gammas * (prefixes * rewards) * mask).sum(axis=1)
-
-
-def reweighted_returns(
-    dataset: TrajectoryDataset,
-    target,
-    behavior,
-    kind: CorrectionKind,
-    clip: ClipPolicy = ClipPolicy(),
-) -> np.ndarray:
-    if kind is CorrectionKind.IS:
-        return is_returns(dataset, target, behavior, clip)
-    if kind is CorrectionKind.WIS:
-        return wis_returns(dataset, target, behavior, clip)
-    if kind is CorrectionKind.PDIS:
-        return pdis_returns(dataset, target, behavior, clip)
-    raise ValueError(f"unknown correction kind {kind!r}")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (prefixes (n, T), rewards (n, T), gammas (T,), mask (n, T)):
+    the cumulative ratios rho_{1:t}, each clipped at ``clip.threshold(n)``,
+    the rewards, the discounts gamma^(t-1) and the valid steps."""
+    return _prefixes(step_ratio_table(dataset, target, behavior), dataset, clip)
 
 
 # ---------------------------------------------------------------------------

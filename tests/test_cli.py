@@ -202,6 +202,68 @@ class TestCoverageCommand:
         run_cli(*args, "--out", b)  # reads it back
         assert a.read_bytes() == b.read_bytes()
 
+    def test_several_specs_give_one_study_of_one_spec_rows(self, tmp_path):
+        """One CSV of several specs holds, row for row, the CSVs of each spec
+        alone: the study shares datasets, not results."""
+        args = ["--env", "finite", "--gamma", 0.9, "--n", 30, "--trials", 2, "--Nf", 40,
+                "--seed", 3]
+        specs = ["wis:clt", "drppi:is", "is:bootstrap", "drppi:pdis"]
+        together = tmp_path / "all.csv"
+        assert run_cli("coverage", "--method", *specs, *args, "--out", together) == 0
+        rows = []
+        for spec in specs:
+            one = tmp_path / "one.csv"
+            assert run_cli("coverage", "--method", spec, *args, "--out", one) == 0
+            header, row = one.read_text().splitlines()
+            rows.append(row)
+        assert together.read_text().splitlines() == [header, *sorted(rows)]
+
+    @pytest.mark.parametrize("methods", [["is"], ["drppi:pdis"], ["cpgen", "is:clt"]])
+    def test_s0_with_a_population_method_refused_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch, methods
+    ):
+        # exited 0 with the coverage of population intervals against V(s0)
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.ground_truth_value", no_ground_truth)
+        out = tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", "--method", *methods, "--n", 20, "--trials", 2, "--s0", 0,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        err = single_error_line(capsys)
+        assert err == f"error: --s0 applies to cpgen only, not to {methods[-1]!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, n, message",
+        [
+            (["simulate"], -1, "n must be at least 1, got -1"),
+            (["simulate"], 0, "n must be at least 1, got 0"),
+            (["coverage", "--method", "is", "--trials", 2], 0,
+             "n_trajectories must be at least 1, got 0"),
+            (["coverage", "--method", "is", "--trials", 2], -3,
+             "n_trajectories must be at least 1, got -3"),
+        ],
+        ids=["simulate-negative", "simulate-zero", "coverage-zero", "coverage-negative"],
+    )
+    def test_fewer_than_one_trajectory_exits_two(
+        self, tmp_path, capsys, monkeypatch, command, n, message
+    ):
+        # printed numpy's "negative dimensions are not allowed"; coverage
+        # computed the 100k-rollout ground truth first
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.ground_truth_value", no_ground_truth)
+        out = tmp_path / "out"
+        code = run_cli(*command, "--n", n, "--seed", 1, "--out", out)
+        assert code == 2
+        assert single_error_line(capsys) == f"error: {message}\n"
+        assert not out.exists()
+
     def test_method_error_exit_code_two(self, tmp_path, capsys):
         # a two-trajectory dataset is too small for the cross-fit estimator
         code = run_cli(

@@ -549,10 +549,10 @@ class TestCpGenPipeline:
             degree=2, state_box=inventory_env.state_box
         )
         run = make_method(
-            "cpgen", make_env_spec("inventory", s0=(5.0,)),
+            ["cpgen"], make_env_spec("inventory", s0=(5.0,)),
             StudyConfig(cpgen_m=2, cpgen_n_gen=2, cpgen_rollouts=16), 0.0,
         )
-        result = run(ds, 0.1, np.random.default_rng(5))
+        result = run(ds, 0.1, np.random.default_rng(5))[0]
         detail = cp_gen_detailed(
             ds, behavior, target, (5.0,), 0.1, M=2, N_gen=2, n_pe_rollouts=16,
             model_factory=factory, rng=np.random.default_rng(5),

@@ -7,7 +7,6 @@ from ope_ci.drppi import (
     DrPpiConfig,
     HalfEstimate,
     cross_fit_variance,
-    dr_ppi_estimate,
     dr_ppi_estimates,
     half_estimate,
     interval_from_estimate,
@@ -24,7 +23,6 @@ def cfg_with(**kwargs):
     defaults = dict(
         n_model_rollouts=64,
         pairs_per_trajectory=4,
-        correction=CorrectionKind.IS,
         clip=ClipPolicy.off(),
         cross_fit=True,
     )
@@ -44,7 +42,7 @@ class TestHalfEstimate:
             data = mdp.sample_dataset(behavior, 40, rng, 0.9)
             half = half_estimate(
                 OracleModel(mdp), data, behavior, behavior, cfg, rng,
-                d0_sampler=mdp.sample_initial_states, corrections=(cfg.correction,),
+                d0_sampler=mdp.sample_initial_states, corrections=[CorrectionKind.IS],
             )[0]
             means.append(half.value)
         truth = oracle_value(mdp, behavior, 0.9)
@@ -76,7 +74,7 @@ class TestHalfEstimate:
         half = half_estimate(
             OracleModel(mdp), data, behavior, target, cfg,
             np.random.default_rng(1), d0_sampler=mdp.sample_initial_states,
-            corrections=(cfg.correction,),
+            corrections=[CorrectionKind.IS],
         )[0]
         assert half.var_model == 0.0  # every return is exactly 2
         from ope_ci.reweighting import trajectory_ratios
@@ -144,9 +142,9 @@ class TestDrPpiEstimate:
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 3, rng, 0.9)
         with pytest.raises(DatasetTooSmall):
-            dr_ppi_estimate(
+            dr_ppi_estimates(
                 data, behavior, target, cfg_with(),
-                lambda: OracleModel(mdp), rng, mdp.sample_initial_states,
+                lambda: OracleModel(mdp), rng, mdp.sample_initial_states, [CorrectionKind.IS],
             )
 
     def test_cross_fit_average_of_explicit_halves(self, finite_fixture):
@@ -156,16 +154,16 @@ class TestDrPpiEstimate:
         data = mdp.sample_dataset(behavior, 20, np.random.default_rng(2), 0.9)
         cfg = cfg_with()
         rng = np.random.default_rng(3)
-        value, variance = dr_ppi_estimate(
+        value, variance = dr_ppi_estimates(
             data, behavior, target, cfg, lambda: OracleModel(mdp), rng,
-            mdp.sample_initial_states,
-        )
+            mdp.sample_initial_states, [CorrectionKind.IS],
+        )[0]
         first, second = data.split_half()
         rng_a, rng_b = np.random.default_rng(3).spawn(2)
         h1, = half_estimate(OracleModel(mdp), second, behavior, target, cfg,
-                            rng_a, mdp.sample_initial_states, corrections=(cfg.correction,))
+                            rng_a, mdp.sample_initial_states, corrections=[CorrectionKind.IS])
         h2, = half_estimate(OracleModel(mdp), first, behavior, target, cfg,
-                            rng_b, mdp.sample_initial_states, corrections=(cfg.correction,))
+                            rng_b, mdp.sample_initial_states, corrections=[CorrectionKind.IS])
         assert value == (h1.value + h2.value) / 2.0
         # swapping the halves (with their streams) leaves the aggregate
         # bit-identical
@@ -181,14 +179,14 @@ class TestDrPpiEstimate:
         data = mdp.sample_dataset(behavior, 20, np.random.default_rng(4), 0.9)
         cfg = cfg_with(cross_fit=False)
         rng = np.random.default_rng(5)
-        value, variance = dr_ppi_estimate(
+        value, variance = dr_ppi_estimates(
             data, behavior, target, cfg, lambda: OracleModel(mdp), rng,
-            mdp.sample_initial_states,
-        )
+            mdp.sample_initial_states, [CorrectionKind.IS],
+        )[0]
         half = half_estimate(
             OracleModel(mdp), data, behavior, target, cfg,
             np.random.default_rng(5), mdp.sample_initial_states,
-            corrections=(cfg.correction,),
+            corrections=[CorrectionKind.IS],
         )[0]
         assert value == half.value
         assert variance == (
@@ -206,10 +204,10 @@ class TestDrPpiEstimate:
             return [HalfEstimate(-0.0, 1.0, 2.0, len(correction_data))]
 
         monkeypatch.setattr("ope_ci.drppi.half_estimate", zero_half)
-        value, _ = dr_ppi_estimate(
+        value, _ = dr_ppi_estimates(
             data, behavior, target, cfg_with(cross_fit=cross_fit), lambda: OracleModel(mdp),
-            np.random.default_rng(5),
-        )
+            np.random.default_rng(5), None, [CorrectionKind.IS],
+        )[0]
         assert math.copysign(1.0, value) == -1.0
 
     @pytest.mark.parametrize("cross_fit", [True, False])
@@ -233,10 +231,8 @@ class TestDrPpiEstimate:
         )
         assert len(fits) == (2 if cross_fit else 1)
         for kind, estimate in zip(kinds, got):
-            assert estimate == dr_ppi_estimate(
-                data, behavior, target, cfg_with(correction=kind, clip=ClipPolicy(),
-                                                 cross_fit=cross_fit),
-                factory, np.random.default_rng(7),
+            assert [estimate] == dr_ppi_estimates(
+                data, behavior, target, cfg, factory, np.random.default_rng(7), None, [kind]
             )
 
     def test_estimate_near_truth_on_inventory(
@@ -244,12 +240,12 @@ class TestDrPpiEstimate:
     ):
         behavior, target = inventory_policies
         data = inventory_env.sample_dataset(behavior, 100, np.random.default_rng(6))
-        cfg = cfg_with(correction=CorrectionKind.PDIS, clip=ClipPolicy(),
-                       n_model_rollouts=400, pairs_per_trajectory=4)
-        value, variance = dr_ppi_estimate(
+        cfg = cfg_with(clip=ClipPolicy(), n_model_rollouts=400, pairs_per_trajectory=4)
+        value, variance = dr_ppi_estimates(
             data, behavior, target, cfg, lambda: OracleModel(inventory_env),
             np.random.default_rng(7), inventory_env.sample_initial_states,
-        )
+            [CorrectionKind.PDIS],
+        )[0]
         truth, _ = monte_carlo_value(
             inventory_env, target, 50_000, np.random.default_rng(8)
         )
@@ -260,23 +256,22 @@ class TestDrPpiEstimate:
         data = mdp.sample_dataset(behavior, 2000, np.random.default_rng(9), 0.9)
         truth = oracle_value(mdp, target, 0.9)
         for kind in CorrectionKind:
-            value, variance = dr_ppi_estimate(
-                data, behavior, target,
-                cfg_with(correction=kind, n_model_rollouts=256),
+            value, variance = dr_ppi_estimates(
+                data, behavior, target, cfg_with(n_model_rollouts=256),
                 lambda: OracleModel(mdp), np.random.default_rng(10),
-                mdp.sample_initial_states,
-            )
+                mdp.sample_initial_states, [kind],
+            )[0]
             assert abs(value - truth) <= 4 * math.sqrt(variance)
 
     def test_deterministic_under_seed(self, finite_fixture):
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 16, np.random.default_rng(1), 0.9)
         runs = [
-            dr_ppi_estimate(
+            dr_ppi_estimates(
                 data, behavior, target, cfg_with(),
                 lambda: OracleModel(mdp), np.random.default_rng(42),
-                mdp.sample_initial_states,
-            )
+                mdp.sample_initial_states, [CorrectionKind.IS],
+            )[0]
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -284,19 +279,19 @@ class TestDrPpiEstimate:
     def test_variance_positive_for_nonconstant_returns(self, finite_fixture):
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 30, np.random.default_rng(12), 0.9)
-        _, variance = dr_ppi_estimate(
+        _, variance = dr_ppi_estimates(
             data, behavior, target, cfg_with(), lambda: OracleModel(mdp),
-            np.random.default_rng(13), mdp.sample_initial_states,
-        )
+            np.random.default_rng(13), mdp.sample_initial_states, [CorrectionKind.IS],
+        )[0]
         assert variance > 0.0
 
     def test_bootstrap_d0_fallback_runs(self, finite_fixture):
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 16, np.random.default_rng(14), 0.9)
-        value, variance = dr_ppi_estimate(
+        value, variance = dr_ppi_estimates(
             data, behavior, target, cfg_with(), lambda: OracleModel(mdp),
-            np.random.default_rng(15), d0_sampler=None,
-        )
+            np.random.default_rng(15), d0_sampler=None, corrections=[CorrectionKind.IS],
+        )[0]
         assert math.isfinite(value) and variance >= 0.0
 
 

@@ -93,6 +93,13 @@ class TestInventoryEnv:
         d2 = inventory_env.sample_dataset(behavior, 2, np.random.default_rng(5))
         assert list(d1) == list(d2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_trajectory_rejected(self, inventory_env, inventory_policies, n):
+        # -1 surfaced as numpy's "negative dimensions are not allowed"
+        behavior, _ = inventory_policies
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            inventory_env.sample_dataset(behavior, n, np.random.default_rng(0))
+
     def test_near_deterministic_demand_matches_hand_rollout(self, inventory_env):
         # sigma -> 0 with a single-action policy: dynamics reduce to the
         # deterministic recursion x' = max(0, min(N, x+a) - mu)

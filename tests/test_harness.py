@@ -171,10 +171,10 @@ class TestCoverageStudy:
         spec = make_env_spec("inventory", s0=(5.0,))
         config = StudyConfig(n_model_rollouts=32, pairs_per_trajectory=2, cpgen_rollouts=32,
                              n_synth=40, dm_rollouts=32, n_boot=200)
-        run = make_method(method, spec, config, ground_truth=0.0)
+        run = make_method([method], spec, config, ground_truth=0.0)
         rng = np.random.default_rng(8)
         dataset = spec.env.sample_dataset(spec.behavior, 60, rng, spec.discount)
-        point = run(dataset, 0.1, rng).interval.point
+        point = run(dataset, 0.1, rng)[0].interval.point
         assert isinstance(point, float) and np.isfinite(point)
 
     def test_cpgen_method_requires_s0(self):
@@ -199,6 +199,18 @@ class TestCoverageStudy:
         spec = make_env_spec("finite", s0=(1.0,), discount=0.9)
         with pytest.raises(ValueError, match="alpha"):
             run_coverage_study(spec, method, 20, 1, alpha, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_trajectory_rejected_before_ground_truth(self, n, monkeypatch):
+        # numpy refused a negative size only after the ground truth, and a
+        # zero-trajectory dataset failed inside the first method
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("ground truth computed before the size check")
+
+        monkeypatch.setattr("ope_ci.harness.ground_truth_value", no_ground_truth)
+        spec = make_env_spec("finite", discount=0.9)
+        with pytest.raises(ValueError, match=f"^n_trajectories must be at least 1, got {n}$"):
+            run_coverage_study(spec, "is", n, 1, 0.1, 1)
 
     def test_unknown_method_rejected(self):
         spec = make_env_spec("finite", discount=0.9)
@@ -261,6 +273,18 @@ class TestManySpecStudy:
         assert [r.method for r in reports] == ["is:clt", "drppi:is", "drppi:wis", "drppi:pdis"]
         assert len(draws) == 3
         assert len(fits) == 3 * 2  # two cross-fit folds per trial
+
+    def test_drppi_corrections_share_one_ratio_table_per_fold(self, monkeypatch):
+        """Each cross-fit fold reads all three corrections from one step-ratio
+        table: two tables per trial, not one per correction and fold."""
+        import ope_ci.reweighting as reweighting
+
+        tables, table = [], reweighting.step_ratio_table
+        monkeypatch.setattr(reweighting, "step_ratio_table",
+                            lambda *args: tables.append(1) or table(*args))
+        run_coverage_study(small_truth_spec(), ["drppi:is", "drppi:wis", "drppi:pdis"],
+                           40, 3, 0.1, 5, config=SMALL)
+        assert len(tables) == 3 * 2
 
 
 class TestEmitResults:

@@ -348,14 +348,41 @@ class TestReweightedDispatch:
         ds = mdp.sample_dataset(behavior, 40, rng, 0.9)
         clip = ClipPolicy.off()
         assert np.array_equal(
-            reweighted_returns(ds, target, behavior, CorrectionKind.IS, clip),
+            reweighted_returns(ds, target, behavior, [CorrectionKind.IS], clip)[0],
             is_returns(ds, target, behavior, clip),
         )
         assert np.array_equal(
-            reweighted_returns(ds, target, behavior, CorrectionKind.WIS, clip),
+            reweighted_returns(ds, target, behavior, [CorrectionKind.WIS], clip)[0],
             wis_returns(ds, target, behavior, clip),
         )
         assert np.array_equal(
-            reweighted_returns(ds, target, behavior, CorrectionKind.PDIS, clip),
+            reweighted_returns(ds, target, behavior, [CorrectionKind.PDIS], clip)[0],
             pdis_returns(ds, target, behavior, clip),
         )
+
+    @pytest.mark.parametrize("mode", ["on", "off", "auto"])
+    def test_one_table_serves_every_kind_bit_for_bit(self, monkeypatch, mode):
+        """Padded trajectories of unequal lengths with a -0.0 reward, 120 of
+        them so that auto clips: one table gives all three kinds, each equal
+        byte for byte to its one-kind call and to its named view."""
+        import ope_ci.reweighting as reweighting
+
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(1, 5, size=120)
+        rewards = [rng.normal(size=k).tolist() for k in lengths]
+        rewards[int(np.argmin(lengths))][0] = -0.0
+        ds, target, behavior = ratio_dataset(
+            [rng.uniform(0.1, 3.0, size=k).tolist() for k in lengths], rewards, discount=0.9
+        )
+        assert len(set(lengths.tolist())) > 1
+        clip = ClipPolicy(mode=mode)
+        kinds = [CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.PDIS]
+        tables, table = [], reweighting.step_ratio_table
+        monkeypatch.setattr(reweighting, "step_ratio_table",
+                            lambda *args: tables.append(1) or table(*args))
+        together = reweighted_returns(ds, target, behavior, kinds, clip)
+        assert len(tables) == 1
+        for kind, view, got in zip(kinds, [is_returns, wis_returns, pdis_returns], together):
+            alone, = reweighted_returns(ds, target, behavior, [kind], clip)
+            assert got.tobytes() == alone.tobytes()
+            assert got.tobytes() == view(ds, target, behavior, clip).tobytes()

@@ -64,7 +64,7 @@ def test_method_gives_finite_interval(two_dim_case, method):
     config = StudyConfig(
         n_model_rollouts=200, n_synth=200, dm_rollouts=200, n_boot=200, cpgen_rollouts=32
     )
-    run = make_method(method, spec, config, 0.0)
-    ci = run(dataset, 0.1, np.random.default_rng(1)).interval
+    run = make_method([method], spec, config, 0.0)
+    ci = run(dataset, 0.1, np.random.default_rng(1))[0].interval
     assert np.isfinite([ci.lower, ci.upper]).all()
     assert ci.lower <= ci.upper
