@@ -22,6 +22,7 @@ from .harness import (
     emit_results,
     make_env_spec,
     make_method,
+    parse_method,
     run_coverage_study,
 )
 from .mdp import read_jsonl_dataset, write_jsonl_dataset
@@ -29,7 +30,7 @@ from .mdp import read_jsonl_dataset, write_jsonl_dataset
 
 # The flag behind each setting; an error message that starts with the
 # setting's name shows the flag instead.  ``_setting`` enters each flag.
-_FLAGS: dict[str, str] = {}
+_FLAGS: dict[str, str] = {"discount": "--gamma"}
 
 
 def _setting(parser, flag: str, field: str, config=StudyConfig(), **kwargs) -> None:
@@ -45,8 +46,16 @@ def _settings(args) -> StudyConfig:
     return StudyConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
-def _parse_state(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def _parse_state(text: str, env: str) -> tuple[float, ...]:
+    """``--s0``: one comma-separated number per coordinate of ``env``'s state."""
+    dim = make_env_spec(env).env.state_box[0].size
+    try:
+        state = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        state = ()
+    if len(state) != dim:
+        raise OpeCiError(f"--s0 takes {dim} comma-separated number(s) for {env}, got {text!r}")
+    return state
 
 
 def _write_json(path, payload: dict) -> None:
@@ -75,7 +84,7 @@ def _run_method(args, method: str, s0=None, eps=EpsConfig()):
 
 def _cmd_cpgen(args) -> int:
     eps = EpsConfig(eps_state=args.eps_state, eps_score=args.eps_score)
-    result = _run_method(args, "cpgen", s0=_parse_state(args.s0), eps=eps).details
+    result = _run_method(args, "cpgen", s0=_parse_state(args.s0, args.env), eps=eps).details
     _write_json(
         args.out,
         {
@@ -118,8 +127,14 @@ def _cmd_coverage(args) -> int:
     population = [spec for spec in args.method if spec.partition(":")[0] != "cpgen"]
     if args.s0 is not None and population:
         raise OpeCiError(f"--s0 applies to cpgen only, not to {population[0]!r}")
-    s0 = _parse_state(args.s0) if args.s0 is not None else None
+    s0 = _parse_state(args.s0, args.env) if args.s0 is not None else None
     env_spec = make_env_spec(args.env, s0=s0, discount=args.gamma)
+    first = {}
+    for spec in args.method:  # "is" twice, or "is" and "is:clt", would write one row twice
+        key = parse_method(spec, env_spec)
+        if key in first:
+            raise OpeCiError(f"--method lists one method twice, as {first[key]!r} and {spec!r}")
+        first[key] = spec
     reports = run_coverage_study(
         env_spec, args.method, args.n, args.trials, args.alpha, args.seed,
         config=_settings(args), cache_dir=args.cache_dir,
@@ -207,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(cov)
     cov.add_argument("--method", required=True, nargs="+", help="one or more method specs")
     _setting(cov, "--model", "model", choices=["gaussian", "oracle", "biased"])
+    _setting(cov, "--bias", "bias_fraction", type=float, help="the biased model's reward offset")
     cov.add_argument("--n", type=int, required=True)
     cov.add_argument("--trials", type=int, required=True)
     cov.add_argument("--alpha", type=float, default=0.05)

@@ -84,7 +84,7 @@ class EnvSpec:
 
 
 def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> EnvSpec:
-    """Spec of a named environment; ``s0`` must lie in its state box."""
+    """Spec of a named environment; ``s0`` must lie in its state box, ``discount`` in (0, 1]."""
     if name == "inventory":
         env = InventoryEnv()
         behavior, target = inventory_policy_pair(env.params.capacity)
@@ -92,6 +92,8 @@ def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> 
         env, behavior, target = small_finite_mdp()
     else:
         raise ValueError(f"unknown environment {name!r}; use 'inventory' or 'finite'")
+    if not 0.0 < discount <= 1.0:
+        raise ValueError(f"discount must lie in (0, 1], got {discount}")
     lo, hi = env.state_box
     inside = s0 is None or np.shape(s0) == lo.shape and (lo <= s0).all() and (s0 <= hi).all()
     if not inside:
@@ -127,14 +129,16 @@ class StudyConfig:
     n_boot: int = 2000
 
     def __post_init__(self) -> None:
-        """Refuse, before any work, a count below the least the methods take
-        and a feature degree other than 1 or 2."""
+        """Refuse, before any work, a count below the least the methods take,
+        a feature degree other than 1 or 2 and a bias that is not finite."""
         for name, least in _LEAST_COUNTS.items():
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.model_degree not in (1, 2):
             raise ValueError(f"model_degree must be 1 or 2, got {self.model_degree}")
+        if not np.isfinite(self.bias_fraction):
+            raise ValueError(f"bias_fraction must be finite, got {self.bias_fraction}")
 
     def clip_policy(self) -> ClipPolicy:
         return ClipPolicy(mode=self.clip)
@@ -244,7 +248,7 @@ METHOD_QUALIFIERS = {
 }
 
 
-def _parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
+def parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
     """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
     defaulted; ``ValueError`` for an unknown name or qualifier, and for
     cpgen on an ``env_spec`` without a fixed s0 (the CLI's ``--s0``)."""
@@ -283,7 +287,7 @@ def make_method(
     specs share one fold loop."""
     factory = make_model_factory(env_spec, config, ground_truth)
     specs = tuple(methods)
-    parsed = {spec: _parse_method(spec, env_spec) for spec in specs}
+    parsed = {spec: parse_method(spec, env_spec) for spec in specs}
     alone = {spec: _method_runner(name, qualifier, env_spec, config, factory, eps)
              for spec, (name, qualifier) in parsed.items() if name != "drppi"}
     kinds = [CorrectionKind(parsed[spec][1]) for spec in specs if spec not in alone]
@@ -400,7 +404,7 @@ def run_coverage_study(
         raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
     methods = (method,) if isinstance(method, str) else tuple(method)
     for spec in methods:  # refuse a bad spec before the ground truth
-        _parse_method(spec, env_spec)
+        parse_method(spec, env_spec)
     if not methods:
         raise ValueError("no method specs to study")
     ground_truth = ground_truth_value(env_spec, seed, cache_dir)

@@ -345,6 +345,28 @@ class TestMethodSpecs:
         assert err == "error: cpgen studies need a fixed s0; pass its coordinates with --s0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "methods", [["is", "is"], ["is", "is:clt"], ["drppi:pdis", "dm", "drppi"]]
+    )
+    def test_repeated_spec_refused_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch, methods
+    ):
+        # wrote one row per spelling, each with the same config_digest
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "twice.csv"
+        code = run_cli(
+            "coverage", "--method", *methods, "--n", 20, "--trials", 1, "--seed", 1,
+            "--out", out,
+        )
+        assert code == 2
+        err = single_error_line(capsys)
+        assert err.startswith("error: --method ")
+        assert f"{methods[0]!r} and {methods[-1]!r}" in err
+        assert not out.exists()
+
     def test_coverage_ngen_reaches_the_study(self, tmp_path, monkeypatch):
         # coverage had no --Ngen, the remedy the unbounded-band message names
         seen = {}
@@ -382,6 +404,69 @@ class TestAlphaValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --alpha must lie in (0, 1)")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestDiscountValidation:
+    @pytest.mark.parametrize("gamma", [0, 1.5, -0.5, "nan"])
+    def test_coverage_refuses_gamma_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch, gamma
+    ):
+        # ran and cached the 100k-rollout ground truth of the invalid discount,
+        # then failed with a message that did not name --gamma
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        cache, out = tmp_path / "cache", tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", "--method", "is", "--n", 20, "--trials", 1, "--seed", 1,
+            "--gamma", gamma, "--cache-dir", cache, "--out", out,
+        )
+        assert code == 2
+        assert single_error_line(capsys).startswith("error: --gamma must lie in (0, 1]")
+        assert not list(tmp_path.glob("**/ground_truth_*.json"))
+        assert not out.exists()
+
+    def test_simulate_refuses_gamma_before_rollout(self, tmp_path, capsys, monkeypatch):
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("the dataset was rolled out")
+
+        monkeypatch.setattr("ope_ci.envs.Simulator.sample_dataset", no_rollout)
+        out = tmp_path / "d.jsonl"
+        code = run_cli("simulate", "--n", 5, "--seed", 1, "--gamma", 2, "--out", out)
+        assert code == 2
+        assert single_error_line(capsys).startswith("error: --gamma must lie in (0, 1]")
+        assert not out.exists()
+
+
+class TestInitialStateFlag:
+    @pytest.mark.parametrize("s0", ["abc", "5,5", "5,", ""])
+    def test_cpgen_s0_that_is_not_one_number_exits_two(
+        self, small_dataset, tmp_path, capsys, s0
+    ):
+        # "abc" gave float()'s message and "5,5" a state-box message
+        out = tmp_path / "cp.json"
+        code = run_cli("cpgen", "--data", small_dataset, f"--s0={s0}", "--seed", 1, "--out", out)
+        assert code == 2
+        err = single_error_line(capsys)
+        assert err == f"error: --s0 takes 1 comma-separated number(s) for inventory, got {s0!r}\n"
+        assert not out.exists()
+
+    def test_coverage_s0_that_is_not_a_number_refused_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", "--method", "cpgen", "--s0", "abc", "--n", 20, "--trials", 1,
+            "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert single_error_line(capsys).startswith("error: --s0 takes 1 comma-separated")
         assert not out.exists()
 
 
@@ -445,6 +530,24 @@ class TestValueErrorsExitTwo:
         assert err.startswith(f"error: {flag} must be at least ")
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("**/ground_truth_*.json"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bias", ["nan", "inf"])
+    def test_coverage_nonfinite_bias_refused_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch, bias
+    ):
+        # ran the ground truth and a trial, then failed as "lower nan exceeds upper nan"
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "cov.csv"
+        code = run_cli(
+            "coverage", "--model", "biased", "--bias", bias, "--method", "augis",
+            "--n", 20, "--trials", 1, "--seed", 1, "--out", out,
+        )
+        assert code == 2
+        assert single_error_line(capsys).startswith("error: --bias must be finite")
         assert not out.exists()
 
     def test_unbounded_band_exits_two(self, tmp_path, capsys):
