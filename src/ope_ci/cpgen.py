@@ -132,10 +132,11 @@ def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _median_distance(values: np.ndarray) -> float:
     """Median pairwise distance, deterministically subsampled for large sets.
 
-    The distances of pairs i < j are written in row order into one array of
-    n(n-1)/2, from ``_row_blocks`` of at most ``_BLOCK_CELLS`` values; each
-    distance is the one the full n x n matrix holds, so the multiset and its
-    median are too.
+    The distances of pairs i < j fill one array of n(n-1)/2: of one
+    coordinate, from one contiguous slice of the sorted values per value,
+    otherwise from ``_row_blocks`` of at most ``_BLOCK_CELLS`` values.  Each
+    is one the full n x n matrix holds (x - y is -(y - x) exactly), so the
+    multiset and its median are too.
     """
     n = values.shape[0]
     if n < 2:
@@ -146,16 +147,22 @@ def _median_distance(values: np.ndarray) -> float:
         n = 512
     upper = np.empty(n * (n - 1) // 2)
     done = 0
-    for rows in _row_blocks(n - 1, _BLOCK_CELLS // values.size):
-        top = rows.start
-        diffs = values[top + 1 :][None] - values[rows][:, None]
+    if values.size == n:
+        ordered = np.sort(values.ravel())
+        for i in range(n - 1):
+            np.subtract(ordered[i + 1 :], ordered[i], out=upper[done : done + n - 1 - i])
+            done += n - 1 - i
         if values.ndim == 1:
-            np.abs(diffs, out=diffs)
+            np.abs(upper, out=upper)
         else:
-            diffs = np.sqrt((diffs**2).sum(-1))
-        block = diffs[np.arange(top + 1, n)[None, :] > np.arange(top, rows.stop)[:, None]]
-        upper[done : done + block.size] = block
-        done += block.size
+            np.sqrt(np.square(upper, out=upper), out=upper)
+    else:
+        for rows in _row_blocks(n - 1, _BLOCK_CELLS // values.size):
+            top = rows.start
+            diffs = np.sqrt(((values[top + 1 :][None] - values[rows][:, None]) ** 2).sum(-1))
+            block = diffs[np.arange(top + 1, n)[None, :] > np.arange(top, rows.stop)[:, None]]
+            upper[done : done + block.size] = block
+            done += block.size
     mid = upper.size // 2  # np.median's partition (NaN last), without its numpy.ma import
     upper.partition([mid - 1, mid, -1])
     middle = upper[mid - 1 + upper.size % 2 : mid + 1]
@@ -181,32 +188,18 @@ def _state_distances(query_states: np.ndarray, train_states: np.ndarray) -> np.n
     return np.sqrt(((query_states[:, None, :] - train_states[None, :, :]) ** 2).sum(-1))
 
 
-def _ball_means(
-    d_state: np.ndarray,
-    query_scores: np.ndarray,
-    train_scores: np.ndarray,
-    train_ratios: np.ndarray,
-    eps_state: float,
-    eps_score: float,
-    k: int,
+def _nearest_means(
+    d_state: np.ndarray, query_scores: np.ndarray, train_scores: np.ndarray,
+    train_ratios: np.ndarray, eps_state: float, eps_score: float, k: int,
 ) -> np.ndarray:
-    """Weights of one chunk of queries from their state distances, which are
-    ``(rows, pairs)`` or one ``(1, pairs)`` row shared by every query."""
+    """Empty-ball weights: each query's mean ratio of the ``k`` pairs nearest
+    under the radius-scaled max distance, from ``(rows, pairs)`` state
+    distances or one ``(1, pairs)`` row shared by every query."""
     d_score = np.abs(query_scores[:, None] - train_scores[None, :])
-    inside = (d_state <= eps_state) & (d_score <= eps_score)
-    counts = inside.sum(axis=1)
-    sums = np.where(inside, train_ratios, 0.0).sum(axis=1)
-    out = np.empty(query_scores.shape[0])
-    filled = counts > 0
-    out[filled] = sums[filled] / counts[filled]
-    if not filled.all():
-        empty = ~filled
-        scaled = np.broadcast_to(d_state, d_score.shape)[empty]
-        scaled /= eps_state
-        np.maximum(scaled, d_score[empty] / eps_score, out=scaled)
-        nearest = np.argpartition(scaled, k - 1, axis=1)[:, :k]
-        out[empty] = train_ratios[nearest].mean(axis=1)
-    return out
+    scaled = np.broadcast_to(d_state, d_score.shape) / eps_state
+    np.maximum(scaled, np.divide(d_score, eps_score, out=d_score), out=scaled)
+    nearest = np.argpartition(scaled, k - 1, axis=1)[:, :k]
+    return train_ratios[nearest].mean(axis=1)
 
 
 def _window(
@@ -337,13 +330,14 @@ def _eps_ball_weights(
 
     ``query_states`` holds one row per query score, or a single row that
     every query score shares.  For 1-D states ``_ball_counts_and_sums``
-    gives every ball, and only rows with an empty ball take the dense path;
-    for other dimensions every row does.  The dense path runs in
-    ``_row_blocks`` of ``_BLOCK_CELLS // pairs`` rows (at least one), so each
-    of its temporaries holds at most ``_BLOCK_CELLS`` cells (512 KB) or one
-    row, and memory is linear in the number of pairs; each row's ball sum
-    and k-nearest pick is a row-wise reduction, so its value does not depend
-    on the chunk it lands in.
+    gives every ball, and only rows with an empty ball take the dense path,
+    straight to ``_nearest_means``; for other dimensions every row takes it,
+    through dense ball sums.  The dense path runs in ``_row_blocks`` of
+    ``_BLOCK_CELLS // pairs`` rows (at least one), so each of its
+    temporaries holds at most ``_BLOCK_CELLS`` cells (512 KB) or one row,
+    and memory is linear in the number of pairs; each row's ball sum and
+    k-nearest pick is a row-wise reduction, so its value does not depend on
+    the chunk it lands in.
     """
     n_train = train_ratios.shape[0]
     k = min(k_nearest, n_train)
@@ -361,9 +355,17 @@ def _eps_ball_weights(
     d_shared = _state_distances(query_states, train_states) if shared else None
     for block in _row_blocks(dense.size, _BLOCK_CELLS // n_train):
         chunk = dense[block]
-        out[chunk] = _ball_means(
-            d_shared if shared else _state_distances(query_states[chunk], train_states),
-            query_scores[chunk], train_scores, train_ratios, eps_state, eps_score, k,
+        d_state = d_shared if shared else _state_distances(query_states[chunk], train_states)
+        if train_states.shape[1] > 1:
+            d_score = np.abs(query_scores[chunk, None] - train_scores)
+            inside = (d_state <= eps_state) & (d_score <= eps_score)
+            counts = inside.sum(axis=1)
+            filled = counts > 0
+            sums = np.where(inside, train_ratios, 0.0).sum(axis=1)
+            out[chunk[filled]] = sums[filled] / counts[filled]
+            chunk, d_state = chunk[~filled], d_state if shared else d_state[~filled]
+        out[chunk] = _nearest_means(
+            d_state, query_scores[chunk], train_scores, train_ratios, eps_state, eps_score, k
         )
     return out
 

@@ -13,11 +13,14 @@ one return routine of recorded batches.  The Monte Carlo ground truth records
 no batch: ``envs.monte_carlo_value`` adds each step of the rollout loop
 ``_steps`` into one running return per row.  It adds the same terms in time
 order instead of numpy's pairwise order, so each of its returns agrees with
-``returns`` within horizon·ε of the sum of the terms' magnitudes.  A dataset
-is also an initial-state sampler, ``sample_initial_states(rng, n)``, which
-model rollouts on real data start from.  Actions are integers.  All types are
-immutable after construction and all functions are pure; randomness always
-enters through an explicit generator argument.
+``returns`` within horizon·ε of the sum of the terms' magnitudes.  A rollout
+also logs each drawn action's probability under the policy that drew it,
+which ratio tables read in place of that policy's table when it is their
+behavior; JSONL files store no log, so datasets read back recompute it.  A
+dataset is also an initial-state sampler, ``sample_initial_states(rng, n)``,
+which model rollouts on real data start from.  Actions are integers.  All
+types are immutable after construction and all functions are pure;
+randomness always enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -89,12 +92,19 @@ class RolloutBatch:
 
     ``states[b, t]`` is the state action ``actions[b, t]`` was taken from;
     entries at or beyond ``lengths[b]`` are padding and must be ignored.
+    A rollout of two or more rows logs ``drawn_probs[b, t]``, the probability
+    of ``actions[b, t]`` in the action table of ``drawn_by`` (the policy that
+    drew it) that the draw came from, zero on padding.  Row subsets and
+    ``RewardOffsetModel`` keep the log; ``pad``, fitted-Q blocks and JSONL
+    files have none (``None``), so their ratio tables recompute it.
     """
 
     states: np.ndarray  # (B, T, d)
     actions: np.ndarray  # (B, T) integer actions
     rewards: np.ndarray  # (B, T)
     lengths: np.ndarray  # (B,)
+    drawn_probs: np.ndarray | None = None  # (B, T)
+    drawn_by: object = None
 
     @classmethod
     def pad(cls, states, actions, rewards) -> "RolloutBatch":
@@ -166,19 +176,21 @@ class RolloutBatch:
         return [self.trajectory(i) for i in range(self.size)]
 
 
-def _steps(step, policy, x, horizon, rng, stopped=None):
+def _steps(step, policy, x, horizon, rng, stopped=None, drawn_probs=None):
     """The one rollout time loop.  Each step makes one ``policy_sample`` call
     for all rows, then ``step(states, actions, rng) -> (next_states,
     rewards)``, and yields ``(states, actions, rewards, live)``: the states
     the actions were taken from, and which rows were still running.  A row's
     rollout ends in a ``stopped`` (absorbing) state; the row keeps stepping
     unrecorded, so every row takes every draw.  The loop ends early once
-    every row has ended.  A yielded ``live`` is never changed afterwards."""
+    every row has ended.  A yielded ``live`` is never changed afterwards.
+    Row t of a ``(horizon, N)`` buffer ``drawn_probs`` receives the
+    probabilities of the actions drawn at step t."""
     live = np.ones(x.shape[0], dtype=bool) if stopped is None else ~stopped(x)
-    for _ in range(horizon):
+    for t in range(horizon):
         if not live.any():
             return
-        a = policy_sample(policy, x, rng)
+        a = policy_sample(policy, x, rng, None if drawn_probs is None else drawn_probs[t])
         x_next, r = step(x, a, rng)
         yield x, a, r, live
         x = x_next
@@ -190,23 +202,27 @@ def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> Rollo
     """The steps of ``_steps`` recorded into a padded batch.  The buffers are
     time-major, so each step writes one contiguous slice; they are returned
     as C-ordered ``(N, T, ...)`` arrays, zero past each row's length (which
-    covers the steps skipped once every row has ended)."""
+    covers the steps skipped once every row has ended).  Only two or more
+    rows log ``drawn_probs``, as one-row tables may differ in the last bit."""
     n, d = initial_states.shape
     states = np.empty((horizon, n, d))
     actions = np.empty((horizon, n), dtype=np.int64)
     rewards = np.empty((horizon, n))
+    probs = np.empty((horizon, n))
     lengths = np.zeros(n, dtype=np.int64)
-    steps = _steps(step, policy, initial_states, horizon, rng, stopped)
+    steps = _steps(step, policy, initial_states, horizon, rng, stopped, probs if n > 1 else None)
     for t, (x, a, r, live) in enumerate(steps):
         states[t], actions[t], rewards[t] = x, a, r
         lengths += live
     states = np.ascontiguousarray(states.swapaxes(0, 1))
     actions = np.ascontiguousarray(actions.T)
     rewards = np.ascontiguousarray(rewards.T)
+    probs = np.ascontiguousarray(probs.T)
     if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]
-        states[pad], actions[pad], rewards[pad] = 0.0, 0, 0.0
-    return RolloutBatch(states, actions, rewards, lengths)
+        states[pad], actions[pad], rewards[pad], probs[pad] = 0.0, 0, 0.0, 0.0
+    log = (probs, policy) if n > 1 else (None, None)
+    return RolloutBatch(states, actions, rewards, lengths, *log)
 
 
 @dataclass(frozen=True)
@@ -228,9 +244,10 @@ class TrajectoryDataset:
             raise ValueError("horizon must be positive")
         if b.lengths.min() < 1 or b.lengths.max() > min(self.horizon, b.states.shape[1]):
             raise ValueError(f"trajectory lengths must lie in 1..{self.horizon}")
-        mask = b.step_mask()
-        if not (np.isfinite(b.states[mask]).all() and np.isfinite(b.rewards[mask]).all()):
-            raise ValueError("states and rewards must be finite")
+        if not (np.isfinite(b.states).all() and np.isfinite(b.rewards).all()):
+            mask = b.step_mask()  # padding may hold anything
+            if not (np.isfinite(b.states[mask]).all() and np.isfinite(b.rewards[mask]).all()):
+                raise ValueError("states and rewards must be finite")
 
     def __len__(self) -> int:
         return self.batch.size
@@ -257,7 +274,9 @@ class TrajectoryDataset:
     def subset(self, indices) -> "TrajectoryDataset":
         idx = np.asarray(indices, dtype=np.int64)
         b = self.batch
-        picked = RolloutBatch(b.states[idx], b.actions[idx], b.rewards[idx], b.lengths[idx])
+        probs = None if b.drawn_probs is None else b.drawn_probs[idx]
+        picked = RolloutBatch(b.states[idx], b.actions[idx], b.rewards[idx], b.lengths[idx],
+                              probs, b.drawn_by)
         return TrajectoryDataset(picked, self.discount, self.horizon)
 
     def split_half(self) -> tuple["TrajectoryDataset", "TrajectoryDataset"]:

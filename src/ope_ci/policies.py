@@ -131,12 +131,19 @@ def _row_blocks(n: int, most: int = _TABLE_ROWS) -> list[slice]:
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
 
-def policy_sample(policy, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def policy_sample(
+    policy, states: np.ndarray, rng: np.random.Generator, drawn_probs=None
+) -> np.ndarray:
     """One action per state by inverse CDF, from one ``rng.random(N)`` draw;
     the table is built and walked in ``_row_blocks``, with the one table's
-    draws."""
+    draws.  An ``(N,)`` float array ``drawn_probs`` receives each drawn
+    action's probability, gathered from the same tables."""
     u = rng.random(len(states))
     actions = np.empty(len(states), dtype=np.int64)
     for rows in _row_blocks(len(states)):
-        actions[rows] = _inverse_cdf(policy.action_probs(states[rows]), u[rows])
+        table = policy.action_probs(states[rows])
+        actions[rows] = _inverse_cdf(table, u[rows])
+        if drawn_probs is not None:
+            drawn_probs[rows] = table[np.arange(rows.stop - rows.start), actions[rows]]
+        del table  # before the next block's table, which then reuses its cached memory
     return actions

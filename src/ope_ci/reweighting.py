@@ -80,16 +80,19 @@ def normal_quantile(p: float) -> float:
 
 
 def step_ratio_table(
-    dataset: TrajectoryDataset, target, behavior
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (ratios (n, T), rewards (n, T), lengths (n,)), where T is the
-    longest trajectory's length."""
+    dataset: TrajectoryDataset, target, behavior, rewards: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Returns (ratios (n, T), rewards (n, T) or ``None`` when ``rewards`` is
+    false, lengths (n,)), where T is the longest trajectory's length.  The
+    behavior probabilities of two or more steps drawn by a policy equal to
+    ``behavior`` are read from the batch's log (``RolloutBatch.drawn_probs``)."""
     b = dataset.batch
     T = int(b.lengths.max())
     mask = b.step_mask()[:, :T]
     states = b.states[:, :T][mask]
     actions = b.actions[:, :T][mask]
-    p_behavior = policy_probs(behavior, states, actions)
+    logged = b.drawn_by == behavior and actions.size > 1
+    p_behavior = b.drawn_probs[:, :T][mask] if logged else policy_probs(behavior, states, actions)
     if (p_behavior == 0.0).any():
         raise ZeroBehaviorProbability(
             "behavior policy assigns zero probability to an observed action"
@@ -97,13 +100,12 @@ def step_ratio_table(
     p_target = policy_probs(target, states, actions)
     ratios = np.ones((b.size, T))
     ratios[mask] = p_target / p_behavior
-    return ratios, np.where(mask, b.rewards[:, :T], 0.0), b.lengths
+    return ratios, np.where(mask, b.rewards[:, :T], 0.0) if rewards else None, b.lengths
 
 
 def trajectory_ratios(dataset: TrajectoryDataset, target, behavior) -> np.ndarray:
     """Full-trajectory likelihood ratios for every trajectory in the dataset."""
-    ratios, _, _ = step_ratio_table(dataset, target, behavior)
-    return ratios.prod(axis=1)
+    return step_ratio_table(dataset, target, behavior, rewards=False)[0].prod(axis=1)
 
 
 def reweighted_returns(

@@ -35,7 +35,10 @@ triangle of the full distance matrix, picked with ``triu_indices``, as the
 library took it before it wrote the triangle from blocks of rows; the
 medians must match bit for bit.  The polynomial features are stacked from a
 list of columns, as the library built them before it wrote one preallocated
-array, and must match bit for bit.
+array, and must match bit for bit.  The block median distance writes the
+triangle from blocks of rows with masks and ``abs`` for every width, as the
+library did before it read one coordinate's distances off contiguous slices
+of the sorted values; the medians must match bit for bit.
 """
 from __future__ import annotations
 
@@ -515,6 +518,32 @@ def triangle_median_distance(values: np.ndarray) -> float:
     else:
         diffs = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(-1))
     return float(np.median(diffs[np.triu_indices(n, k=1)]))
+
+
+def block_median_distance(values: np.ndarray, block_cells: int = 1 << 16) -> float:
+    """Median over i < j of the distance between rows i and j of ``values``,
+    written in row order from blocks of at most ``block_cells`` values; sets
+    above 512 rows are subsampled as the library does."""
+    n = values.shape[0]
+    if n < 2:
+        return 0.0
+    if n > 512:
+        values = values[np.linspace(0, n - 1, 512).astype(int)]
+        n = 512
+    upper = np.empty(n * (n - 1) // 2)
+    done = 0
+    rows_per_block = max(1, block_cells // values.size)
+    for top in range(0, n - 1, rows_per_block):
+        stop = min(top + rows_per_block, n - 1)
+        diffs = values[top + 1 :][None] - values[top:stop][:, None]
+        if values.ndim == 1:
+            np.abs(diffs, out=diffs)
+        else:
+            diffs = np.sqrt((diffs**2).sum(-1))
+        block = diffs[np.arange(top + 1, n)[None, :] > np.arange(top, stop)[:, None]]
+        upper[done : done + block.size] = block
+        done += block.size
+    return float(np.median(upper))
 
 
 def one_call_bootstrap_means(samples, n_boot: int, rng: np.random.Generator) -> np.ndarray:

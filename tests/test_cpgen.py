@@ -32,6 +32,7 @@ from ope_ci.models import GaussianRegressionModel, OracleModel
 from ope_ci.policies import _row_blocks
 
 from oracles import (
+    block_median_distance,
     dense_eps_ball_weights,
     nearest_k_mean,
     split_conformal_band,
@@ -106,6 +107,31 @@ def test_median_distance_equals_triangle_formula(n, width, lattice, block_rows):
             mp.setattr(cpgen, "_BLOCK_CELLS", block_rows * min(values.size, 512 * values[0].size))
         got = cpgen._median_distance(values)
     assert got == triangle_median_distance(values)
+
+
+def median_distance_values(n, width, kind):
+    rng = np.random.default_rng(n + 7)
+    values = rng.normal(0.0, 500.0, (n,) if width is None else (n, width))
+    if kind == "duplicates":  # lattice values, -0.0 beside 0.0 among them
+        values = np.round(values / 400.0)
+        values[: n // 3] *= -1.0
+    elif kind == "nan":
+        values[0] = np.nan  # index 0 stays in every subsample
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 512, 513, 3200])
+@pytest.mark.parametrize("width", [None, 1, 2], ids=["1-D", "one-column", "2-D"])
+@pytest.mark.parametrize("kind", ["continuous", "duplicates", "nan"])
+def test_median_distance_equals_the_block_path(n, width, kind):
+    """Sorted slices for one coordinate, blocks for two: the median has the
+    bits of the triangle written from blocks with ``abs`` and masks."""
+    values = median_distance_values(n, width, kind)
+    got, want = cpgen._median_distance(values), block_median_distance(values)
+    if kind == "nan":
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_median_distance_of_nan_is_nan():
@@ -243,6 +269,37 @@ class TestChunkedEpsBallWeights:
             got, dense_eps_ball_weights(np.tile(query, (deltas.size, 1)), *args[1:]),
             rtol=1e-12, atol=0,
         )
+
+
+class TestEmptyBallFallback:
+    @pytest.mark.parametrize("shared", [True, False], ids=["grid", "calibration"])
+    def test_empty_rows_skip_the_dense_sums(self, shared, monkeypatch):
+        """1-D rows whose ball the tree found empty, and only they, go
+        straight to ``_nearest_means``, whose weights equal the dense
+        oracle's bit for bit; here most rows are empty."""
+        rng = np.random.default_rng(4)
+        n = 3200
+        t_states, t_scores = rng.uniform(0, 10, (n, 1)), rng.normal(0, 500, n)
+        t_ratios = rng.exponential(size=n)
+        deltas = np.linspace(-8000.0, 8000.0, 512)
+        q_states = np.array([[5.0]]) if shared else rng.uniform(0, 10, (512, 1))
+        args = (q_states, deltas, t_states, t_scores, t_ratios, 0.25, 25.0, 5)
+        tiled = np.broadcast_to(q_states, (deltas.size, 1))
+        empty = dense_ball_counts(tiled, deltas, t_states, t_scores, 0.25, 25.0) == 0
+        assert empty.mean() > 0.8
+
+        fallback, rows = cpgen._nearest_means, []
+
+        def counted(d_state, query_scores, *rest):
+            rows.append(query_scores.size)
+            return fallback(d_state, query_scores, *rest)
+
+        monkeypatch.setattr(cpgen, "_nearest_means", counted)
+        got = _eps_ball_weights(*args)
+        assert sum(rows) == empty.sum()
+        want = dense_eps_ball_weights(np.array(tiled), *args[1:])
+        assert got[empty].tobytes() == want[empty].tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def dense_ball_counts(q_states, q_scores, t_states, t_scores, eps_state, eps_score):

@@ -119,6 +119,25 @@ class TestTrajectoryTypes:
         )
         assert TrajectoryDataset(batch, 1.0, 2).returns().tolist() == [1.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_padding_accepted_and_valid_step_refused(self, bad):
+        """The whole-array check passes finite batches at once; a batch with
+        a nonfinite cell is accepted exactly when every such cell is padding."""
+        states = np.arange(12.0).reshape(3, 4, 1)
+        rewards = np.arange(12.0).reshape(3, 4)
+        lengths = np.array([4, 2, 1])
+        pad = np.arange(4) >= lengths[:, None]
+        states[pad], rewards[pad] = bad, bad
+        actions = np.zeros((3, 4), dtype=np.int64)
+        ds = TrajectoryDataset(RolloutBatch(states, actions, rewards, lengths), 1.0, 4)
+        assert ds.returns().tolist() == [6.0, 9.0, 8.0]
+        for array in (states, rewards):
+            broken = array.copy()
+            broken[1, 1] = bad  # the last valid step of row 1
+            fields = (broken, rewards) if array is states else (states, broken)
+            with pytest.raises(ValueError, match="must be finite"):
+                TrajectoryDataset(RolloutBatch(fields[0], actions, fields[1], lengths), 1.0, 4)
+
     @pytest.mark.parametrize("pad", [math.nan, math.inf, -math.inf])
     def test_batch_returns_ignore_padding(self, pad):
         batch = RolloutBatch(
