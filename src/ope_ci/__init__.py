@@ -69,9 +69,7 @@ from .harness import (
 from .mdp import (
     ConfidenceInterval,
     RolloutBatch,
-    Trajectory,
     TrajectoryDataset,
-    Transition,
     read_jsonl_dataset,
     write_jsonl_dataset,
 )

@@ -71,10 +71,10 @@ class EpsConfig:
     k_nearest: int = 5
 
     def __post_init__(self) -> None:
-        if self.eps_state is not None and self.eps_state <= 0:
-            raise ValueError("eps_state must be positive")
-        if self.eps_score is not None and self.eps_score <= 0:
-            raise ValueError("eps_score must be positive")
+        for name in ("eps_state", "eps_score"):
+            eps = getattr(self, name)
+            if eps is not None and not (math.isfinite(eps) and eps > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {eps}")
         if self.k_nearest < 1:
             raise ValueError("k_nearest must be at least 1")
 

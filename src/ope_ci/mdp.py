@@ -7,9 +7,9 @@ A dataset is one padded ``RolloutBatch`` plus its discount and horizon:
 initial states and the first reward belongs to step one.  Steps at or beyond
 ``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
 trajectory by trajectory through ``step_mask()``, and take discounted returns
-from ``RolloutBatch.returns``, which skips the padding; ``Trajectory`` and
-``Transition`` are a read-only per-step view of one row.  ``returns`` is the
-one return routine of recorded batches.  The Monte Carlo ground truth records
+from ``RolloutBatch.returns``, which skips the padding; the batch is the one
+trajectory representation.  ``returns`` is the one return routine of
+recorded batches.  The Monte Carlo ground truth records
 no batch: ``envs.monte_carlo_value`` adds each step of the rollout loop
 ``_steps`` into one running return per row.  It adds the same terms in time
 order instead of numpy's pairwise order, so each of its returns agrees with
@@ -25,7 +25,6 @@ randomness always enters through an explicit generator argument.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -37,53 +36,19 @@ from .policies import policy_sample
 State = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: State
-    action: int
-    reward: float
+@dataclass(frozen=True, eq=False)
+class RowView:
+    """One row of a batch up to its length: array slices of its states,
+    actions and rewards.  Its one reader is the benchmark's tracer
+    (``perfbench/tracer.py``), which counts a dataset's steps as the lengths
+    of what iterating the dataset yields; estimators read the batch."""
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
-            raise ValueError(f"reward must be finite, got {self.reward!r}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A nonempty sequence of transitions sharing one episode."""
-
-    transitions: tuple[Transition, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.transitions) == 0:
-            raise ValueError("a trajectory needs at least one transition")
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.transitions)
-
-    def __iter__(self) -> Iterator[Transition]:
-        return iter(self.transitions)
-
-    @property
-    def initial_state(self) -> State:
-        return self.transitions[0].state
-
-    def states(self) -> np.ndarray:
-        return np.array([t.state for t in self.transitions], dtype=float)
-
-    def actions(self) -> list:
-        return [t.action for t in self.transitions]
-
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.transitions], dtype=float)
-
-    @classmethod
-    def from_arrays(cls, states, actions, rewards) -> "Trajectory":
-        transitions = tuple(
-            Transition(tuple(float(x) for x in s), a, float(r))
-            for s, a, r in zip(states, actions, rewards)
-        )
-        return cls(transitions)
+        return len(self.actions)
 
 
 @dataclass(frozen=True)
@@ -128,8 +93,11 @@ class RolloutBatch:
                     f"trajectory {i}: expected ({L}, {d}) states and {L} rewards "
                     f"for its {L} actions"
                 )
+            a = np.asarray(actions[i])
+            if L and a.dtype.kind not in "iu":
+                raise ValueError(f"trajectory {i}: actions must be integers, got {a.dtype}")
             out.states[i, :L] = s
-            out.actions[i, :L] = actions[i]
+            out.actions[i, :L] = a
             out.rewards[i, :L] = rewards[i]
         return out
 
@@ -166,14 +134,9 @@ class RolloutBatch:
             ~has_next[mask],
         )
 
-    def trajectory(self, i: int) -> Trajectory:
-        n = int(self.lengths[i])
-        return Trajectory.from_arrays(
-            self.states[i, :n], (int(a) for a in self.actions[i, :n]), self.rewards[i, :n]
-        )
-
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(self.size)]
+    def trajectories(self) -> list[RowView]:
+        return [RowView(self.states[i, :n], self.actions[i, :n], self.rewards[i, :n])
+                for i, n in enumerate(self.lengths.tolist())]
 
 
 def _steps(step, policy, x, horizon, rng, stopped=None, drawn_probs=None):
@@ -228,7 +191,9 @@ def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> Rollo
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """A batch of behavior trajectories with the discount and horizon they
-    are evaluated under; iterating yields the per-step ``Trajectory`` view."""
+    are evaluated under.  The batch's arrays must have the shapes
+    ``RolloutBatch`` documents, with integer actions; iterating yields each
+    row's ``RowView``."""
 
     batch: RolloutBatch
     discount: float
@@ -236,6 +201,15 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         b = self.batch
+        if np.ndim(b.states) != 3:
+            raise ValueError(f"states must be a (B, T, d) array, got shape {np.shape(b.states)}")
+        B, T = b.states.shape[:2]
+        for name in ("actions", "rewards", "drawn_probs", "lengths"):
+            array, want = getattr(b, name), (B,) if name == "lengths" else (B, T)
+            if array is not None and np.shape(array) != want:
+                raise ValueError(f"{name} must have shape {want}, got {np.shape(array)}")
+        if np.asarray(b.actions).dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got dtype {np.asarray(b.actions).dtype}")
         if b.size == 0:
             raise ValueError("dataset must hold at least one trajectory")
         if not 0.0 < self.discount <= 1.0:
@@ -252,7 +226,7 @@ class TrajectoryDataset:
     def __len__(self) -> int:
         return self.batch.size
 
-    def __iter__(self) -> Iterator[Trajectory]:
+    def __iter__(self) -> Iterator[RowView]:
         return iter(self.batch.trajectories())
 
     @property

@@ -9,9 +9,10 @@ quantile.  Policies are read one (state, action) at a time through ``prob``.
 The per-sweep fitted-Q iteration is the library's former straightforward
 path, kept as the reference its precomputed action blocks must match bit for
 bit.  Likewise the per-trajectory returns, likelihood ratios, ratio table and
-regression rows walk ``Trajectory`` objects step by step, as the library did
-before its estimators read the padded batch arrays, and the columnar paths
-must match them bit for bit.  The three rollout loops are the ones each
+regression rows walk one trajectory's ``Row`` of arrays, read off
+``dataset.batch`` up to its length, step by step, as the library walked
+per-step trajectory objects before its estimators read the padded batch
+arrays, and the columnar paths must match them bit for bit.  The three rollout loops are the ones each
 simulator and the Gaussian model ran before they shared one time loop; its
 batches and generator state must match theirs bit for bit.  The dense
 epsilon-ball weights build every (query, pair) matrix at once, as the
@@ -43,6 +44,7 @@ of the sorted values; the medians must match bit for bit.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -51,7 +53,7 @@ from ope_ci.baselines import FittedQSpec
 from ope_ci.cpgen import _MASS_TOL, WeightedScoreDistribution
 from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
-from ope_ci.mdp import RolloutBatch, Trajectory
+from ope_ci.mdp import RolloutBatch
 from ope_ci.models import polynomial_features, solve_least_squares
 from ope_ci.policies import policy_probs, policy_sample
 
@@ -61,50 +63,67 @@ def prob(policy, state, action) -> float:
     return float(policy_probs(policy, np.array([state], dtype=float), np.array([action]))[0])
 
 
-def trajectory_return(traj, discount: float) -> float:
+class Row(NamedTuple):
+    """One trajectory's steps: states (L, d), integer actions (L,) and
+    rewards (L,)."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+
+
+def batch_rows(batch: RolloutBatch) -> list[Row]:
+    """Each row of a padded batch cut to its own length."""
+    return [
+        Row(batch.states[i, :L], batch.actions[i, :L], batch.rewards[i, :L])
+        for i, L in enumerate(batch.lengths.tolist())
+    ]
+
+
+def trajectory_return(row: Row, discount: float) -> float:
     """Discounted return over the trajectory's own length."""
     if not 0.0 < discount <= 1.0:
         raise ValueError("discount must lie in (0, 1]")
     total = 0.0
     gamma_t = 1.0
-    for tr in traj.transitions:
-        total += gamma_t * tr.reward
+    for reward in row.rewards:
+        total += gamma_t * float(reward)
         gamma_t *= discount
     return total
 
 
-def likelihood_ratio(traj, target, behavior) -> float:
+def likelihood_ratio(row: Row, target, behavior) -> float:
     """Product over steps of target/behavior action probabilities.
 
     Raises ZeroBehaviorProbability on an exactly-zero behavior denominator.
     """
     ratio = 1.0
-    for tr in traj.transitions:
-        denom = prob(behavior, tr.state, tr.action)
+    for state, action in zip(row.states, row.actions):
+        denom = prob(behavior, state, action)
         if denom == 0.0:
             raise ZeroBehaviorProbability(
-                f"behavior probability is zero at state {tr.state}, action {tr.action}"
+                f"behavior probability is zero at state {tuple(state)}, action {action}"
             )
-        ratio *= prob(target, tr.state, tr.action) / denom
+        ratio *= prob(target, state, action) / denom
     return ratio
 
 
 def per_trajectory_ratio_table(dataset, target, behavior):
     """(ratios (n, T), rewards (n, T), lengths (n,)) filled one trajectory
     at a time, T the longest trajectory's length."""
-    trajs = list(dataset)
-    n = len(trajs)
-    T = max(len(t) for t in trajs)
-    lengths = np.array([len(t) for t in trajs], dtype=np.int64)
+    rows = batch_rows(dataset.batch)
+    n = len(rows)
+    T = max(len(r.actions) for r in rows)
+    lengths = np.array([len(r.actions) for r in rows], dtype=np.int64)
     flat_states = np.empty((int(lengths.sum()), dataset.state_dim))
     flat_actions: list = []
     rewards = np.zeros((n, T))
     pos = 0
-    for i, traj in enumerate(trajs):
-        L = len(traj)
-        flat_states[pos : pos + L] = traj.states()
-        flat_actions.extend(traj.actions())
-        rewards[i, :L] = traj.rewards()
+    for i, row in enumerate(rows):
+        L = len(row.actions)
+        flat_states[pos : pos + L] = row.states
+        flat_actions.extend(int(a) for a in row.actions)
+        rewards[i, :L] = row.rewards
         pos += L
     p_behavior = policy_probs(behavior, flat_states, np.asarray(flat_actions))
     flat_ratios = policy_probs(target, flat_states, np.asarray(flat_actions)) / p_behavior
@@ -122,12 +141,12 @@ def per_trajectory_fit_rows(dataset):
     states."""
     reward_inputs, rewards = [], []
     dyn_inputs, next_states = [], []
-    for traj in dataset:
-        states = traj.states()
-        z = np.column_stack([states, np.array(traj.actions(), dtype=float)[:, None]])
+    for row in batch_rows(dataset.batch):
+        states = row.states
+        z = np.column_stack([states, row.actions.astype(float)[:, None]])
         reward_inputs.append(z)
-        rewards.append(traj.rewards())
-        if len(traj) > 1:
+        rewards.append(row.rewards)
+        if len(row.actions) > 1:
             dyn_inputs.append(z[:-1])
             next_states.append(states[1:])
     return (
@@ -151,15 +170,15 @@ def per_trajectory_transition_rows(dataset, extra=None):
     """(states, actions, rewards, next_states, terminal) of fitted Q: every
     step of the dataset, then of ``extra``; next states are zero on each
     trajectory's last step."""
-    trajs = list(dataset) + ([] if extra is None else extra.trajectories())
+    rows = batch_rows(dataset.batch) + ([] if extra is None else batch_rows(extra))
     states, actions, rewards, next_states, terminal = [], [], [], [], []
-    for traj in trajs:
-        s = traj.states()
+    for row in rows:
+        s = row.states
         states.append(s)
-        actions.append(np.asarray(traj.actions(), dtype=np.int64))
-        rewards.append(traj.rewards())
+        actions.append(row.actions)
+        rewards.append(row.rewards)
         next_states.append(np.vstack([s[1:], np.zeros((1, s.shape[1]))]))
-        term = np.zeros(len(traj), dtype=bool)
+        term = np.zeros(len(row.actions), dtype=bool)
         term[-1] = True
         terminal.append(term)
     return tuple(
@@ -174,27 +193,21 @@ def normal_quantile_oracle(p: float) -> float:
 
 def enumerate_trajectories(
     mdp: FiniteMdp, policy, initial_state=None
-) -> list[tuple[Trajectory, float]]:
+) -> list[tuple[Row, float]]:
     """All trajectories with their exact path probabilities.
 
     Probabilities are conditional on the initial state when one is given,
     otherwise they include the initial-state draw.  Zero-probability branches
     are pruned.
     """
-    out: list[tuple[Trajectory, float]] = []
+    out: list[tuple[Row, float]] = []
 
     def walk(s: int, t: int, p: float, prefix: list):
         if t == mdp.horizon or s in mdp.absorbing:
-            out.append(
-                (
-                    Trajectory.from_arrays(
-                        [(float(step[0]),) for step in prefix],
-                        [step[1] for step in prefix],
-                        [step[2] for step in prefix],
-                    ),
-                    p,
-                )
-            )
+            states = np.array([[float(step[0])] for step in prefix]).reshape(-1, 1)
+            actions = np.array([step[1] for step in prefix], dtype=np.int64)
+            rewards = np.array([step[2] for step in prefix], dtype=float)
+            out.append((Row(states, actions, rewards), p))
             return
         for a in range(mdp.action_count):
             pa = prob(policy, (float(s),), a)

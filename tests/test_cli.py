@@ -489,13 +489,18 @@ class TestValueErrorsExitTwo:
             (["baseline", "--method", "is", "--nboot", 99], "--nboot"),
             (["baseline", "--method", "is", "--degree", 3], "--degree"),
             (["cpgen", "--s0", "5.0", "--degree", 0], "--degree"),
+            (["cpgen", "--s0", "5.0", "--eps-state", "nan"], "--eps-state"),
+            (["cpgen", "--s0", "5.0", "--eps-state", "inf"], "--eps-state"),
+            (["cpgen", "--s0", "5.0", "--eps-score", "nan"], "--eps-score"),
+            (["cpgen", "--s0", "5.0", "--eps-score", "inf"], "--eps-score"),
         ],
         ids=[
             "cpgen-eps-state", "cpgen-m", "cpgen-ngen", "cpgen-rollouts-zero",
             "cpgen-rollouts-negative", "drppi-nf", "drppi-m", "baseline-nboot",
             "baseline-augdr-nsynth", "baseline-augis-nsynth", "baseline-dm-rollouts-zero",
             "baseline-dm-rollouts-one", "baseline-clt-nboot", "baseline-is-degree",
-            "cpgen-degree",
+            "cpgen-degree", "cpgen-eps-state-nan", "cpgen-eps-state-inf",
+            "cpgen-eps-score-nan", "cpgen-eps-score-inf",
         ],
     )
     def test_out_of_range_flag_exits_two(

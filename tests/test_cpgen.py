@@ -83,6 +83,13 @@ class TestEstimateWeightEps:
         with pytest.raises(NoTrainingPairs):
             estimate_weight_eps((0.0,), 0.0, [], EpsConfig())
 
+    @pytest.mark.parametrize("field", ["eps_state", "eps_score"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_radius_that_is_not_finite_and_positive_rejected(self, field, value):
+        # a NaN radius fails every "<= 0" test, and would leave every ball empty
+        with pytest.raises(ValueError, match=f"^{field} must be a finite positive number, got "):
+            EpsConfig(**{field: value})
+
     def test_resolve_eps_uses_median_spread(self):
         pairs = [pair(x, 10.0 * x) for x in (0.0, 1.0, 2.0)]
         eps_s, eps_r = resolve_eps(pairs, EpsConfig())
@@ -625,9 +632,9 @@ class TestGenerationScorePairs:
         ds = mdp.sample_dataset(behavior, 6, rng, 0.9)
         pairs = generation_score_pairs(OracleModel(mdp), behavior, target, ds, 3, rng)
         assert len(pairs) == 18
-        for i, traj in enumerate(ds):
+        for i, start in enumerate(ds.batch.states[:, 0]):
             for m in range(3):
-                assert tuple(pairs.states[i * 3 + m]) == traj.initial_state
+                assert tuple(pairs.states[i * 3 + m]) == tuple(start)
 
     def test_identity_policies_give_unit_ratios(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture

@@ -17,7 +17,7 @@ from ope_ci.envs import (
 )
 from ope_ci.policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
 
-from oracles import dp_policy_value, enumerate_trajectories, path_walk_value, prob
+from oracles import batch_rows, dp_policy_value, enumerate_trajectories, path_walk_value, prob
 
 
 class TestInventoryStep:
@@ -85,13 +85,13 @@ class TestInventoryEnv:
         behavior, _ = inventory_policies
         ds = inventory_env.sample_dataset(behavior, 3, rng)
         assert ds.batch.lengths.tolist() == [inventory_env.horizon] * 3
-        assert [len(traj) for traj in ds] == [inventory_env.horizon] * 3
 
     def test_same_seed_same_trajectory(self, inventory_env, inventory_policies):
         behavior, _ = inventory_policies
         d1 = inventory_env.sample_dataset(behavior, 2, np.random.default_rng(5))
         d2 = inventory_env.sample_dataset(behavior, 2, np.random.default_rng(5))
-        assert list(d1) == list(d2)
+        for name in ("states", "actions", "rewards", "lengths"):
+            assert np.array_equal(getattr(d1.batch, name), getattr(d2.batch, name))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fewer_than_one_trajectory_rejected(self, inventory_env, inventory_policies, n):
@@ -106,13 +106,13 @@ class TestInventoryEnv:
         params = InventoryParams(demand_sd=1e-12)
         env = InventoryEnv(params)
         policy = SoftmaxOrderUpToPolicy(order_up_to=6.0, temperature=1e-9, capacity=10)
-        (traj,) = env.sample_dataset(policy, 1, np.random.default_rng(0))
-        x = traj.initial_state[0]
-        for tr in traj:
+        (row,) = batch_rows(env.sample_dataset(policy, 1, np.random.default_rng(0)).batch)
+        x = row.states[0, 0]
+        for action, reward in zip(row.actions, row.rewards):
             a = int(round(max(0.0, 6.0 - x)))
-            assert tr.action == a
+            assert action == a
             expected_next, expected_reward = inventory_step(x, a, 5.0, params)
-            assert tr.reward == pytest.approx(expected_reward, abs=1e-6)
+            assert reward == pytest.approx(expected_reward, abs=1e-6)
             x = expected_next
 
     def test_step_batch_matches_inventory_step(self):
@@ -163,9 +163,9 @@ class TestFiniteMdp:
         R = np.ones((2, 1, 2))
         mdp = FiniteMdp(P, R, np.array([1.0, 0.0]), horizon=3)
         policy = TabularPolicy(((1.0,), (1.0,)))
-        (traj,) = mdp.sample_dataset(policy, 1, np.random.default_rng(0))
-        assert [int(t.state[0]) for t in traj] == [0, 1, 0]
-        assert list(traj.rewards()) == [1.0, 1.0, 1.0]
+        (row,) = batch_rows(mdp.sample_dataset(policy, 1, np.random.default_rng(0)).batch)
+        assert row.states[:, 0].tolist() == [0.0, 1.0, 0.0]
+        assert row.rewards.tolist() == [1.0, 1.0, 1.0]
 
     def test_absorbing_state_ends_trajectory(self):
         P = np.zeros((2, 1, 2))
@@ -184,17 +184,16 @@ class TestFiniteMdp:
         # chi-square sanity on full-path frequencies at 1e5 samples
         mdp, behavior, _ = finite_fixture
 
-        def signature(traj):
+        def signature(row):
             # rewards disambiguate the final next state, which (s, a) alone
             # cannot
             return tuple(
-                (int(t.state[0]), t.action, round(t.reward, 9))
-                for t in traj.transitions
+                (int(s[0]), int(a), round(float(r), 9)) for s, a, r in zip(*row)
             )
 
         grouped: dict = {}
-        for traj, prob in enumerate_trajectories(mdp, behavior):
-            sig = signature(traj)
+        for row, prob in enumerate_trajectories(mdp, behavior):
+            sig = signature(row)
             grouped[sig] = grouped.get(sig, 0.0) + prob
         keys = {sig: i for i, sig in enumerate(grouped)}
         probs = np.array(list(grouped.values()))
@@ -206,8 +205,8 @@ class TestFiniteMdp:
             mdp.horizon, np.random.default_rng(3),
         )
         counts = np.zeros(len(keys))
-        for i in range(n):
-            counts[keys[signature(batch.trajectory(i))]] += 1
+        for row in batch_rows(batch):
+            counts[keys[signature(row)]] += 1
         expected = probs * n
         mask = expected >= 5
         chi2 = float(((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum())

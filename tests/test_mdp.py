@@ -10,28 +10,34 @@ from ope_ci.errors import ZeroBehaviorProbability
 from ope_ci.mdp import (
     ConfidenceInterval,
     RolloutBatch,
-    Trajectory,
     TrajectoryDataset,
-    Transition,
     read_jsonl_dataset,
     write_jsonl_dataset,
 )
 from ope_ci.reweighting import trajectory_ratios
 
-from oracles import likelihood_ratio, trajectory_return
+from oracles import Row, batch_rows, likelihood_ratio, trajectory_return
+from test_rollouts import absorbing_mdp
+
+
+def row(states, actions, rewards):
+    """A ``Row`` of per-step lists: one state tuple per step."""
+    return Row(
+        np.array(states, dtype=float).reshape(len(actions), -1),
+        np.array(actions, dtype=np.int64),
+        np.array(rewards, dtype=float),
+    )
 
 
 def traj_from_rewards(rewards, state=(0.0,)):
-    return Trajectory(tuple(Transition(state, 0, float(r)) for r in rewards))
+    return row([state] * len(rewards), [0] * len(rewards), rewards)
 
 
-def dataset_of(trajectories, discount=1.0, horizon=None):
-    """Dataset holding the given trajectories, padded by ``RolloutBatch.pad``."""
-    trajectories = list(trajectories)
+def dataset_of(rows, discount=1.0, horizon=None):
+    """Dataset holding the given rows, padded by ``RolloutBatch.pad``."""
+    rows = list(rows)
     batch = RolloutBatch.pad(
-        [t.states() for t in trajectories],
-        [t.actions() for t in trajectories],
-        [t.rewards() for t in trajectories],
+        [r.states for r in rows], [r.actions for r in rows], [r.rewards for r in rows]
     )
     if horizon is None:
         horizon = int(batch.lengths.max())
@@ -56,31 +62,23 @@ def ratio_pair(per_step_ratios):
     target = RatioStubPolicy(
         {a: 0.1 * r for a, r in enumerate(per_step_ratios)}
     )
-    traj = Trajectory(
-        tuple(Transition((0.0,), a, 1.0) for a in range(len(per_step_ratios)))
-    )
-    return traj, target, behavior
+    n = len(per_step_ratios)
+    return row([(0.0,)] * n, range(n), [1.0] * n), target, behavior
 
 
 class TestTrajectoryTypes:
     def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lengths must lie in 1..2"):
             TrajectoryDataset(RolloutBatch.pad([[]], [[]], [[]]), 1.0, 2)
 
     def test_nonfinite_reward_rejected(self):
-        with pytest.raises(ValueError):
-            Transition((0.0,), 0, math.nan)
-        with pytest.raises(ValueError):
-            TrajectoryDataset(RolloutBatch.pad([[[0.0]]], [[0]], [[math.inf]]), 1.0, 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrajectoryDataset(RolloutBatch.pad([[[0.0]]], [[0]], [[bad]]), 1.0, 1)
 
     def test_initial_state_is_first_transition_state(self):
-        traj = Trajectory(
-            (Transition((3.0,), 1, 0.5), Transition((7.0,), 0, 0.25))
-        )
-        assert traj.initial_state == (3.0,)
-        assert dataset_of([traj]).initial_states().tolist() == [[3.0]]
+        ds = dataset_of([row([(3.0,), (7.0,)], [1, 0], [0.5, 0.25])])
+        assert ds.initial_states().tolist() == [[3.0]]
 
     def test_sample_initial_states_resamples_the_dataset_starts(self):
         starts = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
@@ -94,6 +92,36 @@ class TestTrajectoryTypes:
     def test_dataset_rejects_mixed_state_dims(self):
         with pytest.raises(ValueError):
             RolloutBatch.pad([[[0.0]], [[0.0, 1.0]]], [[0], [0]], [[1.0], [1.0]])
+
+    def test_pad_refuses_non_integer_actions(self):
+        # int64 storage would silently truncate them to [1, 2]
+        with pytest.raises(ValueError, match="^trajectory 1: actions must be integers"):
+            RolloutBatch.pad([[[0.0]], [[0.0], [1.0]]], [[0], [1.7, 2.2]], [[1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("states", (2, 3)), ("actions", (2, 2)), ("actions", (3, 3)), ("rewards", (2, 4)),
+         ("rewards", (2,)), ("drawn_probs", (2, 2)), ("lengths", (3,)), ("lengths", (2, 1))],
+    )
+    def test_dataset_refuses_arrays_whose_shapes_disagree(self, name, shape):
+        """A misaligned batch would otherwise fail later, in numpy broadcasting or
+        indexing, with messages that name no array."""
+        fields = {
+            "states": np.zeros((2, 3, 1)), "actions": np.zeros((2, 3), dtype=np.int64),
+            "rewards": np.zeros((2, 3)), "lengths": np.array([3, 2]),
+            "drawn_probs": np.full((2, 3), 0.5),
+        }
+        TrajectoryDataset(RolloutBatch(**fields), 1.0, 3)
+        fields[name] = np.ones(shape, dtype=fields[name].dtype)
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            TrajectoryDataset(RolloutBatch(**fields), 1.0, 3)
+
+    def test_dataset_refuses_actions_of_a_float_dtype(self):
+        """Ratio tables would cast them to integers and return plausible numbers."""
+        batch = RolloutBatch(np.zeros((1, 2, 1)), np.array([[0.0, 1.5]]), np.zeros((1, 2)),
+                             np.array([2]))
+        with pytest.raises(ValueError, match="^actions must be integers, got dtype float64"):
+            TrajectoryDataset(batch, 1.0, 2)
 
     def test_dataset_rejects_overlong_trajectory(self):
         traj = traj_from_rewards([1.0, 1.0, 1.0])
@@ -155,6 +183,28 @@ class TestTrajectoryTypes:
         assert ci.contains(0.0) and not ci.contains(2.5)
 
 
+class TestRowView:
+    """Iterating a dataset yields each row's valid steps as array slices; the
+    benchmark's tracer counts a dataset's steps as their lengths."""
+
+    def test_views_hold_the_valid_cells_of_each_row(self):
+        mdp, behavior = absorbing_mdp()
+        starts = np.repeat([0.0, 1.0, 2.0], 20)[:, None]
+        batch = mdp.rollout_batch(behavior, starts, mdp.horizon, np.random.default_rng(5))
+        ds = TrajectoryDataset(batch, 0.9, mdp.horizon)
+        assert len(set(batch.lengths.tolist())) > 1
+        for dataset in (ds, *ds.split_half()):
+            b = dataset.batch
+            views = list(dataset)
+            assert [len(v) for v in views] == b.lengths.tolist()
+            mask = b.step_mask()
+            for i, view in enumerate(views):
+                for name in ("states", "actions", "rewards"):
+                    got, want = getattr(view, name), getattr(b, name)[i][mask[i]]
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
 class TestTrajectoryReturn:
     def test_zero_rewards(self):
         assert trajectory_return(traj_from_rewards([0, 0, 0]), 0.9) == 0.0
@@ -214,11 +264,9 @@ class TestLikelihoodRatio:
         target = RatioStubPolicy(
             {a: 0.1 * r for a, r in enumerate(ratios_a + ratios_b)}
         )
-        t_a = Trajectory(tuple(Transition((0.0,), a, 1.0) for a in range(n_a)))
-        t_b = Trajectory(
-            tuple(Transition((0.0,), n_a + a, 1.0) for a in range(n_b))
-        )
-        joined = Trajectory(t_a.transitions + t_b.transitions)
+        t_a = row([(0.0,)] * n_a, range(n_a), [1.0] * n_a)
+        t_b = row([(0.0,)] * n_b, range(n_a, n_a + n_b), [1.0] * n_b)
+        joined = Row(*(np.concatenate(pair) for pair in zip(t_a, t_b)))
         assert likelihood_ratio(joined, target, behavior) == pytest.approx(
             likelihood_ratio(t_a, target, behavior)
             * likelihood_ratio(t_b, target, behavior),
@@ -257,7 +305,7 @@ class TestPairLikelihoodRatio:
 
     def test_product_of_single_ratios(self):
         real, target, behavior = ratio_pair([2.0])
-        gen = Trajectory((Transition((0.0,), 0, 1.0),))
+        gen = row([(0.0,)], [0], [1.0])
         # both legs use action 0 with ratio 2: pair ratio 4
         ratios = trajectory_ratios(dataset_of([real, gen]), target, behavior)
         assert ratios.prod() == pytest.approx(4.0)
@@ -265,10 +313,8 @@ class TestPairLikelihoodRatio:
     def test_mixed_lengths_enumerate_steps(self):
         behavior = RatioStubPolicy({0: 0.2, 1: 0.2, 2: 0.2})
         target = RatioStubPolicy({0: 0.4, 1: 0.1, 2: 0.6})
-        short = Trajectory((Transition((0.0,), 0, 1.0),))
-        longer = Trajectory(
-            (Transition((0.0,), 1, 1.0), Transition((0.0,), 2, 1.0))
-        )
+        short = row([(0.0,)], [0], [1.0])
+        longer = row([(0.0,), (0.0,)], [1, 2], [1.0, 1.0])
         expected = (0.4 / 0.2) * (0.1 / 0.2) * (0.6 / 0.2)
         ratios = trajectory_ratios(dataset_of([short, longer]), target, behavior)
         assert ratios.tolist() == [
@@ -280,30 +326,28 @@ class TestPairLikelihoodRatio:
 
 class TestJsonlRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path, rng):
-        trajs = []
+        rows = []
         for _ in range(7):
             length = int(rng.integers(1, 6))
-            trajs.append(
-                Trajectory(
-                    tuple(
-                        Transition(
-                            (float(rng.standard_normal()), float(rng.standard_normal())),
-                            int(rng.integers(0, 3)),
-                            float(rng.standard_normal() * 1e3),
-                        )
-                        for _ in range(length)
-                    )
+            steps = [
+                (
+                    (float(rng.standard_normal()), float(rng.standard_normal())),
+                    int(rng.integers(0, 3)),
+                    float(rng.standard_normal() * 1e3),
                 )
-            )
-        ds = dataset_of(trajs, 0.97, 8)
+                for _ in range(length)
+            ]
+            rows.append(row(*zip(*steps)))
+        ds = dataset_of(rows, 0.97, 8)
         path = tmp_path / "data.jsonl"
         write_jsonl_dataset(ds, path)
         back = read_jsonl_dataset(path)
         assert back.discount == ds.discount
         assert back.horizon == ds.horizon
         assert len(back) == len(ds)
-        for a, b in zip(ds, back):
-            assert a == b  # dataclass equality covers every float bit-exactly
+        for a, b in zip(batch_rows(ds.batch), batch_rows(back.batch)):
+            for x, y in zip(a, b):  # every float's bits
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for name in ("states", "actions", "rewards", "lengths"):
             assert np.array_equal(getattr(back.batch, name), getattr(ds.batch, name))
 

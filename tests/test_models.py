@@ -212,13 +212,10 @@ class TestOracleModel:
         mdp = FiniteMdp(P, R, np.array([1.0, 0.0]), horizon=3)
         policy = TabularPolicy(((1.0,), (1.0,)))
         model = OracleModel(mdp).fit(None)
-        want = mdp.rollout_batch(
-            policy, np.array([[0.0]]), 3, np.random.default_rng(4)
-        ).trajectory(0)
-        got = model.rollout_batch(
-            policy, np.array([[0.0]]), 3, np.random.default_rng(4)
-        ).trajectory(0)
-        assert got == want
+        want = mdp.rollout_batch(policy, np.array([[0.0]]), 3, np.random.default_rng(4))
+        got = model.rollout_batch(policy, np.array([[0.0]]), 3, np.random.default_rng(4))
+        for name in ("states", "actions", "rewards", "lengths"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestRewardOffsetModel:
@@ -245,9 +242,9 @@ class TestPairedGeneration:
             OracleModel(mdp), behavior, behavior, reals, 2, rng
         )
         assert len(pairs) == 6
-        for i, real in enumerate(reals):
+        for i, start in enumerate(reals.batch.states[:, 0]):
             for m in range(2):
-                assert tuple(pairs.states[i * 2 + m]) == real.initial_state
+                assert tuple(pairs.states[i * 2 + m]) == tuple(start)
 
     def test_fixed_seed_reproduces_pair_set(self, finite_fixture):
         mdp, behavior, target = finite_fixture

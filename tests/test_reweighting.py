@@ -28,7 +28,7 @@ from ope_ci.reweighting import (
     wis_returns,
 )
 
-from oracles import normal_quantile_oracle, one_call_bootstrap_means
+from oracles import batch_rows, normal_quantile_oracle, one_call_bootstrap_means
 from test_envs import traced_peak_mb
 from test_mdp import RatioStubPolicy
 
@@ -150,7 +150,7 @@ class TestPdisReturn:
     def test_identity_policy_gives_plain_return(self, finite_fixture, rng):
         mdp, behavior, _ = finite_fixture
         ds = mdp.sample_dataset(behavior, 5, rng, 0.9)
-        want = [sum(0.9**t * tr.reward for t, tr in enumerate(traj)) for traj in ds]
+        want = [sum(0.9**t * r for t, r in enumerate(row.rewards)) for row in batch_rows(ds.batch)]
         assert pdis_returns(ds, behavior, behavior) == pytest.approx(want)
 
     def test_single_step_horizon_identity_any_discount(self, flat_reward_mdp, rng):
