@@ -11,12 +11,12 @@ estimate of the value at the queried initial state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DatasetTooSmall, DegenerateWeights, EmptyBand, NoTrainingPairs, UnboundedBand
-from .mdp import ConfidenceInterval, State, TrajectoryDataset
+from .mdp import ConfidenceInterval, State, TrajectoryDataset, _fold
 from .policies import _BLOCK_CELLS, _row_blocks
 from .reweighting import trajectory_ratios
 
@@ -34,8 +34,7 @@ class ScorePair:
     pair_ratio: float
 
     def __post_init__(self) -> None:
-        if self.pair_ratio < 0:
-            raise ValueError("pair ratios must be nonnegative")
+        ScorePairs(*(np.array([v], dtype=float) for v in astuple(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +52,9 @@ class ScorePairs:
         n = self.scores.shape[0]
         if self.states.shape[0] != n or self.ratios.shape != (n,):
             raise ValueError("states, scores and ratios must have one row per pair")
+        for name in ("states", "scores", "ratios"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if (self.ratios < 0).any():
             raise ValueError("pair ratios must be nonnegative")
 
@@ -497,16 +499,14 @@ def generation_score_pairs(
 ) -> ScorePairs:
     """Pair each real trajectory with ``per_trajectory`` model rollouts from
     its initial state under the behavior policy, in (trajectory, rollout)
-    order, and reduce the pairs to one columnar ``ScorePairs``: row i is
-    pair i's initial state, score and ratio."""
+    order, and reduce the pairs to one columnar ``ScorePairs``: row i is pair
+    i's initial state, score and ratio.  The rollouts are folded (``mdp._fold``)
+    into their returns and ratios: no generated batch is kept."""
     starts = np.repeat(dataset.initial_states(), per_trajectory, axis=0)
-    batch = model.rollout_batch(behavior, starts, dataset.horizon, rng)
-    generated = TrajectoryDataset(batch, dataset.discount, dataset.horizon)
-    ratios = np.repeat(
-        trajectory_ratios(dataset, target, behavior), per_trajectory
-    ) * trajectory_ratios(generated, target, behavior)
-    scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
-    return ScorePairs(starts, scores, ratios)
+    returns, ratios = _fold(model, behavior, target, starts, dataset.horizon,
+                            dataset.discount, rng)
+    ratios *= np.repeat(trajectory_ratios(dataset, target, behavior), per_trajectory)
+    return ScorePairs(starts, np.repeat(dataset.returns(), per_trajectory) - returns, ratios)
 
 
 def cp_gen_detailed(

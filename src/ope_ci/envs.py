@@ -80,8 +80,7 @@ class Simulator:
         return np.asarray(initial_states, dtype=float).reshape(-1, self.state_dim)
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        starts = self._start_states(initial_states)
-        return _roll_out(self.step_batch, policy, starts, horizon, rng, self.is_absorbing)
+        return _roll_out(self, policy, initial_states, horizon, rng, log=True)
 
     def sample_dataset(
         self, policy, n: int, rng: np.random.Generator, discount: float = 1.0
@@ -241,10 +240,9 @@ def monte_carlo_value(
         starts = env.sample_initial_states(rng, n_rollouts)
     else:
         starts = np.tile(np.asarray(initial_state, dtype=float), (n_rollouts, 1))
-    starts = env._start_states(starts)
     gammas = discount ** np.arange(env.horizon)
     returns = np.zeros(n_rollouts)
-    steps = _steps(env.step_batch, policy, starts, env.horizon, rng, env.is_absorbing)
+    steps = _steps(env, policy, env._start_states(starts), env.horizon, rng)
     for t, (_, _, rewards, live) in enumerate(steps):
         returns += np.where(live, rewards, 0.0) * gammas[t]
     mean = float(returns.mean())

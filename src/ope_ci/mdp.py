@@ -8,19 +8,18 @@ initial states and the first reward belongs to step one.  Steps at or beyond
 ``lengths[b]`` are padding.  Estimators read the arrays directly, flattened
 trajectory by trajectory through ``step_mask()``, and take discounted returns
 from ``RolloutBatch.returns``, which skips the padding; the batch is the one
-trajectory representation.  ``returns`` is the one return routine of
-recorded batches.  The Monte Carlo ground truth records
-no batch: ``envs.monte_carlo_value`` adds each step of the rollout loop
-``_steps`` into one running return per row.  It adds the same terms in time
-order instead of numpy's pairwise order, so each of its returns agrees with
-``returns`` within horizon·ε of the sum of the terms' magnitudes.  A rollout
-also logs each drawn action's probability under the policy that drew it,
-which ratio tables read in place of that policy's table when it is their
-behavior; JSONL files store no log, so datasets read back recompute it.  A
-dataset is also an initial-state sampler, ``sample_initial_states(rng, n)``,
-which model rollouts on real data start from.  Actions are integers.  All
-types are immutable after construction and all functions are pure;
-randomness always enters through an explicit generator argument.
+trajectory representation.  The one rollout driver ``_steps`` runs the step
+protocol of a simulator or model into two sinks: ``_roll_out`` records a
+batch, and ``_fold`` keeps only the rewards and each row's likelihood ratio,
+all that generated score pairs read; both sum returns with ``_returns``.  The
+Monte Carlo ground truth (``envs.monte_carlo_value``) sums each row's return
+in time order instead, within horizon·ε of ``_returns`` relative to the sum of
+the terms' magnitudes.  A simulator's rollout, the data of a dataset, also
+logs each drawn action's probability, which ratio tables read in place of the
+behavior's table; JSONL files store no log.  A dataset is also an
+initial-state sampler, ``sample_initial_states(rng, n)``.  Actions are
+integers.  All types are immutable after construction and all functions are
+pure; randomness always enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -31,7 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .policies import policy_sample
+from .errors import ZeroBehaviorProbability
+from .policies import policy_probs, policy_sample
 
 State = tuple[float, ...]
 
@@ -57,10 +57,10 @@ class RolloutBatch:
 
     ``states[b, t]`` is the state action ``actions[b, t]`` was taken from;
     entries at or beyond ``lengths[b]`` are padding and must be ignored.
-    A rollout of two or more rows logs ``drawn_probs[b, t]``, the probability
-    of ``actions[b, t]`` in the action table of ``drawn_by`` (the policy that
-    drew it) that the draw came from, zero on padding.  Row subsets and
-    ``RewardOffsetModel`` keep the log; ``pad``, fitted-Q blocks and JSONL
+    A simulator's rollout of two or more rows logs ``drawn_probs[b, t]``, the
+    probability of ``actions[b, t]`` in the action table of ``drawn_by`` (the
+    policy that drew it) that the draw came from, zero on padding.  Row
+    subsets keep the log; model rollouts, ``pad``, fitted-Q blocks and JSONL
     files have none (``None``), so their ratio tables recompute it.
     """
 
@@ -110,11 +110,8 @@ class RolloutBatch:
         return t[None, :] < self.lengths[:, None]
 
     def returns(self, discount: float) -> np.ndarray:
-        """Discounted return of each row over its own length, the one return
-        routine of recorded batches.  Padding never reaches the sum, so it
-        may hold anything, even NaN or infinity."""
-        gammas = discount ** np.arange(self.states.shape[1])
-        return (np.where(self.step_mask(), self.rewards, 0.0) * gammas).sum(axis=1)
+        """Discounted return of each row over its own length (``_returns``)."""
+        return _returns(self.rewards, self.lengths, discount)
 
     def flatten(self):
         """Valid steps in trajectory-major order as ``(states, actions,
@@ -139,53 +136,94 @@ class RolloutBatch:
                 for i, n in enumerate(self.lengths.tolist())]
 
 
-def _steps(step, policy, x, horizon, rng, stopped=None, drawn_probs=None):
-    """The one rollout time loop.  Each step makes one ``policy_sample`` call
-    for all rows, then ``step(states, actions, rng) -> (next_states,
-    rewards)``, and yields ``(states, actions, rewards, live)``: the states
-    the actions were taken from, and which rows were still running.  A row's
-    rollout ends in a ``stopped`` (absorbing) state; the row keeps stepping
-    unrecorded, so every row takes every draw.  The loop ends early once
-    every row has ended.  A yielded ``live`` is never changed afterwards.
-    Row t of a ``(horizon, N)`` buffer ``drawn_probs`` receives the
-    probabilities of the actions drawn at step t."""
+def _steps(sim, policy, x, horizon, rng, drawn_probs=None):
+    """The one rollout driver, over the step protocol of a simulator or
+    model ``sim``: ``step_batch(states, actions, rng) -> (next_states,
+    rewards)`` and an optional ``is_absorbing`` (states to ``(N,)``
+    booleans), from starts ``x`` that ``sim._start_states`` prepared.  Each
+    step draws every row's action with one ``policy_sample`` call, which
+    writes the drawn probabilities into an ``(N,)`` buffer ``drawn_probs``,
+    then steps, and yields ``(states, actions, rewards, live)``.  A row ends
+    in an absorbing state but keeps taking its draws unrecorded; the loop
+    ends once every row has ended.  A yielded ``live`` never changes."""
+    stopped = getattr(sim, "is_absorbing", None)
     live = np.ones(x.shape[0], dtype=bool) if stopped is None else ~stopped(x)
-    for t in range(horizon):
+    for _ in range(horizon):
         if not live.any():
             return
-        a = policy_sample(policy, x, rng, None if drawn_probs is None else drawn_probs[t])
-        x_next, r = step(x, a, rng)
+        a = policy_sample(policy, x, rng, drawn_probs)
+        x_next, r = sim.step_batch(x, a, rng)
         yield x, a, r, live
         x = x_next
         if stopped is not None:
             live = live & ~stopped(x)
 
 
-def _roll_out(step, policy, initial_states, horizon, rng, stopped=None) -> RolloutBatch:
-    """The steps of ``_steps`` recorded into a padded batch.  The buffers are
-    time-major, so each step writes one contiguous slice; they are returned
-    as C-ordered ``(N, T, ...)`` arrays, zero past each row's length (which
-    covers the steps skipped once every row has ended).  Only two or more
-    rows log ``drawn_probs``, as one-row tables may differ in the last bit."""
-    n, d = initial_states.shape
-    states = np.empty((horizon, n, d))
-    actions = np.empty((horizon, n), dtype=np.int64)
-    rewards = np.empty((horizon, n))
-    probs = np.empty((horizon, n))
+def _roll_out(sim, policy, initial_states, horizon, rng, log=False) -> RolloutBatch:
+    """The steps of ``_steps`` recorded into time-major buffers, each freed
+    once copied into a C-ordered ``(N, T, ...)`` array, zero past each row's
+    length.  With ``log``, two or more rows log ``drawn_probs``; one-row
+    tables may differ in the last bit."""
+    x = sim._start_states(initial_states)
+    n, d = x.shape
+    drawn = np.empty(n) if log and n > 1 else None
+    buffers = [np.empty((horizon, n, d)), np.empty((horizon, n), dtype=np.int64),
+               np.empty((horizon, n))] + ([] if drawn is None else [np.empty((horizon, n))])
     lengths = np.zeros(n, dtype=np.int64)
-    steps = _steps(step, policy, initial_states, horizon, rng, stopped, probs if n > 1 else None)
-    for t, (x, a, r, live) in enumerate(steps):
-        states[t], actions[t], rewards[t] = x, a, r
+    for t, (x, a, r, live) in enumerate(_steps(sim, policy, x, horizon, rng, drawn)):
+        for buffer, value in zip(buffers, (x, a, r, drawn)):
+            buffer[t] = value
         lengths += live
-    states = np.ascontiguousarray(states.swapaxes(0, 1))
-    actions = np.ascontiguousarray(actions.T)
-    rewards = np.ascontiguousarray(rewards.T)
-    probs = np.ascontiguousarray(probs.T)
+    arrays = [np.ascontiguousarray(buffers.pop(0).swapaxes(0, 1)) for _ in range(len(buffers))]
     if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]
-        states[pad], actions[pad], rewards[pad], probs[pad] = 0.0, 0, 0.0, 0.0
-    log = (probs, policy) if n > 1 else (None, None)
-    return RolloutBatch(states, actions, rewards, lengths, *log)
+        for array in arrays:
+            array[pad] = 0
+    return RolloutBatch(*arrays[:3], lengths, *([] if drawn is None else [arrays[3], policy]))
+
+
+def _returns(rewards, lengths, discount: float) -> np.ndarray:
+    """Discounted return of each ``(N, T)`` rewards row over its length; the
+    cells past it never reach the sum, so they may hold anything, even NaN."""
+    t = np.arange(rewards.shape[1])
+    return (np.where(t < lengths[:, None], rewards, 0.0) * discount**t).sum(axis=1)
+
+
+def _nonzero(p_behavior: np.ndarray) -> np.ndarray:
+    """``p_behavior``, refused if it holds a zero: the one support check."""
+    if (p_behavior == 0.0).any():
+        message = "behavior policy assigns zero probability to an observed action"
+        raise ZeroBehaviorProbability(message)
+    return p_behavior
+
+
+def _fold(sim, behavior, target, initial_states, horizon, discount, rng):
+    """``(returns, ratios)`` of rollouts under ``behavior``, with the bits of
+    a recorded batch's returns and ratio-table row products, from a rewards
+    buffer and a running product of each step's target over drawn
+    probabilities.  A one-row rollout builds both tables from all its steps,
+    as a one-row table does.  It refuses what the dataset and table refuse."""
+    x = sim._start_states(initial_states)
+    n = x.shape[0]
+    rewards, lengths = np.empty((n, horizon)), np.zeros(n, dtype=np.int64)
+    ratios, drawn, kept = np.ones(n), np.empty(n), []
+    for t, (x, a, r, live) in enumerate(_steps(sim, behavior, x, horizon, rng, drawn)):
+        if not (np.isfinite(x[live]).all() and np.isfinite(r[live]).all()):
+            raise ValueError("states and rewards must be finite")
+        rewards[:, t] = r
+        lengths += live
+        if n == 1:
+            kept.append((x, a))
+        else:
+            _nonzero(drawn[live])
+            ratios *= np.divide(policy_probs(target, x, a), drawn, out=np.ones(n), where=live)
+    if lengths.min() < 1:
+        raise ValueError(f"trajectory lengths must lie in 1..{horizon}")
+    if kept:
+        x, a = (np.concatenate(steps) for steps in zip(*kept))
+        p_behavior = _nonzero(policy_probs(behavior, x, a))
+        ratios = (policy_probs(target, x, a) / p_behavior)[None].prod(axis=1)
+    return _returns(rewards, lengths, discount), ratios
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ independent generator streams may run concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,16 @@ def solve_least_squares(X: np.ndarray, Y: np.ndarray, rows: int | None = None) -
     return coef
 
 
+class Model:
+    """Batch rollouts of a model's step protocol (``mdp._steps``), which log no
+    drawn probabilities: ratio tables read only datasets."""
+
+    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
+        return _roll_out(self, policy, initial_states, horizon, rng)
+
+
 @dataclass
-class GaussianRegressionModel:
+class GaussianRegressionModel(Model):
     """Polynomial-feature regressor for next state and reward with Gaussian
     residual noise; the residual scale per output dimension is fitted from
     the training residuals.
@@ -97,7 +105,12 @@ class GaussianRegressionModel:
         self._state_dim = Ys.shape[1]
         return self
 
-    def _step(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
+    def _start_states(self, initial_states) -> np.ndarray:
+        if not self.fitted:
+            raise SingularDesign("model must be fitted before rolling out")
+        return np.asarray(initial_states, dtype=float).reshape(-1, self._state_dim)
+
+    def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         """Mean maps plus Gaussian noise: the reward noise is drawn first,
         then the state noise; next states are clipped to ``state_box``."""
         n = states.shape[0]
@@ -110,29 +123,24 @@ class GaussianRegressionModel:
             np.clip(x, self.state_box[0], self.state_box[1], out=x)
         return x, rewards
 
-    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        if not self.fitted:
-            raise SingularDesign("model must be fitted before rolling out")
-        starts = np.asarray(initial_states, dtype=float).reshape(-1, self._state_dim)
-        return _roll_out(self._step, policy, starts, horizon, rng)
-
 
 @dataclass
-class OracleModel:
+class OracleModel(Model):
     """Ground-truth environment wrapped as a generative model (zero model
     error ablation); fitting is a no-op."""
 
     env: object
 
+    step_batch = property(lambda self: self.env.step_batch)
+    is_absorbing = property(lambda self: self.env.is_absorbing)
+    _start_states = property(lambda self: self.env._start_states)
+
     def fit(self, dataset: TrajectoryDataset | None = None) -> "OracleModel":
         return self
 
-    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        return self.env.rollout_batch(policy, initial_states, horizon, rng)
-
 
 @dataclass
-class RewardOffsetModel:
+class RewardOffsetModel(Model):
     """Decorator adding a constant per-step reward offset to a base model.
 
     Used to study how estimators behave when the generative model is biased.
@@ -141,10 +149,13 @@ class RewardOffsetModel:
     base: object
     reward_offset: float
 
+    is_absorbing = property(lambda self: getattr(self.base, "is_absorbing", None))
+    _start_states = property(lambda self: self.base._start_states)
+
     def fit(self, dataset: TrajectoryDataset | None = None) -> "RewardOffsetModel":
         self.base.fit(dataset)
         return self
 
-    def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        batch = self.base.rollout_batch(policy, initial_states, horizon, rng)
-        return replace(batch, rewards=batch.rewards + self.reward_offset)
+    def step_batch(self, states, actions, rng):
+        x, rewards = self.base.step_batch(states, actions, rng)
+        return x, rewards + self.reward_offset

@@ -14,12 +14,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeights,
-    InsufficientSamples,
-    ZeroBehaviorProbability,
-)
-from .mdp import ConfidenceInterval, TrajectoryDataset
+from .errors import DegenerateWeights, InsufficientSamples
+from .mdp import ConfidenceInterval, TrajectoryDataset, _nonzero
 from .policies import _BLOCK_CELLS, _row_blocks, policy_probs
 
 _AUTO_MIN_N = 100  # sample count from which "auto" clipping is on
@@ -93,10 +89,7 @@ def step_ratio_table(
     actions = b.actions[:, :T][mask]
     logged = b.drawn_by == behavior and actions.size > 1
     p_behavior = b.drawn_probs[:, :T][mask] if logged else policy_probs(behavior, states, actions)
-    if (p_behavior == 0.0).any():
-        raise ZeroBehaviorProbability(
-            "behavior policy assigns zero probability to an observed action"
-        )
+    _nonzero(p_behavior)
     p_target = policy_probs(target, states, actions)
     ratios = np.ones((b.size, T))
     ratios[mask] = p_target / p_behavior

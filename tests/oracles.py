@@ -39,7 +39,10 @@ list of columns, as the library built them before it wrote one preallocated
 array, and must match bit for bit.  The block median distance writes the
 triangle from blocks of rows with masks and ``abs`` for every width, as the
 library did before it read one coordinate's distances off contiguous slices
-of the sorted values; the medians must match bit for bit.
+of the sorted values; the medians must match bit for bit.  The score pairs
+are recorded as the library made them before it folded the generated
+rollouts: one recorded batch, a dataset of it and its ratio table; the folded
+pairs must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -50,12 +53,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from ope_ci.baselines import FittedQSpec
-from ope_ci.cpgen import _MASS_TOL, WeightedScoreDistribution
+from ope_ci.cpgen import _MASS_TOL, ScorePairs, WeightedScoreDistribution
 from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
-from ope_ci.mdp import RolloutBatch
+from ope_ci.mdp import RolloutBatch, TrajectoryDataset
 from ope_ci.models import polynomial_features, solve_least_squares
 from ope_ci.policies import policy_probs, policy_sample
+from ope_ci.reweighting import trajectory_ratios
 
 
 def prob(policy, state, action) -> float:
@@ -643,3 +647,16 @@ def gaussian_model_rollout(model, policy, initial_states, horizon, rng) -> Rollo
         if model.state_box is not None:
             np.clip(x, model.state_box[0], model.state_box[1], out=x)
     return RolloutBatch(states, actions, rewards, np.full(n, horizon, dtype=np.int64))
+
+
+def recorded_score_pairs(model, behavior, target, dataset, per_trajectory, rng) -> ScorePairs:
+    """``generation_score_pairs`` through a recorded generated batch and the
+    ratio table of its dataset."""
+    starts = np.repeat(dataset.initial_states(), per_trajectory, axis=0)
+    batch = model.rollout_batch(behavior, starts, dataset.horizon, rng)
+    generated = TrajectoryDataset(batch, dataset.discount, dataset.horizon)
+    ratios = np.repeat(
+        trajectory_ratios(dataset, target, behavior), per_trajectory
+    ) * trajectory_ratios(generated, target, behavior)
+    scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
+    return ScorePairs(starts, scores, ratios)

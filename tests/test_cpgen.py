@@ -674,9 +674,31 @@ class TestGenerationScorePairs:
             (np.zeros((3, 1)), np.zeros(3), np.array([1.0, -0.5, 1.0]), "nonnegative"),
             (np.zeros((2, 1)), np.zeros(3), np.ones(3), "one row per pair"),
             (np.zeros((3, 1)), np.zeros(3), np.ones(4), "one row per pair"),
+            (np.array([[0.0], [np.inf], [0.0]]), np.zeros(3), np.ones(3), "states must be finite"),
+            (np.zeros((3, 1)), np.array([0.0, np.inf, 0.0]), np.ones(3), "scores must be finite"),
+            (np.zeros((3, 1)), np.array([0.0, np.nan, 0.0]), np.ones(3), "scores must be finite"),
+            (np.zeros((3, 1)), np.zeros(3), np.array([1.0, np.inf, 1.0]), "ratios must be finite"),
+            (np.zeros((3, 1)), np.zeros(3), np.array([1.0, np.nan, 1.0]), "ratios must be finite"),
         ],
-        ids=["negative-ratio", "short-states", "long-ratios"],
+        ids=["negative-ratio", "short-states", "long-ratios", "inf-state", "inf-score",
+             "nan-score", "inf-ratio", "nan-ratio"],
     )
     def test_record_rejects_bad_columns(self, states, scores, ratios, message):
         with pytest.raises(ValueError, match=message):
             ScorePairs(states, scores, ratios)
+
+    @pytest.mark.parametrize(
+        "state, score, ratio, message",
+        [
+            ((math.nan,), 0.0, 1.0, "states must be finite"),
+            ((1.0,), math.inf, 1.0, "scores must be finite"),
+            ((1.0,), math.nan, math.nan, "scores must be finite"),
+            ((1.0,), 0.0, math.inf, "ratios must be finite"),
+            ((1.0,), 0.0, math.nan, "ratios must be finite"),
+            ((1.0,), 0.0, -0.5, "nonnegative"),
+        ],
+        ids=["nan-state", "inf-score", "nan-pair", "inf-ratio", "nan-ratio", "negative-ratio"],
+    )
+    def test_pair_rejects_what_the_record_rejects(self, state, score, ratio, message):
+        with pytest.raises(ValueError, match=message):
+            ScorePair(state, score, ratio)

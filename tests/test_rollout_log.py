@@ -1,10 +1,10 @@
 """The behavior probabilities that rollouts log against the ones a ratio table
 recomputes, byte for byte.
 
-A rollout of two or more rows keeps, for every step, the probability of the
-drawn action in the table it was drawn from, and ``step_ratio_table`` reads
-that log in place of the behavior's table when the batch was drawn by a
-policy equal to its ``behavior``.  Each table built from a log must equal the
+A simulator's rollout of two or more rows keeps, for every step, the
+probability of the drawn action in the table it was drawn from, and
+``step_ratio_table`` reads that log in place of the behavior's table when the
+batch was drawn by a policy equal to its ``behavior``.  Each table built from a log must equal the
 table recomputed from a copy of the batch without one.  A one-row action
 table may differ from a larger table's rows in the last bit, so one-row
 rollouts log nothing and one-row ratio tables recompute."""
@@ -17,7 +17,7 @@ from ope_ci import reweighting
 from ope_ci.envs import InventoryEnv, InventoryParams, inventory_policy_pair
 from ope_ci.errors import ZeroBehaviorProbability
 from ope_ci.mdp import RolloutBatch, TrajectoryDataset, read_jsonl_dataset, write_jsonl_dataset
-from ope_ci.models import GaussianRegressionModel, RewardOffsetModel
+from ope_ci.models import GaussianRegressionModel, OracleModel, RewardOffsetModel
 from ope_ci.policies import SoftmaxOrderUpToPolicy, policy_probs, policy_sample
 from ope_ci.reweighting import step_ratio_table, trajectory_ratios
 
@@ -110,18 +110,6 @@ class TestLoggedRollouts:
             assert built == [target]
             assert_same_table(half, target, behavior)
 
-    def test_reward_offset_model_keeps_the_log(self, monkeypatch):
-        ds, behavior, target = inventory_case()
-        model = RewardOffsetModel(GaussianRegressionModel(), 25.0).fit(ds)
-        batch = model.rollout_batch(behavior, ds.initial_states(), ds.horizon,
-                                    np.random.default_rng(7))
-        assert batch.drawn_by == behavior
-        generated = TrajectoryDataset(batch, ds.discount, ds.horizon)
-        built = behavior_tables(monkeypatch)
-        step_ratio_table(generated, target, behavior)
-        assert built == [target]
-        assert_same_table(generated, target, behavior)
-
     def test_data_drawn_by_another_policy_recomputes(self, monkeypatch):
         behavior, target = inventory_policy_pair()
         ds = InventoryEnv().sample_dataset(target, 30, np.random.default_rng(8))
@@ -191,6 +179,19 @@ class TestOneRowTables:
 
 
 class TestUnloggedBatches:
+    def test_model_rollouts_carry_no_log(self, monkeypatch):
+        """Only datasets are read by ratio tables, so only simulators log."""
+        ds, behavior, target = inventory_case()
+        fitted = GaussianRegressionModel().fit(ds)
+        for model in (fitted, RewardOffsetModel(fitted, 25.0), OracleModel(InventoryEnv())):
+            batch = model.rollout_batch(behavior, ds.initial_states(), ds.horizon,
+                                        np.random.default_rng(7))
+            assert batch.drawn_probs is None and batch.drawn_by is None
+            generated = TrajectoryDataset(batch, ds.discount, ds.horizon)
+            built = behavior_tables(monkeypatch)
+            step_ratio_table(generated, target, behavior)
+            assert built == [behavior, target]
+
     def test_pad_carries_no_log(self):
         batch = RolloutBatch.pad([[[0.0], [1.0]], [[2.0]]], [[0, 1], [1]], [[1.0, 2.0], [3.0]])
         assert batch.drawn_probs is None and batch.drawn_by is None
