@@ -24,7 +24,6 @@ from .cpgen import (
     weighted_distribution,
 )
 from .drppi import (
-    DrPpiConfig,
     HalfEstimate,
     cross_fit_variance,
     dr_ppi_estimates,

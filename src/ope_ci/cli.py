@@ -17,9 +17,10 @@ import numpy as np
 from .cpgen import EpsConfig
 from .errors import OpeCiError
 from .harness import (
-    METHOD_QUALIFIERS,
+    METHODS,
     StudyConfig,
     emit_results,
+    fields_read,
     make_env_spec,
     make_method,
     parse_method,
@@ -115,8 +116,8 @@ def _cmd_drppi(args) -> int:
 
 def _cmd_baseline(args) -> int:
     """``--bound`` defaults to the method's own bound, which the JSON records."""
-    bound = args.bound or METHOD_QUALIFIERS[args.method][0]
-    if bound not in METHOD_QUALIFIERS[args.method]:
+    bound = args.bound or METHODS[args.method].qualifiers[0]
+    if bound not in METHODS[args.method].qualifiers:
         raise OpeCiError(f"--bound {bound} is not available for --method {args.method}")
     result = _run_method(args, f"{args.method}:{bound}")
     return _write_interval(args, result, method=args.method, bound=bound)
@@ -135,9 +136,14 @@ def _cmd_coverage(args) -> int:
         if key in first:
             raise OpeCiError(f"--method lists one method twice, as {first[key]!r} and {spec!r}")
         first[key] = spec
+    config, default = _settings(args), StudyConfig()
+    read = set().union(*(fields_read(name, config.model) for name, _ in first))
+    for field in StudyConfig.__dataclass_fields__:  # a flag no spec reads changes no figure
+        if field not in read and getattr(config, field) != getattr(default, field):
+            raise OpeCiError(f"{field} is read by none of {', '.join(map(repr, args.method))}")
     reports = run_coverage_study(
         env_spec, args.method, args.n, args.trials, args.alpha, args.seed,
-        config=_settings(args), cache_dir=args.cache_dir,
+        config=config, cache_dir=args.cache_dir,
     )
     emit_results(reports, args.out, args.format)
     return 0
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(dr)
     add_model(dr)
     dr.add_argument("--data", required=True)
-    corrections = METHOD_QUALIFIERS["drppi"]
+    corrections = METHODS["drppi"].qualifiers
     dr.add_argument("--correction", default=corrections[0], choices=corrections)
     dr.add_argument("--alpha", type=float, default=0.05)
     add_drppi(dr)
@@ -205,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(base)
     base.add_argument("--data", required=True)
     # every registry method without a subcommand of its own; its qualifier is a bound
-    baselines = [m for m in METHOD_QUALIFIERS if m not in ("drppi", "cpgen")]
+    baselines = [m for m in METHODS if m not in ("drppi", "cpgen")]
     base.add_argument("--method", required=True, choices=baselines)
-    bounds = list(dict.fromkeys(b for m in baselines for b in METHOD_QUALIFIERS[m]))
+    bounds = list(dict.fromkeys(b for m in baselines for b in METHODS[m].qualifiers))
     base.add_argument("--bound", choices=bounds, help="default: the method's own bound")
     base.add_argument("--alpha", type=float, default=0.05)
     _setting(base, "--clip", "clip", choices=["auto", "on", "off"])

@@ -1,35 +1,22 @@
 """Doubly-robust population-value intervals (the `drppi` estimator): one
 fold loop, cross-fitted or single-fit, of model value plus a held-out
-reweighted correction, with the shared plug-in variance and normal interval."""
+reweighted correction, with the shared plug-in variance and normal interval.
+Its settings are the study's ``StudyConfig``: ``n_model_rollouts``,
+``pairs_per_trajectory``, ``crossfit`` and ``clip_policy()``."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DatasetTooSmall
 from .mdp import ConfidenceInterval, TrajectoryDataset
-from .reweighting import (
-    ClipPolicy,
-    _normal_interval,
-    _plug_in_variance,
-    reweighted_returns,
-)
+from .reweighting import _normal_interval, _plug_in_variance, reweighted_returns
 
-
-@dataclass(frozen=True)
-class DrPpiConfig:
-    n_model_rollouts: int = 1000
-    pairs_per_trajectory: int = 8
-    clip: ClipPolicy = field(default_factory=ClipPolicy)
-    cross_fit: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_model_rollouts < 2:
-            raise ValueError("n_model_rollouts must be at least 2")
-        if self.pairs_per_trajectory < 1:
-            raise ValueError("pairs_per_trajectory must be at least 1")
+if TYPE_CHECKING:
+    from .harness import StudyConfig
 
 
 @dataclass(frozen=True)
@@ -49,7 +36,7 @@ def half_estimate(
     correction_data: TrajectoryDataset,
     behavior,
     target,
-    cfg: DrPpiConfig,
+    cfg: StudyConfig,
     rng: np.random.Generator,
     d0_sampler=None,
     *,
@@ -84,7 +71,8 @@ def half_estimate(
     pair_means = pair_returns.reshape(n_half, cfg.pairs_per_trajectory).mean(axis=1)
 
     halves = []
-    for returns in reweighted_returns(correction_data, target, behavior, corrections, cfg.clip):
+    for returns in reweighted_returns(correction_data, target, behavior, corrections,
+                                      cfg.clip_policy()):
         terms = returns - pair_means
         halves.append(HalfEstimate(
             value=float(model_returns.mean() + terms.mean()),
@@ -124,7 +112,7 @@ def dr_ppi_estimates(
     if len(dataset) < 4:
         raise DatasetTooSmall("the estimator needs at least 4 trajectories")
     folds = [((dataset, dataset), rng)]
-    if cfg.cross_fit:
+    if cfg.crossfit:
         first, second = dataset.split_half()
         folds = zip([(first, second), (second, first)], rng.spawn(2))
     per_fold = [

@@ -13,13 +13,15 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .baselines import aug_is_baseline, dm_baseline, dr_baseline, is_baseline
 from .cpgen import EpsConfig, cp_gen_detailed
-from .drppi import DrPpiConfig, dr_ppi_estimates, interval_from_estimate
+from .drppi import dr_ppi_estimates, interval_from_estimate
 from .envs import (
     InventoryEnv,
     inventory_policy_pair,
@@ -27,9 +29,9 @@ from .envs import (
     oracle_value,
     small_finite_mdp,
 )
-from .mdp import ConfidenceInterval, State
+from .mdp import ConfidenceInterval, State, TrajectoryDataset
 from .models import GaussianRegressionModel, OracleModel, RewardOffsetModel
-from .reweighting import ClipPolicy, CorrectionKind
+from .reweighting import CLIP_MODES, ClipPolicy, CorrectionKind
 
 CACHE_ENV_VAR = "OPE_CI_CACHE_DIR"
 SEED_MIX = "splitmix64-v1"
@@ -106,6 +108,8 @@ def make_env_spec(name: str, s0: State | None = None, discount: float = 1.0) -> 
 _LEAST_COUNTS = {"n_model_rollouts": 2, "pairs_per_trajectory": 1, "cpgen_m": 1,
                  "cpgen_n_gen": 1, "cpgen_rollouts": 1, "n_synth": 0, "dm_rollouts": 2,
                  "n_boot": 100}
+# each model kind and the one model field it reads besides ``model``
+_MODEL_KINDS = {"gaussian": "model_degree", "oracle": None, "biased": "bias_fraction"}
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,12 @@ class StudyConfig:
     n_boot: int = 2000
 
     def __post_init__(self) -> None:
-        """Refuse, before any work, a count below the least the methods take,
-        a feature degree other than 1 or 2 and a bias that is not finite."""
+        """Refuse, before any work, an unknown model or clip, a count below the
+        least the methods take, a degree other than 1 or 2 and a bias that is not finite."""
+        for name, allowed in (("model", tuple(_MODEL_KINDS)), ("clip", CLIP_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))}, "
+                                 f"got {getattr(self, name)!r}")
         for name, least in _LEAST_COUNTS.items():
             value = getattr(self, name)
             if value is not None and value < least:
@@ -219,54 +227,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def make_model_factory(env_spec: EnvSpec, config: StudyConfig, ground_truth: float):
-    if config.model == "gaussian":
-        box = env_spec.env.state_box
-
-        def factory():
-            return GaussianRegressionModel(degree=config.model_degree, state_box=box)
-
-        return factory
-    if config.model == "oracle":
-        return lambda: OracleModel(env_spec.env)
-    if config.model == "biased":
-        offset = config.bias_fraction * ground_truth / env_spec.env.horizon
-
-        def factory():
-            return RewardOffsetModel(OracleModel(env_spec.env), offset)
-
-        return factory
-    raise ValueError(f"unknown model kind {config.model!r}")
-
-
-# The qualifiers each method takes after a colon, its default first: the
-# interval bound of the baselines, drppi's correction; cpgen takes none.
-METHOD_QUALIFIERS = {
-    **dict.fromkeys(("is", "wis", "pdis", "augis"), ("clt", "bootstrap")),
-    "dm": ("bootstrap",), "dr": ("clt",), "augdr": ("clt",),
-    "drppi": ("pdis", "is", "wis"), "cpgen": (),
-}
-
-
-def parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
-    """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
-    defaulted; ``ValueError`` for an unknown name or qualifier, and for
-    cpgen on an ``env_spec`` without a fixed s0 (the CLI's ``--s0``)."""
-    name, colon, qualifier = method.partition(":")
-    allowed = METHOD_QUALIFIERS.get(name)
-    if allowed is None:
-        known = ", ".join(METHOD_QUALIFIERS)
-        raise ValueError(f"unknown method {method!r}; use one of {known}")
-    if colon and qualifier not in allowed:
-        takes = f"the qualifier {' or '.join(allowed)}" if allowed else "no qualifier"
-        raise ValueError(f"method {method!r}: {name} takes {takes}")
-    if name == "cpgen" and env_spec.s0 is None:
-        raise ValueError("cpgen studies need a fixed s0; pass its coordinates with --s0")
-    if not colon:
-        return name, allowed[0] if allowed else None
-    return name, qualifier
-
-
 @dataclass(frozen=True)
 class MethodResult:
     """One adapter call's output: the interval, the plug-in variance where the
@@ -277,6 +237,128 @@ class MethodResult:
     details: object = None
 
 
+@dataclass(frozen=True)
+class _Trial:
+    """What a runner reads of one trial besides its qualifier and stream."""
+
+    dataset: TrajectoryDataset
+    alpha: float
+    env_spec: EnvSpec
+    config: StudyConfig
+    ground_truth: float  # sets the offset of the "biased" model
+    eps: EpsConfig
+
+    def model(self):
+        """The model factory: an unfitted model of the kind ``config.model``."""
+        config, env = self.config, self.env_spec.env
+        if config.model == "gaussian":
+            return GaussianRegressionModel(degree=config.model_degree, state_box=env.state_box)
+        if config.model == "oracle":
+            return OracleModel(env)
+        offset = config.bias_fraction * self.ground_truth / env.horizon
+        return RewardOffsetModel(OracleModel(env), offset)
+
+    def n_synth(self) -> int:  # None: 10x the dataset size
+        return self.config.n_synth if self.config.n_synth is not None else 10 * len(self.dataset)
+
+
+def _run_is(kind, trial: _Trial, bound, rng):
+    env, config = trial.env_spec, trial.config
+    return MethodResult(is_baseline(trial.dataset, env.behavior, env.target, trial.alpha,
+                                    kind, bound, config.clip_policy(), rng, config.n_boot))
+
+
+def _run_augis(trial: _Trial, bound, rng):
+    env, config = trial.env_spec, trial.config
+    return MethodResult(aug_is_baseline(
+        trial.dataset, trial.model().fit(trial.dataset), env.behavior, env.target,
+        trial.n_synth(), trial.alpha, bound, config.clip_policy(), rng,
+        d0_sampler=env.env.sample_initial_states, n_boot=config.n_boot,
+    ))
+
+
+def _run_dm(trial: _Trial, bound, rng):
+    env, config, dataset = trial.env_spec, trial.config, trial.dataset
+    return MethodResult(dm_baseline(
+        trial.model().fit(dataset), env.target, env.env.sample_initial_states,
+        config.dm_rollouts, trial.alpha, rng, dataset.horizon, dataset.discount, config.n_boot,
+    ))
+
+
+def _run_dr(trial: _Trial, bound, rng, augment=False):
+    env = trial.env_spec
+    synthetic = (trial.model().fit(trial.dataset), trial.n_synth()) if augment else None
+    return MethodResult(dr_baseline(trial.dataset, env.behavior, env.target, trial.alpha,
+                                    augment=synthetic, clip=trial.config.clip_policy(), rng=rng))
+
+
+def _run_drppi(trial: _Trial, corrections, rng):
+    """One result per kind in ``corrections``, from one fold loop."""
+    env = trial.env_spec
+    estimates = dr_ppi_estimates(trial.dataset, env.behavior, env.target, trial.config,
+                                 trial.model, rng, env.env.sample_initial_states, corrections)
+    return [MethodResult(interval_from_estimate(value, variance, trial.alpha), variance)
+            for value, variance in estimates]
+
+
+def _run_cpgen(trial: _Trial, qualifier, rng):
+    env, config = trial.env_spec, trial.config
+    result = cp_gen_detailed(
+        trial.dataset, env.behavior, env.target, env.s0, trial.alpha,
+        M=config.cpgen_m, N_gen=config.cpgen_n_gen, n_pe_rollouts=config.cpgen_rollouts,
+        cfg=trial.eps, model_factory=trial.model, rng=rng,
+    )
+    return MethodResult(result.interval, details=result)
+
+
+class _Method(NamedTuple):
+    qualifiers: tuple[str, ...]  # taken after a colon, the default first
+    fields: tuple[str, ...]  # the StudyConfig fields that ``run`` reads
+    run: Callable  # (trial, qualifier, rng) -> MethodResult; drppi's: see _run_drppi
+
+
+_MODEL = ("model", "model_degree", "bias_fraction")
+_BOUNDS = ("clt", "bootstrap")
+
+# The method registry: each method's qualifiers (the interval bound of the
+# baselines, drppi's correction; cpgen takes none), settings and runner.
+METHODS = {
+    **{kind.value: _Method(_BOUNDS, ("clip", "n_boot"), partial(_run_is, kind))
+       for kind in (CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.PDIS)},
+    "augis": _Method(_BOUNDS, (*_MODEL, "n_synth", "clip", "n_boot"), _run_augis),
+    "dm": _Method(("bootstrap",), (*_MODEL, "dm_rollouts", "n_boot"), _run_dm),
+    "dr": _Method(("clt",), ("clip",), _run_dr),
+    "augdr": _Method(("clt",), (*_MODEL, "n_synth", "clip"), partial(_run_dr, augment=True)),
+    "drppi": _Method(("pdis", "is", "wis"), (*_MODEL, "n_model_rollouts",
+                     "pairs_per_trajectory", "crossfit", "clip"), _run_drppi),
+    "cpgen": _Method((), (*_MODEL, "cpgen_m", "cpgen_n_gen", "cpgen_rollouts"), _run_cpgen),
+}
+
+
+def fields_read(name: str, model: str) -> set[str]:
+    """The ``StudyConfig`` fields method ``name`` reads under the model kind
+    ``model``: ``model_degree`` only under gaussian, ``bias_fraction`` only under biased."""
+    return set(METHODS[name].fields) - {f for k, f in _MODEL_KINDS.items() if k != model}
+
+
+def parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
+    """``(name, qualifier)`` of a ``name[:qualifier]`` spec, the qualifier
+    defaulted; ``ValueError`` for an unknown name or qualifier, and for
+    cpgen on an ``env_spec`` without a fixed s0 (the CLI's ``--s0``)."""
+    name, colon, qualifier = method.partition(":")
+    if name not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
+    allowed = METHODS[name].qualifiers
+    if colon and qualifier not in allowed:
+        takes = f"the qualifier {' or '.join(allowed)}" if allowed else "no qualifier"
+        raise ValueError(f"method {method!r}: {name} takes {takes}")
+    if name == "cpgen" and env_spec.s0 is None:
+        raise ValueError("cpgen studies need a fixed s0; pass its coordinates with --s0")
+    if not colon:
+        return name, allowed[0] if allowed else None
+    return name, qualifier
+
+
 def make_method(
     methods, env_spec: EnvSpec, config: StudyConfig, ground_truth: float,
     eps: EpsConfig = EpsConfig(),
@@ -284,97 +366,18 @@ def make_method(
     """Runner (dataset, alpha, rng) -> a MethodResult per spec in ``methods``;
     ``eps`` sets cpgen's ball radii.  Each spec runs on a deep copy of
     ``rng`` (it keeps ``spawn`` state), as it would alone, and the drppi
-    specs share one fold loop."""
-    factory = make_model_factory(env_spec, config, ground_truth)
-    specs = tuple(methods)
-    parsed = {spec: parse_method(spec, env_spec) for spec in specs}
-    alone = {spec: _method_runner(name, qualifier, env_spec, config, factory, eps)
-             for spec, (name, qualifier) in parsed.items() if name != "drppi"}
-    kinds = [CorrectionKind(parsed[spec][1]) for spec in specs if spec not in alone]
-    cfg = DrPpiConfig(
-        n_model_rollouts=config.n_model_rollouts,
-        pairs_per_trajectory=config.pairs_per_trajectory,
-        clip=config.clip_policy(),
-        cross_fit=config.crossfit,
-    )
+    specs share one copy and one fold loop."""
+    parsed = [parse_method(spec, env_spec) for spec in methods]
+    kinds = tuple(CorrectionKind(qualifier) for name, qualifier in parsed if name == "drppi")
 
     def run_all(dataset, alpha, rng):  # the drppi specs first, from one fold loop
-        shared = iter([
-            MethodResult(interval_from_estimate(value, variance, alpha), variance)
-            for value, variance in dr_ppi_estimates(
-                dataset, env_spec.behavior, env_spec.target, cfg, factory, copy.deepcopy(rng),
-                env_spec.env.sample_initial_states, kinds)
-        ] if kinds else ())
-        return [alone[spec](dataset, alpha, copy.deepcopy(rng)) if spec in alone
-                else next(shared) for spec in specs]
+        trial = _Trial(dataset, alpha, env_spec, config, ground_truth, eps)
+        shared = iter(METHODS["drppi"].run(trial, kinds, copy.deepcopy(rng)) if kinds else ())
+        return [next(shared) if name == "drppi"
+                else METHODS[name].run(trial, qualifier, copy.deepcopy(rng))
+                for name, qualifier in parsed]
 
     return run_all
-
-
-def _method_runner(name, qualifier, env_spec: EnvSpec, config: StudyConfig, factory, eps):
-    """``make_method``'s adapter of one parsed spec other than drppi."""
-    clip = config.clip_policy()
-    d0 = env_spec.env.sample_initial_states
-
-    def n_synth(dataset):
-        return config.n_synth if config.n_synth is not None else 10 * len(dataset)
-
-    if name in ("is", "wis", "pdis"):
-        kind = CorrectionKind(name)
-
-        def run(dataset, alpha, rng):
-            return MethodResult(is_baseline(
-                dataset, env_spec.behavior, env_spec.target, alpha,
-                kind, qualifier, clip, rng, config.n_boot,
-            ))
-
-        return run
-
-    if name == "augis":
-
-        def run(dataset, alpha, rng):
-            return MethodResult(aug_is_baseline(
-                dataset, factory().fit(dataset), env_spec.behavior, env_spec.target,
-                n_synth(dataset), alpha, qualifier, clip, rng,
-                d0_sampler=d0, n_boot=config.n_boot,
-            ))
-
-        return run
-
-    if name == "dm":
-
-        def run(dataset, alpha, rng):
-            return MethodResult(dm_baseline(
-                factory().fit(dataset), env_spec.target, d0, config.dm_rollouts, alpha, rng,
-                dataset.horizon, dataset.discount, config.n_boot,
-            ))
-
-        return run
-
-    if name in ("dr", "augdr"):
-
-        def run(dataset, alpha, rng):
-            augment = None
-            if name == "augdr":
-                augment = (factory().fit(dataset), n_synth(dataset))
-            return MethodResult(dr_baseline(
-                dataset, env_spec.behavior, env_spec.target, alpha,
-                augment=augment, clip=clip, rng=rng,
-            ))
-
-        return run
-
-    # cpgen, the one method left
-    def run(dataset, alpha, rng):
-        result = cp_gen_detailed(
-            dataset, env_spec.behavior, env_spec.target, env_spec.s0, alpha,
-            M=config.cpgen_m, N_gen=config.cpgen_n_gen,
-            n_pe_rollouts=config.cpgen_rollouts,
-            cfg=eps, model_factory=factory, rng=rng,
-        )
-        return MethodResult(result.interval, details=result)
-
-    return run
 
 
 def run_coverage_study(

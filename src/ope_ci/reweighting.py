@@ -19,6 +19,7 @@ from .mdp import ConfidenceInterval, TrajectoryDataset, _nonzero
 from .policies import _BLOCK_CELLS, _row_blocks, policy_probs
 
 _AUTO_MIN_N = 100  # sample count from which "auto" clipping is on
+CLIP_MODES = ("auto", "on", "off")
 
 
 class CorrectionKind(enum.Enum):
@@ -40,7 +41,7 @@ class ClipPolicy:
     mode: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("auto", "on", "off"):
+        if self.mode not in CLIP_MODES:
             raise ValueError("mode must be one of 'auto', 'on', 'off'")
 
     @classmethod

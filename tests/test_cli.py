@@ -205,8 +205,7 @@ class TestCoverageCommand:
     def test_several_specs_give_one_study_of_one_spec_rows(self, tmp_path):
         """One CSV of several specs holds, row for row, the CSVs of each spec
         alone: the study shares datasets, not results."""
-        args = ["--env", "finite", "--gamma", 0.9, "--n", 30, "--trials", 2, "--Nf", 40,
-                "--seed", 3]
+        args = ["--env", "finite", "--gamma", 0.9, "--n", 30, "--trials", 2, "--seed", 3]
         specs = ["wis:clt", "drppi:is", "is:bootstrap", "drppi:pdis"]
         together = tmp_path / "all.csv"
         assert run_cli("coverage", "--method", *specs, *args, "--out", together) == 0
@@ -365,6 +364,36 @@ class TestMethodSpecs:
         err = single_error_line(capsys)
         assert err.startswith("error: --method ")
         assert f"{methods[0]!r} and {methods[-1]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "methods, flags, flag",
+        [
+            (["is"], ["--Nf", 50], "--Nf"),
+            (["is"], ["--bias", 0.5], "--bias"),
+            (["is"], ["--model", "oracle"], "--model"),
+            (["is", "dr"], ["--no-crossfit"], "--crossfit"),
+            (["augis:clt"], ["--model", "oracle", "--bias", 0.5], "--bias"),
+        ],
+        ids=["nf", "bias", "model", "no-crossfit", "bias-under-oracle"],
+    )
+    def test_setting_no_spec_reads_refused_before_ground_truth(
+        self, tmp_path, capsys, monkeypatch, methods, flags, flag
+    ):
+        # wrote the figures of the default settings under another config_digest
+        def no_ground_truth(*args, **kwargs):
+            raise AssertionError("the ground truth was computed")
+
+        monkeypatch.setattr("ope_ci.harness.monte_carlo_value", no_ground_truth)
+        out = tmp_path / "unread.csv"
+        code = run_cli(
+            "coverage", "--method", *methods, *flags, "--n", 20, "--trials", 1, "--seed", 1,
+            "--out", out,
+        )
+        assert code == 2
+        assert single_error_line(capsys) == (
+            f"error: {flag} is read by none of {', '.join(map(repr, methods))}\n"
+        )
         assert not out.exists()
 
     def test_coverage_ngen_reaches_the_study(self, tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ope_ci.drppi import (
-    DrPpiConfig,
     HalfEstimate,
     cross_fit_variance,
     dr_ppi_estimates,
@@ -13,8 +12,9 @@ from ope_ci.drppi import (
 )
 from ope_ci.envs import monte_carlo_value, oracle_value
 from ope_ci.errors import DatasetTooSmall
+from ope_ci.harness import StudyConfig
 from ope_ci.models import GaussianRegressionModel, OracleModel
-from ope_ci.reweighting import ClipPolicy, CorrectionKind, normal_quantile
+from ope_ci.reweighting import CorrectionKind, normal_quantile
 
 from oracles import normal_quantile_oracle
 
@@ -23,11 +23,11 @@ def cfg_with(**kwargs):
     defaults = dict(
         n_model_rollouts=64,
         pairs_per_trajectory=4,
-        clip=ClipPolicy.off(),
-        cross_fit=True,
+        clip="off",
+        crossfit=True,
     )
     defaults.update(kwargs)
-    return DrPpiConfig(**defaults)
+    return StudyConfig(**defaults)
 
 
 class TestHalfEstimate:
@@ -98,13 +98,13 @@ class TestHalfEstimate:
         model.rollout_batch = lambda *args: rollouts.append(1) or model_rollout(*args)
         kinds = [CorrectionKind.WIS, CorrectionKind.PDIS, CorrectionKind.IS]
         halves = half_estimate(
-            model, second, behavior, target, cfg_with(clip=ClipPolicy()),
+            model, second, behavior, target, cfg_with(clip="auto"),
             np.random.default_rng(8), corrections=kinds,
         )
         assert len(rollouts) == 2
         for kind, half in zip(kinds, halves):
             assert [half] == half_estimate(model, second, behavior, target,
-                                           cfg_with(clip=ClipPolicy()),
+                                           cfg_with(clip="auto"),
                                            np.random.default_rng(8), corrections=(kind,))
 
     def test_pair_means_converge_to_conditional_value(self, finite_fixture):
@@ -177,7 +177,7 @@ class TestDrPpiEstimate:
     def test_no_crossfit_single_fit_variance(self, finite_fixture):
         mdp, behavior, target = finite_fixture
         data = mdp.sample_dataset(behavior, 20, np.random.default_rng(4), 0.9)
-        cfg = cfg_with(cross_fit=False)
+        cfg = cfg_with(crossfit=False)
         rng = np.random.default_rng(5)
         value, variance = dr_ppi_estimates(
             data, behavior, target, cfg, lambda: OracleModel(mdp), rng,
@@ -205,7 +205,7 @@ class TestDrPpiEstimate:
 
         monkeypatch.setattr("ope_ci.drppi.half_estimate", zero_half)
         value, _ = dr_ppi_estimates(
-            data, behavior, target, cfg_with(cross_fit=cross_fit), lambda: OracleModel(mdp),
+            data, behavior, target, cfg_with(crossfit=cross_fit), lambda: OracleModel(mdp),
             np.random.default_rng(5), None, [CorrectionKind.IS],
         )[0]
         assert math.copysign(1.0, value) == -1.0
@@ -225,7 +225,7 @@ class TestDrPpiEstimate:
             return GaussianRegressionModel(state_box=inventory_env.state_box)
 
         kinds = [CorrectionKind.PDIS, CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.IS]
-        cfg = cfg_with(clip=ClipPolicy(), cross_fit=cross_fit)
+        cfg = cfg_with(clip="auto", crossfit=cross_fit)
         got = dr_ppi_estimates(
             data, behavior, target, cfg, factory, np.random.default_rng(7), None, kinds
         )
@@ -240,7 +240,7 @@ class TestDrPpiEstimate:
     ):
         behavior, target = inventory_policies
         data = inventory_env.sample_dataset(behavior, 100, np.random.default_rng(6))
-        cfg = cfg_with(clip=ClipPolicy(), n_model_rollouts=400, pairs_per_trajectory=4)
+        cfg = cfg_with(clip="auto", n_model_rollouts=400, pairs_per_trajectory=4)
         value, variance = dr_ppi_estimates(
             data, behavior, target, cfg, lambda: OracleModel(inventory_env),
             np.random.default_rng(7), inventory_env.sample_initial_states,
@@ -319,13 +319,3 @@ class TestInterval:
         a bad quantile level."""
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
             interval_from_estimate(1.0, 0.25, alpha)
-
-
-class TestConfigValidation:
-    def test_bad_rollout_count(self):
-        with pytest.raises(ValueError):
-            DrPpiConfig(n_model_rollouts=1)
-
-    def test_bad_pair_count(self):
-        with pytest.raises(ValueError):
-            DrPpiConfig(pairs_per_trajectory=0)

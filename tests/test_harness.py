@@ -6,12 +6,13 @@ import pytest
 
 from ope_ci.harness import (
     CSV_COLUMNS,
-    METHOD_QUALIFIERS,
+    METHODS,
     StudyConfig,
     TrialDetails,
     config_digest,
     derive_seed,
     emit_results,
+    fields_read,
     ground_truth_value,
     make_env_spec,
     make_method,
@@ -22,8 +23,8 @@ from ope_ci.models import GaussianRegressionModel
 # every name:qualifier the registry takes; cpgen takes no qualifier
 METHOD_SPECS = [
     f"{name}:{qualifier}" if qualifier else name
-    for name, qualifiers in METHOD_QUALIFIERS.items()
-    for qualifier in qualifiers or (None,)
+    for name, entry in METHODS.items()
+    for qualifier in entry.qualifiers or (None,)
 ]
 
 
@@ -127,6 +128,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=f"^model_degree must be 1 or 2, got {degree}$"):
             StudyConfig(model_degree=degree)
 
+    @pytest.mark.parametrize("field", ["model", "clip"])
+    def test_unknown_model_or_clip_rejected(self, field):
+        # built without error, and a study ran its ground truth before failing
+        with pytest.raises(ValueError, match=f"^{field} must be one of .*, got 'bogus'$"):
+            StudyConfig(**{field: "bogus"})
+
     def test_default_digest_unchanged(self):
         assert config_digest(StudyConfig().describe()) == DEFAULT_CONFIG_DIGEST
 
@@ -176,6 +183,28 @@ class TestCoverageStudy:
         dataset = spec.env.sample_dataset(spec.behavior, 60, rng, spec.discount)
         point = run(dataset, 0.1, rng)[0].interval.point
         assert isinstance(point, float) and np.isfinite(point)
+
+    @pytest.mark.parametrize("model", ["gaussian", "oracle", "biased"])
+    @pytest.mark.parametrize("method", METHOD_SPECS)
+    def test_a_trial_reads_the_declared_fields(self, method, model):
+        """The settings a spec's trial reads are those its registry entry
+        declares under the model kind, which the CLI's refusal relies on."""
+        read = set()
+
+        class Recording(StudyConfig):
+            def __getattribute__(self, name):
+                if name in StudyConfig.__dataclass_fields__:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        config = Recording(model=model, n_model_rollouts=32, pairs_per_trajectory=2,
+                           cpgen_rollouts=32, n_synth=40, dm_rollouts=32, n_boot=200)
+        spec = make_env_spec("inventory", s0=(5.0,))
+        dataset = spec.env.sample_dataset(spec.behavior, 60, np.random.default_rng(8))
+        read.clear()  # construction checks every field
+        run = make_method([method], spec, config, ground_truth=50.0)
+        run(dataset, 0.2, np.random.default_rng(9))
+        assert read == fields_read(method.partition(":")[0], model)
 
     def test_cpgen_method_requires_s0(self):
         spec = make_env_spec("finite", discount=0.9)
