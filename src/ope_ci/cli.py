@@ -40,11 +40,17 @@ def _setting(parser, flag: str, field: str, config=StudyConfig(), **kwargs) -> N
     parser.add_argument(flag, dest=field, default=getattr(config, field), **kwargs)
 
 
-def _settings(args) -> StudyConfig:
+def _settings(args, specs) -> StudyConfig:
     """The ``StudyConfig`` of the subcommand's settings flags; a field the
-    subcommand has no flag for keeps its default."""
+    subcommand has no flag for keeps its default, and a non-default one that
+    no method spec in ``specs`` reads is refused."""
     fields = StudyConfig.__dataclass_fields__
-    return StudyConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    config = StudyConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    read = set().union(*(fields_read(spec.partition(":")[0], config.model) for spec in specs))
+    for field, declared in fields.items():
+        if field not in read and getattr(config, field) != declared.default:
+            raise OpeCiError(f"{field} is read by none of {', '.join(map(repr, specs))}")
+    return config
 
 
 def _parse_state(text: str, env: str) -> tuple[float, ...]:
@@ -74,8 +80,8 @@ def _cmd_simulate(args) -> int:
 
 def _run_method(args, method: str, s0=None, eps=EpsConfig()):
     """Run one registry method on the ``--data`` file and return its
-    ``MethodResult``."""
-    config = _settings(args)
+    ``MethodResult``; a setting the method does not read is refused first."""
+    config = _settings(args, [method])
     env_spec = make_env_spec(args.env, s0=s0)
     dataset = read_jsonl_dataset(args.data, env=args.env)
     # ground_truth only sets the offset of the "biased" model, not offered here
@@ -136,14 +142,9 @@ def _cmd_coverage(args) -> int:
         if key in first:
             raise OpeCiError(f"--method lists one method twice, as {first[key]!r} and {spec!r}")
         first[key] = spec
-    config, default = _settings(args), StudyConfig()
-    read = set().union(*(fields_read(name, config.model) for name, _ in first))
-    for field in StudyConfig.__dataclass_fields__:  # a flag no spec reads changes no figure
-        if field not in read and getattr(config, field) != getattr(default, field):
-            raise OpeCiError(f"{field} is read by none of {', '.join(map(repr, args.method))}")
     reports = run_coverage_study(
         env_spec, args.method, args.n, args.trials, args.alpha, args.seed,
-        config=config, cache_dir=args.cache_dir,
+        config=_settings(args, args.method), cache_dir=args.cache_dir,
     )
     emit_results(reports, args.out, args.format)
     return 0

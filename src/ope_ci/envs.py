@@ -80,7 +80,7 @@ class Simulator:
         return np.asarray(initial_states, dtype=float).reshape(-1, self.state_dim)
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
-        return _roll_out(self, policy, initial_states, horizon, rng, log=True)
+        return _roll_out(self, policy, initial_states, horizon, rng)
 
     def sample_dataset(
         self, policy, n: int, rng: np.random.Generator, discount: float = 1.0

@@ -14,12 +14,10 @@ batch, and ``_fold`` keeps only the rewards and each row's likelihood ratio,
 all that generated score pairs read; both sum returns with ``_returns``.  The
 Monte Carlo ground truth (``envs.monte_carlo_value``) sums each row's return
 in time order instead, within horizon·ε of ``_returns`` relative to the sum of
-the terms' magnitudes.  A simulator's rollout, the data of a dataset, also
-logs each drawn action's probability, which ratio tables read in place of the
-behavior's table; JSONL files store no log.  A dataset is also an
-initial-state sampler, ``sample_initial_states(rng, n)``.  Actions are
-integers.  All types are immutable after construction and all functions are
-pure; randomness always enters through an explicit generator argument.
+the terms' magnitudes.  A dataset is also an initial-state sampler,
+``sample_initial_states(rng, n)``.  Actions are integers.  All types are
+immutable after construction and all functions are pure; randomness always
+enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -53,23 +51,14 @@ class RowView:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Padded arrays for a batch of rollouts.
-
-    ``states[b, t]`` is the state action ``actions[b, t]`` was taken from;
-    entries at or beyond ``lengths[b]`` are padding and must be ignored.
-    A simulator's rollout of two or more rows logs ``drawn_probs[b, t]``, the
-    probability of ``actions[b, t]`` in the action table of ``drawn_by`` (the
-    policy that drew it) that the draw came from, zero on padding.  Row
-    subsets keep the log; model rollouts, ``pad``, fitted-Q blocks and JSONL
-    files have none (``None``), so their ratio tables recompute it.
-    """
+    """Padded arrays for a batch of rollouts: ``states[b, t]`` is the state
+    action ``actions[b, t]`` was taken from; entries at or beyond
+    ``lengths[b]`` are padding and must be ignored."""
 
     states: np.ndarray  # (B, T, d)
     actions: np.ndarray  # (B, T) integer actions
     rewards: np.ndarray  # (B, T)
     lengths: np.ndarray  # (B,)
-    drawn_probs: np.ndarray | None = None  # (B, T)
-    drawn_by: object = None
 
     @classmethod
     def pad(cls, states, actions, rewards) -> "RolloutBatch":
@@ -159,19 +148,17 @@ def _steps(sim, policy, x, horizon, rng, drawn_probs=None):
             live = live & ~stopped(x)
 
 
-def _roll_out(sim, policy, initial_states, horizon, rng, log=False) -> RolloutBatch:
+def _roll_out(sim, policy, initial_states, horizon, rng) -> RolloutBatch:
     """The steps of ``_steps`` recorded into time-major buffers, each freed
     once copied into a C-ordered ``(N, T, ...)`` array, zero past each row's
-    length.  With ``log``, two or more rows log ``drawn_probs``; one-row
-    tables may differ in the last bit."""
+    length."""
     x = sim._start_states(initial_states)
     n, d = x.shape
-    drawn = np.empty(n) if log and n > 1 else None
     buffers = [np.empty((horizon, n, d)), np.empty((horizon, n), dtype=np.int64),
-               np.empty((horizon, n))] + ([] if drawn is None else [np.empty((horizon, n))])
+               np.empty((horizon, n))]
     lengths = np.zeros(n, dtype=np.int64)
-    for t, (x, a, r, live) in enumerate(_steps(sim, policy, x, horizon, rng, drawn)):
-        for buffer, value in zip(buffers, (x, a, r, drawn)):
+    for t, (x, a, r, live) in enumerate(_steps(sim, policy, x, horizon, rng)):
+        for buffer, value in zip(buffers, (x, a, r)):
             buffer[t] = value
         lengths += live
     arrays = [np.ascontiguousarray(buffers.pop(0).swapaxes(0, 1)) for _ in range(len(buffers))]
@@ -179,7 +166,7 @@ def _roll_out(sim, policy, initial_states, horizon, rng, log=False) -> RolloutBa
         pad = np.arange(horizon) >= lengths[:, None]
         for array in arrays:
             array[pad] = 0
-    return RolloutBatch(*arrays[:3], lengths, *([] if drawn is None else [arrays[3], policy]))
+    return RolloutBatch(*arrays, lengths)
 
 
 def _returns(rewards, lengths, discount: float) -> np.ndarray:
@@ -201,28 +188,21 @@ def _fold(sim, behavior, target, initial_states, horizon, discount, rng):
     """``(returns, ratios)`` of rollouts under ``behavior``, with the bits of
     a recorded batch's returns and ratio-table row products, from a rewards
     buffer and a running product of each step's target over drawn
-    probabilities.  A one-row rollout builds both tables from all its steps,
-    as a one-row table does.  It refuses what the dataset and table refuse."""
+    probabilities (``policy_sample``'s).  It refuses what the dataset and
+    table refuse."""
     x = sim._start_states(initial_states)
     n = x.shape[0]
     rewards, lengths = np.empty((n, horizon)), np.zeros(n, dtype=np.int64)
-    ratios, drawn, kept = np.ones(n), np.empty(n), []
+    ratios, drawn = np.ones(n), np.empty(n)
     for t, (x, a, r, live) in enumerate(_steps(sim, behavior, x, horizon, rng, drawn)):
         if not (np.isfinite(x[live]).all() and np.isfinite(r[live]).all()):
             raise ValueError("states and rewards must be finite")
         rewards[:, t] = r
         lengths += live
-        if n == 1:
-            kept.append((x, a))
-        else:
-            _nonzero(drawn[live])
-            ratios *= np.divide(policy_probs(target, x, a), drawn, out=np.ones(n), where=live)
+        _nonzero(drawn[live])
+        ratios *= np.divide(policy_probs(target, x, a), drawn, out=np.ones(n), where=live)
     if lengths.min() < 1:
         raise ValueError(f"trajectory lengths must lie in 1..{horizon}")
-    if kept:
-        x, a = (np.concatenate(steps) for steps in zip(*kept))
-        p_behavior = _nonzero(policy_probs(behavior, x, a))
-        ratios = (policy_probs(target, x, a) / p_behavior)[None].prod(axis=1)
     return _returns(rewards, lengths, discount), ratios
 
 
@@ -242,9 +222,9 @@ class TrajectoryDataset:
         if np.ndim(b.states) != 3:
             raise ValueError(f"states must be a (B, T, d) array, got shape {np.shape(b.states)}")
         B, T = b.states.shape[:2]
-        for name in ("actions", "rewards", "drawn_probs", "lengths"):
+        for name in ("actions", "rewards", "lengths"):
             array, want = getattr(b, name), (B,) if name == "lengths" else (B, T)
-            if array is not None and np.shape(array) != want:
+            if np.shape(array) != want:
                 raise ValueError(f"{name} must have shape {want}, got {np.shape(array)}")
         if np.asarray(b.actions).dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, got dtype {np.asarray(b.actions).dtype}")
@@ -286,9 +266,7 @@ class TrajectoryDataset:
     def subset(self, indices) -> "TrajectoryDataset":
         idx = np.asarray(indices, dtype=np.int64)
         b = self.batch
-        probs = None if b.drawn_probs is None else b.drawn_probs[idx]
-        picked = RolloutBatch(b.states[idx], b.actions[idx], b.rewards[idx], b.lengths[idx],
-                              probs, b.drawn_by)
+        picked = RolloutBatch(b.states[idx], b.actions[idx], b.rewards[idx], b.lengths[idx])
         return TrajectoryDataset(picked, self.discount, self.horizon)
 
     def split_half(self) -> tuple["TrajectoryDataset", "TrajectoryDataset"]:

@@ -49,8 +49,8 @@ def solve_least_squares(X: np.ndarray, Y: np.ndarray, rows: int | None = None) -
 
 
 class Model:
-    """Batch rollouts of a model's step protocol (``mdp._steps``), which log no
-    drawn probabilities: ratio tables read only datasets."""
+    """Batch rollouts of a model's step protocol (``mdp._steps``), defined
+    apart from ``Simulator.rollout_batch`` so that the tracer times them apart."""
 
     def rollout_batch(self, policy, initial_states, horizon, rng) -> RolloutBatch:
         return _roll_out(self, policy, initial_states, horizon, rng)

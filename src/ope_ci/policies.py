@@ -46,7 +46,8 @@ class SoftmaxOrderUpToPolicy:
         weights /= -self.temperature
         weights -= weights.max(axis=0)
         np.exp(weights, out=weights)
-        weights /= weights.sum(axis=0)
+        # Each total adds in action order: numpy sums a lone (A, 1) column pairwise.
+        weights /= weights.sum(axis=0) if weights.shape[1] > 1 else weights.cumsum(axis=0)[-1]
         return weights.T
 
 
@@ -121,12 +122,9 @@ _BLOCK_CELLS = 1 << 16
 
 def _row_blocks(n: int, most: int = _TABLE_ROWS) -> list[slice]:
     """The fewest blocks of at most ``max(1, most)`` of ``n`` rows, with sizes
-    that differ by one at most; zero rows give one empty block.  In a table
-    of two or more rows each row depends on its own state alone, so tables
-    built block by block equal the one table of all rows bit for bit.  A
-    one-row block, which this split never makes from more rows at the
-    default ``most``, would break that: numpy adds the one column of a
-    one-row action-major table in pairwise order."""
+    that differ by one at most; zero rows give one empty block.  Each row of
+    a table depends on its own state alone, so tables built block by block
+    equal the one table of all rows bit for bit."""
     blocks = max(1, -(-n // max(1, most)))
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 

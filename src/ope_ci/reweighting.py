@@ -80,17 +80,14 @@ def step_ratio_table(
     dataset: TrajectoryDataset, target, behavior, rewards: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Returns (ratios (n, T), rewards (n, T) or ``None`` when ``rewards`` is
-    false, lengths (n,)), where T is the longest trajectory's length.  The
-    behavior probabilities of two or more steps drawn by a policy equal to
-    ``behavior`` are read from the batch's log (``RolloutBatch.drawn_probs``)."""
+    false, lengths (n,)), where T is the longest trajectory's length.  Both
+    policies' tables are built from the dataset's states."""
     b = dataset.batch
     T = int(b.lengths.max())
     mask = b.step_mask()[:, :T]
     states = b.states[:, :T][mask]
     actions = b.actions[:, :T][mask]
-    logged = b.drawn_by == behavior and actions.size > 1
-    p_behavior = b.drawn_probs[:, :T][mask] if logged else policy_probs(behavior, states, actions)
-    _nonzero(p_behavior)
+    p_behavior = _nonzero(policy_probs(behavior, states, actions))
     p_target = policy_probs(target, states, actions)
     ratios = np.ones((b.size, T))
     ratios[mask] = p_target / p_behavior

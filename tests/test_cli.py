@@ -7,13 +7,25 @@ import pytest
 from ope_ci.cli import main
 from ope_ci.cpgen import EpsConfig, cp_gen_detailed
 from ope_ci.errors import OpeCiError
-from ope_ci.harness import make_env_spec
+from ope_ci.harness import fields_read, make_env_spec
 from ope_ci.mdp import read_jsonl_dataset
 from ope_ci.models import GaussianRegressionModel
 
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+# baseline's settings flags: the field each sets and the value tests give it
+BASELINE_SETTINGS = {"--nsynth": ("n_synth", 40), "--rollouts": ("dm_rollouts", 50),
+                     "--nboot": ("n_boot", 200)}
+
+
+def baseline_settings(method) -> list:
+    """The flags and values of ``BASELINE_SETTINGS`` that ``method`` reads."""
+    read = fields_read(method, "gaussian")
+    return [item for flag, (field, value) in BASELINE_SETTINGS.items() if field in read
+            for item in (flag, value)]
 
 
 @pytest.fixture
@@ -142,7 +154,7 @@ class TestBaselineCommand:
         code = run_cli(
             "baseline", "--data", small_dataset, "--method", method,
             "--bound", "clt" if method not in ("dm",) else "bootstrap",
-            "--nsynth", 40, "--rollouts", 50, "--nboot", 200,
+            *baseline_settings(method),
             "--seed", 9, "--out", out,
         )
         assert code == 0
@@ -303,8 +315,8 @@ class TestMethodSpecs:
     def test_default_bound_is_the_one_used(self, small_dataset, tmp_path, method, bound):
         # dm recorded "clt" for its bootstrap interval
         out, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
-        args = ["baseline", "--data", small_dataset, "--method", method, "--nsynth", 40,
-                "--rollouts", 50, "--nboot", 200, "--seed", 9]
+        args = ["baseline", "--data", small_dataset, "--method", method, "--seed", 9,
+                *baseline_settings(method)]
         assert run_cli(*args, "--out", out) == 0
         assert run_cli(*args, "--bound", bound, "--out", explicit) == 0
         assert json.loads(out.read_text())["bound"] == bound
@@ -394,6 +406,30 @@ class TestMethodSpecs:
         assert single_error_line(capsys) == (
             f"error: {flag} is read by none of {', '.join(map(repr, methods))}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, spec",
+        [
+            (["baseline", "--method", "dr", "--nboot", 500], "--nboot", "dr:clt"),
+            (["baseline", "--method", "dr", "--nsynth", 3], "--nsynth", "dr:clt"),
+            (["baseline", "--method", "is", "--model", "oracle"], "--model", "is:clt"),
+            (["baseline", "--method", "augis", "--model", "oracle", "--degree", 1], "--degree",
+             "augis:clt"),
+            (["cpgen", "--s0", "5.0", "--model", "oracle", "--degree", 1], "--degree", "cpgen"),
+            (["drppi", "--model", "oracle", "--degree", 1], "--degree", "drppi:pdis"),
+        ],
+        ids=["baseline-nboot", "baseline-nsynth", "baseline-model", "baseline-degree",
+             "cpgen-degree", "drppi-degree"],
+    )
+    def test_setting_the_method_does_not_read_refused(
+        self, small_dataset, tmp_path, capsys, command, flag, spec
+    ):
+        # baseline --method dr --nboot 500 wrote the file of the default settings
+        out = tmp_path / "unread.json"
+        code = run_cli(*command, "--data", small_dataset, "--seed", 1, "--out", out)
+        assert code == 2
+        assert single_error_line(capsys) == f"error: {flag} is read by none of {spec!r}\n"
         assert not out.exists()
 
     def test_coverage_ngen_reaches_the_study(self, tmp_path, monkeypatch):

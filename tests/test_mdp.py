@@ -101,7 +101,7 @@ class TestTrajectoryTypes:
     @pytest.mark.parametrize(
         "name, shape",
         [("states", (2, 3)), ("actions", (2, 2)), ("actions", (3, 3)), ("rewards", (2, 4)),
-         ("rewards", (2,)), ("drawn_probs", (2, 2)), ("lengths", (3,)), ("lengths", (2, 1))],
+         ("rewards", (2,)), ("lengths", (3,)), ("lengths", (2, 1))],
     )
     def test_dataset_refuses_arrays_whose_shapes_disagree(self, name, shape):
         """A misaligned batch would otherwise fail later, in numpy broadcasting or
@@ -109,7 +109,6 @@ class TestTrajectoryTypes:
         fields = {
             "states": np.zeros((2, 3, 1)), "actions": np.zeros((2, 3), dtype=np.int64),
             "rewards": np.zeros((2, 3)), "lengths": np.array([3, 2]),
-            "drawn_probs": np.full((2, 3), 0.5),
         }
         TrajectoryDataset(RolloutBatch(**fields), 1.0, 3)
         fields[name] = np.ones(shape, dtype=fields[name].dtype)

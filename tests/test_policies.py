@@ -62,6 +62,16 @@ class TestSoftmaxOrderUpTo:
         policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
         assert policy_probs(policy, np.zeros((2, 1)), np.array([11, -1])).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("capacity", [1, 7, 8, 10, 15, 16, 128, 256])
+    def test_one_row_table_equals_its_row_of_a_larger_table(self, capacity):
+        """numpy adds the one column of an (A, 1) array pairwise and the rows
+        of an (A, N >= 2) array in order; each normalizer must add in order."""
+        policy = SoftmaxOrderUpToPolicy(0.6 * capacity, 1.3, capacity)
+        states = np.random.default_rng(capacity).uniform(0, capacity, size=(200, 1))
+        table = policy.action_probs(states)
+        for i in range(len(states)):
+            assert policy.action_probs(states[i:i + 1]).tobytes() == table[i:i + 1].tobytes()
+
     def test_invalid_temperature_rejected(self):
         with pytest.raises(ValueError):
             SoftmaxOrderUpToPolicy(6.0, 0.0, 10)
@@ -158,3 +168,12 @@ class TestGenericHelpers:
         draws = policy_sample(tabular, states, rng)
         assert draws.tolist() == [1, 2, 2, 0, 0, 2, 0, 0, 0, 2, 1, 2]
         assert rng.integers(0, 2**32) == 1212200381
+
+    def test_policy_sample_gathers_from_its_own_tables(self):
+        policy = SoftmaxOrderUpToPolicy(6.0, 1.5, 10)
+        states = np.linspace(0.0, 10.0, 9)[:, None]
+        probs = np.full(9, np.nan)
+        draws = policy_sample(policy, states, np.random.default_rng(2), probs)
+        want = policy_sample(policy, states, np.random.default_rng(2))
+        assert draws.tolist() == want.tolist()
+        assert probs.tobytes() == policy_probs(policy, states, draws).tobytes()

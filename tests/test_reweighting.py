@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ope_ci.envs import oracle_value
+from ope_ci.envs import InventoryEnv, inventory_policy_pair, oracle_value
 from ope_ci.errors import DegenerateWeights, InsufficientSamples
 from ope_ci.mdp import RolloutBatch, TrajectoryDataset
+from ope_ci.policies import policy_probs
 from ope_ci.reweighting import (
     ClipPolicy,
     CorrectionKind,
@@ -25,12 +27,15 @@ from ope_ci.reweighting import (
     normal_quantile,
     pdis_returns,
     reweighted_returns,
+    step_ratio_table,
+    trajectory_ratios,
     wis_returns,
 )
 
 from oracles import batch_rows, normal_quantile_oracle, one_call_bootstrap_means
 from test_envs import traced_peak_mb
 from test_mdp import RatioStubPolicy
+from test_rollouts import absorbing_mdp
 
 
 def ratio_dataset(per_traj_ratio_lists, rewards_lists, discount=1.0):
@@ -386,3 +391,84 @@ class TestReweightedDispatch:
             alone, = reweighted_returns(ds, target, behavior, [kind], clip)
             assert got.tobytes() == alone.tobytes()
             assert got.tobytes() == view(ds, target, behavior, clip).tobytes()
+
+
+def absorbing_case():
+    """Rows end at every length of a horizon of 4, so the batch is padded."""
+    mdp, behavior = absorbing_mdp()
+    target = type(behavior)(((0.3, 0.7), (0.8, 0.2), (0.4, 0.6), (0.5, 0.5)))
+    starts = np.repeat([0.0, 1.0, 2.0], 40)[:, None]
+    batch = mdp.rollout_batch(behavior, starts, mdp.horizon, np.random.default_rng(5))
+    assert len(set(batch.lengths.tolist())) > 1 and batch.lengths.max() == mdp.horizon
+    return TrajectoryDataset(batch, 0.9, mdp.horizon), behavior, target
+
+
+def inventory_case():
+    behavior, target = inventory_policy_pair()
+    ds = InventoryEnv().sample_dataset(behavior, 50, np.random.default_rng(6), 0.95)
+    return ds, behavior, target
+
+
+RATIO_CASES = {"softmax": inventory_case, "tabular-padded": absorbing_case}
+
+
+@pytest.fixture(params=sorted(RATIO_CASES))
+def case(request):
+    return RATIO_CASES[request.param]()
+
+
+def test_trajectory_ratios_build_no_reward_table(case):
+    ds, behavior, target = case
+    ratios, rewards, lengths = step_ratio_table(ds, target, behavior, rewards=False)
+    full = step_ratio_table(ds, target, behavior)
+    assert rewards is None and lengths is full[2]
+    assert ratios.tobytes() == full[0].tobytes()
+    rho = trajectory_ratios(ds, target, behavior)
+    assert rho.tobytes() == full[0].prod(axis=1).tobytes()
+
+
+@dataclass(frozen=True)
+class ArrayTablePolicy:
+    """A user policy whose table is an array: the generated ``==`` of two
+    distinct instances compares the arrays, and their truth value raises."""
+
+    table: np.ndarray
+
+    def action_probs(self, states):
+        return self.table[np.asarray(states)[:, 0].astype(int)]
+
+
+class EqualToAnyPolicy(ArrayTablePolicy):
+    def __eq__(self, other):
+        return True
+
+    __hash__ = None
+
+
+class TestPolicyIdentity:
+    """A ratio table reads the probabilities of the policies it is given,
+    whatever they compare equal to."""
+
+    def drawn(self, policy_type):
+        mdp, tabular = absorbing_mdp()
+        behavior = policy_type(np.array(tabular.table))
+        target = policy_type(np.array(((0.3, 0.7), (0.8, 0.2), (0.4, 0.6), (0.5, 0.5))))
+        return mdp.sample_dataset(behavior, 60, np.random.default_rng(12), 0.9), behavior, target
+
+    def test_an_equal_instance_gives_the_drawing_instances_bytes(self):
+        # the twin raised "The truth value of an array ... is ambiguous"
+        ds, behavior, target = self.drawn(ArrayTablePolicy)
+        twin = ArrayTablePolicy(behavior.table.copy())
+        for got, want in zip(step_ratio_table(ds, target, twin),
+                             step_ratio_table(ds, target, behavior)):
+            assert got.tobytes() == want.tobytes()
+        assert is_returns(ds, target, twin).tobytes() == is_returns(ds, target, behavior).tobytes()
+
+    def test_a_policy_equal_to_any_other_gives_its_own_ratios(self):
+        # the table read the drawing policy's probabilities in place of these
+        ds, behavior, target = self.drawn(EqualToAnyPolicy)
+        other = EqualToAnyPolicy(behavior.table[:, ::-1].copy())
+        mask = ds.batch.step_mask()
+        states, actions = ds.batch.states[mask], ds.batch.actions[mask]
+        want = policy_probs(target, states, actions) / policy_probs(other, states, actions)
+        assert step_ratio_table(ds, target, other)[0][mask].tobytes() == want.tobytes()
