@@ -101,7 +101,7 @@ class TestTrajectoryTypes:
     @pytest.mark.parametrize(
         "name, shape",
         [("states", (2, 3)), ("actions", (2, 2)), ("actions", (3, 3)), ("rewards", (2, 4)),
-         ("rewards", (2,)), ("lengths", (3,)), ("lengths", (2, 1))],
+         ("rewards", (2,)), ("rewards", (3, 3)), ("lengths", (3,)), ("lengths", (2, 1))],
     )
     def test_dataset_refuses_arrays_whose_shapes_disagree(self, name, shape):
         """A misaligned batch would otherwise fail later, in numpy broadcasting or
