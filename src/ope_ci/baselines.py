@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ConfidenceInterval, RolloutBatch, TrajectoryDataset
+from .mdp import ConfidenceInterval, RolloutBatch, TrajectoryDataset, _fold
 from .models import polynomial_features, solve_least_squares
 from .policies import _BLOCK_CELLS, _row_blocks
 from .reweighting import (
@@ -61,7 +61,8 @@ def aug_is_baseline(
     n_boot: int = 2000,
 ) -> ConfidenceInterval:
     """Pools the reweighted real returns with raw returns of synthetic
-    rollouts generated under the target policy (each with unit weight)."""
+    rollouts generated under the target policy (each with unit weight),
+    folded to their returns (``mdp._fold``)."""
     if n_synth < 0:
         raise ValueError(f"n_synth must be at least 0, got {n_synth}")
     if n_synth == 0:
@@ -72,9 +73,7 @@ def aug_is_baseline(
         raise ValueError("synthetic generation needs a generator")
     rng_synth, rng_bound = rng.spawn(2)
     starts = (d0_sampler or dataset.sample_initial_states)(rng_synth, n_synth)
-    synth = model.rollout_batch(target, starts, dataset.horizon, rng_synth).returns(
-        dataset.discount
-    )
+    synth = _fold(model, target, None, starts, dataset.horizon, dataset.discount, rng_synth)[0]
     real = is_returns(dataset, target, behavior, clip)
     pooled = np.concatenate([real, synth])
     return _interval(pooled, alpha, bound, rng_bound, n_boot)
@@ -91,10 +90,11 @@ def dm_baseline(
     discount: float = 1.0,
     n_boot: int = 2000,
 ) -> ConfidenceInterval:
-    """Bootstrap interval over model-rollout returns under the target policy."""
+    """Bootstrap interval over model-rollout returns under the target policy,
+    folded to their returns (``mdp._fold``)."""
     rng_roll, rng_boot = rng.spawn(2)
     starts = d0_sampler(rng_roll, n_rollouts)
-    returns = model.rollout_batch(target, starts, horizon, rng_roll).returns(discount)
+    returns = _fold(model, target, None, starts, horizon, discount, rng_roll)[0]
     return bootstrap_interval(returns, alpha, n_boot, rng_boot)
 
 

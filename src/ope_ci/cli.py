@@ -46,7 +46,7 @@ def _settings(args, specs) -> StudyConfig:
     no method spec in ``specs`` reads is refused."""
     fields = StudyConfig.__dataclass_fields__
     config = StudyConfig(**{k: v for k, v in vars(args).items() if k in fields})
-    read = set().union(*(fields_read(spec.partition(":")[0], config.model) for spec in specs))
+    read = set().union(*(fields_read(spec, config.model) for spec in specs))
     for field, declared in fields.items():
         if field not in read and getattr(config, field) != declared.default:
             raise OpeCiError(f"{field} is read by none of {', '.join(map(repr, specs))}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .mdp import RolloutBatch, State, TrajectoryDataset, _roll_out, _steps
-from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, _inverse_cdf
+from .policies import SoftmaxOrderUpToPolicy, TabularPolicy, _inverse_cdf, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,12 @@ class InventoryEnv(Simulator):
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator):
         p = self.params
-        demand = rng.normal(p.demand_mean, p.demand_sd, size=len(states))
-        x_next, reward = _inventory_dynamics(states[:, 0], actions, demand, p)
-        return x_next[:, None], reward
+        demand = rng.normal(p.demand_mean, p.demand_sd, size=(len(states), 1))
+        reward = np.empty(len(states))
+        for rows in _row_blocks(len(states)):  # elementwise: the whole arrays' bits
+            demand[rows, 0], reward[rows] = _inventory_dynamics(
+                states[rows, 0], actions[rows], demand[rows, 0], p)
+        return demand, reward  # each block's next states overwrote its demand
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +232,8 @@ def monte_carlo_value(
 
     The rollouts are the ones ``env.rollout_batch`` would record from the same
     generator state, but no batch is kept: each step's discounted rewards are
-    added into one running return per rollout, so memory is linear in
-    ``n_rollouts``, not in rollouts times horizon.  The terms are added in
+    added in place into one running return per rollout, so about one step of
+    arrays is held, not rollouts times horizon.  The terms are added in
     time order rather than in the pairwise order of ``RolloutBatch.returns``,
     so each return agrees with that routine's within horizon·ε of the sum of
     its terms' magnitudes."""
@@ -243,8 +246,10 @@ def monte_carlo_value(
     gammas = discount ** np.arange(env.horizon)
     returns = np.zeros(n_rollouts)
     steps = _steps(env, policy, env._start_states(starts), env.horizon, rng)
-    for t, (_, _, rewards, live) in enumerate(steps):
-        returns += np.where(live, rewards, 0.0) * gammas[t]
+    del starts  # the first states, which the driver drops after the first step
+    for t, x, a, r, live in steps:
+        np.add(returns, r * gammas[t], out=returns, where=live)
+        del x, a, r, live  # before the driver computes the next step
     mean = float(returns.mean())
     se = float(returns.std(ddof=1) / np.sqrt(n_rollouts))
     return mean, se

@@ -261,11 +261,14 @@ class _Trial:
     def n_synth(self) -> int:  # None: 10x the dataset size
         return self.config.n_synth if self.config.n_synth is not None else 10 * len(self.dataset)
 
+    def n_boot(self, bound) -> int | None:  # a CLT bound reads no resample count
+        return self.config.n_boot if bound == "bootstrap" else None
+
 
 def _run_is(kind, trial: _Trial, bound, rng):
     env, config = trial.env_spec, trial.config
     return MethodResult(is_baseline(trial.dataset, env.behavior, env.target, trial.alpha,
-                                    kind, bound, config.clip_policy(), rng, config.n_boot))
+                                    kind, bound, config.clip_policy(), rng, trial.n_boot(bound)))
 
 
 def _run_augis(trial: _Trial, bound, rng):
@@ -273,7 +276,7 @@ def _run_augis(trial: _Trial, bound, rng):
     return MethodResult(aug_is_baseline(
         trial.dataset, trial.model().fit(trial.dataset), env.behavior, env.target,
         trial.n_synth(), trial.alpha, bound, config.clip_policy(), rng,
-        d0_sampler=env.env.sample_initial_states, n_boot=config.n_boot,
+        d0_sampler=env.env.sample_initial_states, n_boot=trial.n_boot(bound),
     ))
 
 
@@ -315,17 +318,19 @@ class _Method(NamedTuple):
     qualifiers: tuple[str, ...]  # taken after a colon, the default first
     fields: tuple[str, ...]  # the StudyConfig fields that ``run`` reads
     run: Callable  # (trial, qualifier, rng) -> MethodResult; drppi's: see _run_drppi
+    qualified: dict = {}  # qualifier -> the fields ``run`` reads under it alone
 
 
 _MODEL = ("model", "model_degree", "bias_fraction")
 _BOUNDS = ("clt", "bootstrap")
+_BOOTSTRAP = {"bootstrap": ("n_boot",)}
 
 # The method registry: each method's qualifiers (the interval bound of the
 # baselines, drppi's correction; cpgen takes none), settings and runner.
 METHODS = {
-    **{kind.value: _Method(_BOUNDS, ("clip", "n_boot"), partial(_run_is, kind))
+    **{kind.value: _Method(_BOUNDS, ("clip",), partial(_run_is, kind), _BOOTSTRAP)
        for kind in (CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.PDIS)},
-    "augis": _Method(_BOUNDS, (*_MODEL, "n_synth", "clip", "n_boot"), _run_augis),
+    "augis": _Method(_BOUNDS, (*_MODEL, "n_synth", "clip"), _run_augis, _BOOTSTRAP),
     "dm": _Method(("bootstrap",), (*_MODEL, "dm_rollouts", "n_boot"), _run_dm),
     "dr": _Method(("clt",), ("clip",), _run_dr),
     "augdr": _Method(("clt",), (*_MODEL, "n_synth", "clip"), partial(_run_dr, augment=True)),
@@ -335,10 +340,16 @@ METHODS = {
 }
 
 
-def fields_read(name: str, model: str) -> set[str]:
-    """The ``StudyConfig`` fields method ``name`` reads under the model kind
-    ``model``: ``model_degree`` only under gaussian, ``bias_fraction`` only under biased."""
-    return set(METHODS[name].fields) - {f for k, f in _MODEL_KINDS.items() if k != model}
+def fields_read(spec: str, model: str) -> set[str]:
+    """The ``StudyConfig`` fields the method spec ``name[:qualifier]`` reads
+    under the model kind ``model``, the qualifier defaulted: a baseline's
+    ``n_boot`` only under bootstrap, ``model_degree`` only under gaussian,
+    ``bias_fraction`` only under biased."""
+    name, _, qualifier = spec.partition(":")
+    method = METHODS[name]
+    qualifier = qualifier or next(iter(method.qualifiers), None)
+    fields = {*method.fields, *method.qualified.get(qualifier, ())}
+    return fields - {f for k, f in _MODEL_KINDS.items() if k != model}
 
 
 def parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:

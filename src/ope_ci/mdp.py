@@ -10,14 +10,14 @@ trajectory by trajectory through ``step_mask()``, and take discounted returns
 from ``RolloutBatch.returns``, which skips the padding; the batch is the one
 trajectory representation.  The one rollout driver ``_steps`` runs the step
 protocol of a simulator or model into two sinks: ``_roll_out`` records a
-batch, and ``_fold`` keeps only the rewards and each row's likelihood ratio,
-all that generated score pairs read; both sum returns with ``_returns``.  The
-Monte Carlo ground truth (``envs.monte_carlo_value``) sums each row's return
-in time order instead, within horizon·ε of ``_returns`` relative to the sum of
-the terms' magnitudes.  A dataset is also an initial-state sampler,
-``sample_initial_states(rng, n)``.  Actions are integers.  All types are
-immutable after construction and all functions are pure; randomness always
-enters through an explicit generator argument.
+batch, and ``_fold`` keeps only the rewards and, given a target, each row's
+likelihood ratio, all that score pairs, augis and dm read; both sum returns
+with ``_returns``.  The Monte Carlo ground truth (``envs.monte_carlo_value``)
+sums each row's return in time order instead, within horizon·ε of ``_returns``
+relative to the sum of the terms' magnitudes.  A dataset is also an
+initial-state sampler, ``sample_initial_states(rng, n)``.  Actions are
+integers.  All types are immutable after construction and all functions are
+pure; randomness always enters through an explicit generator argument.
 """
 from __future__ import annotations
 
@@ -132,18 +132,20 @@ def _steps(sim, policy, x, horizon, rng, drawn_probs=None):
     booleans), from starts ``x`` that ``sim._start_states`` prepared.  Each
     step draws every row's action with one ``policy_sample`` call, which
     writes the drawn probabilities into an ``(N,)`` buffer ``drawn_probs``,
-    then steps, and yields ``(states, actions, rewards, live)``.  A row ends
-    in an absorbing state but keeps taking its draws unrecorded; the loop
-    ends once every row has ended.  A yielded ``live`` never changes."""
+    then steps, and yields ``(t, states, actions, rewards, live)``.  A row
+    ends in an absorbing state but keeps taking its draws unrecorded; the
+    loop ends once every row has ended.  A yielded ``live`` never changes.
+    A consumer drops its names of a step, as the driver does, before asking
+    for the next: held through it, they would be dead ``(N,)`` arrays."""
     stopped = getattr(sim, "is_absorbing", None)
     live = np.ones(x.shape[0], dtype=bool) if stopped is None else ~stopped(x)
-    for _ in range(horizon):
+    for t in range(horizon):
         if not live.any():
             return
         a = policy_sample(policy, x, rng, drawn_probs)
         x_next, r = sim.step_batch(x, a, rng)
-        yield x, a, r, live
-        x = x_next
+        yield t, x, a, r, live
+        x, a, r = x_next, None, None
         if stopped is not None:
             live = live & ~stopped(x)
 
@@ -157,10 +159,10 @@ def _roll_out(sim, policy, initial_states, horizon, rng) -> RolloutBatch:
     buffers = [np.empty((horizon, n, d)), np.empty((horizon, n), dtype=np.int64),
                np.empty((horizon, n))]
     lengths = np.zeros(n, dtype=np.int64)
-    for t, (x, a, r, live) in enumerate(_steps(sim, policy, x, horizon, rng)):
-        for buffer, value in zip(buffers, (x, a, r)):
-            buffer[t] = value
+    for t, x, a, r, live in _steps(sim, policy, x, horizon, rng):
+        buffers[0][t], buffers[1][t], buffers[2][t] = x, a, r
         lengths += live
+        del x, a, r, live  # before the driver computes the next step
     arrays = [np.ascontiguousarray(buffers.pop(0).swapaxes(0, 1)) for _ in range(len(buffers))]
     if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]
@@ -188,19 +190,22 @@ def _fold(sim, behavior, target, initial_states, horizon, discount, rng):
     """``(returns, ratios)`` of rollouts under ``behavior``, with the bits of
     a recorded batch's returns and ratio-table row products, from a rewards
     buffer and a running product of each step's target over drawn
-    probabilities (``policy_sample``'s).  It refuses what the dataset and
+    probabilities (``policy_sample``'s); with no ``target``, ``ratios`` is
+    None and only the rewards are kept.  It refuses what the dataset and
     table refuse."""
     x = sim._start_states(initial_states)
     n = x.shape[0]
     rewards, lengths = np.empty((n, horizon)), np.zeros(n, dtype=np.int64)
-    ratios, drawn = np.ones(n), np.empty(n)
-    for t, (x, a, r, live) in enumerate(_steps(sim, behavior, x, horizon, rng, drawn)):
+    ratios, drawn = (None, None) if target is None else (np.ones(n), np.empty(n))
+    for t, x, a, r, live in _steps(sim, behavior, x, horizon, rng, drawn):
         if not (np.isfinite(x[live]).all() and np.isfinite(r[live]).all()):
             raise ValueError("states and rewards must be finite")
         rewards[:, t] = r
         lengths += live
-        _nonzero(drawn[live])
-        ratios *= np.divide(policy_probs(target, x, a), drawn, out=np.ones(n), where=live)
+        if target is not None:
+            _nonzero(drawn[live])
+            ratios *= np.divide(policy_probs(target, x, a), drawn, out=np.ones(n), where=live)
+        del x, a, r, live  # before the driver computes the next step
     if lengths.min() < 1:
         raise ValueError(f"trajectory lengths must lie in 1..{horizon}")
     return _returns(rewards, lengths, discount), ratios

@@ -42,7 +42,10 @@ library did before it read one coordinate's distances off contiguous slices
 of the sorted values; the medians must match bit for bit.  The score pairs
 are recorded as the library made them before it folded the generated
 rollouts: one recorded batch, a dataset of it and its ratio table; the folded
-pairs must match them bit for bit.
+pairs must match them bit for bit.  The Monte Carlo value adds each step's
+``np.where``-masked, discounted rewards into its running returns, as the
+library did before it added them in place; the value and its standard error
+must match it bit for bit.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ from ope_ci.baselines import FittedQSpec
 from ope_ci.cpgen import _MASS_TOL, ScorePairs, WeightedScoreDistribution
 from ope_ci.envs import FiniteMdp
 from ope_ci.errors import ZeroBehaviorProbability
-from ope_ci.mdp import RolloutBatch, TrajectoryDataset
+from ope_ci.mdp import RolloutBatch, TrajectoryDataset, _steps
 from ope_ci.models import polynomial_features, solve_least_squares
 from ope_ci.policies import policy_probs, policy_sample
 from ope_ci.reweighting import trajectory_ratios
@@ -660,3 +663,18 @@ def recorded_score_pairs(model, behavior, target, dataset, per_trajectory, rng) 
     ) * trajectory_ratios(generated, target, behavior)
     scores = np.repeat(dataset.returns(), per_trajectory) - batch.returns(dataset.discount)
     return ScorePairs(starts, scores, ratios)
+
+
+def where_monte_carlo_value(env, policy, n_rollouts, rng, discount=1.0, initial_state=None):
+    """``monte_carlo_value`` adding ``np.where(live, rewards, 0.0) * discount**t``
+    into the running returns at every step."""
+    if initial_state is None:
+        starts = env.sample_initial_states(rng, n_rollouts)
+    else:
+        starts = np.tile(np.asarray(initial_state, dtype=float), (n_rollouts, 1))
+    gammas = discount ** np.arange(env.horizon)
+    returns = np.zeros(n_rollouts)
+    steps = _steps(env, policy, env._start_states(starts), env.horizon, rng)
+    for t, _, _, rewards, live in steps:
+        returns += np.where(live, rewards, 0.0) * gammas[t]
+    return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_rollouts))

@@ -412,6 +412,10 @@ class TestMethodSpecs:
         "command, flag, spec",
         [
             (["baseline", "--method", "dr", "--nboot", 500], "--nboot", "dr:clt"),
+            (["baseline", "--method", "is", "--bound", "clt", "--nboot", 500], "--nboot",
+             "is:clt"),
+            (["baseline", "--method", "augis", "--bound", "clt", "--nboot", 500], "--nboot",
+             "augis:clt"),
             (["baseline", "--method", "dr", "--nsynth", 3], "--nsynth", "dr:clt"),
             (["baseline", "--method", "is", "--model", "oracle"], "--model", "is:clt"),
             (["baseline", "--method", "augis", "--model", "oracle", "--degree", 1], "--degree",
@@ -419,18 +423,30 @@ class TestMethodSpecs:
             (["cpgen", "--s0", "5.0", "--model", "oracle", "--degree", 1], "--degree", "cpgen"),
             (["drppi", "--model", "oracle", "--degree", 1], "--degree", "drppi:pdis"),
         ],
-        ids=["baseline-nboot", "baseline-nsynth", "baseline-model", "baseline-degree",
-             "cpgen-degree", "drppi-degree"],
+        ids=["baseline-nboot", "baseline-clt-nboot-is", "baseline-clt-nboot-augis",
+             "baseline-nsynth", "baseline-model", "baseline-degree", "cpgen-degree",
+             "drppi-degree"],
     )
     def test_setting_the_method_does_not_read_refused(
         self, small_dataset, tmp_path, capsys, command, flag, spec
     ):
-        # baseline --method dr --nboot 500 wrote the file of the default settings
+        # baseline --method dr --nboot 500 wrote the file of the default settings,
+        # and so did --method is (or augis) --bound clt --nboot 500
         out = tmp_path / "unread.json"
         code = run_cli(*command, "--data", small_dataset, "--seed", 1, "--out", out)
         assert code == 2
         assert single_error_line(capsys) == f"error: {flag} is read by none of {spec!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["is", "augis"])
+    def test_bootstrap_bound_reads_nboot(self, small_dataset, tmp_path, method):
+        # n_boot is declared under the bootstrap bound alone, and still reaches it
+        args = ["baseline", "--data", small_dataset, "--method", method, "--bound",
+                "bootstrap", "--seed", 1, *(["--nsynth", 30] if method == "augis" else [])]
+        default, set_ = tmp_path / "default.json", tmp_path / "nboot.json"
+        assert run_cli(*args, "--out", default) == 0
+        assert run_cli(*args, "--nboot", 500, "--out", set_) == 0
+        assert json.loads(default.read_text())["hi"] != json.loads(set_.read_text())["hi"]
 
     def test_coverage_ngen_reaches_the_study(self, tmp_path, monkeypatch):
         # coverage had no --Ngen, the remedy the unbounded-band message names

@@ -10,14 +10,23 @@ from ope_ci.envs import (
     FiniteMdp,
     InventoryEnv,
     InventoryParams,
+    _inventory_dynamics,
     inventory_step,
     monte_carlo_value,
     oracle_value,
     small_finite_mdp,
 )
-from ope_ci.policies import SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
+from ope_ci.policies import _TABLE_ROWS, SoftmaxOrderUpToPolicy, TabularPolicy, policy_sample
 
-from oracles import batch_rows, dp_policy_value, enumerate_trajectories, path_walk_value, prob
+from oracles import (
+    batch_rows,
+    dp_policy_value,
+    enumerate_trajectories,
+    path_walk_value,
+    prob,
+    where_monte_carlo_value,
+)
+from test_rollouts import absorbing_mdp
 
 
 class TestInventoryStep:
@@ -379,3 +388,47 @@ def test_monte_carlo_memory_is_linear_in_rollouts(inventory_env, inventory_polic
         lambda: monte_carlo_value(inventory_env, target, 100_000, np.random.default_rng(0))
     )
     assert peak < 16.0
+
+
+def test_monte_carlo_value_holds_about_one_step(inventory_env, inventory_policies):
+    """100k inventory rollouts peaked at 10.7 MB while the rollout driver and
+    its consumers held each finished step through the next one, and the
+    dynamics ran on whole 100k-row arrays; the value keeps its bits."""
+    _, target = inventory_policies
+    got = []
+    peak = traced_peak_mb(lambda: got.append(
+        monte_carlo_value(inventory_env, target, 100_000, np.random.default_rng(0))
+    ))
+    assert peak < 6.5
+    want = where_monte_carlo_value(inventory_env, target, 100_000, np.random.default_rng(0))
+    assert got == [want]
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+@pytest.mark.parametrize("initial_state", [None, (1.7,), (3.4,)])
+def test_monte_carlo_value_on_absorbing_rows_keeps_its_bits(discount, initial_state):
+    """Rows that end early, and starts in the absorbing state, add nothing."""
+    mdp, policy = absorbing_mdp()
+    rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+    got = monte_carlo_value(mdp, policy, 5000, rng_got, discount, initial_state)
+    want = where_monte_carlo_value(mdp, policy, 5000, rng_want, discount, initial_state)
+    assert got == want
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_inventory_step_batch_in_blocks_equals_whole_arrays(inventory_env):
+    """More rows than one block: the dynamics on blocks of rows give the bits
+    of the dynamics on the whole arrays, after the same demand draw."""
+    n = 2 * _TABLE_ROWS + 3
+    rng = np.random.default_rng(4)
+    states = inventory_env.sample_initial_states(rng, n)
+    actions = rng.integers(0, inventory_env.params.capacity + 1, size=n)
+    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+    x_next, rewards = inventory_env.step_batch(states, actions, rng_got)
+    p = inventory_env.params
+    demand = rng_want.normal(p.demand_mean, p.demand_sd, size=n)
+    want_x, want_r = _inventory_dynamics(states[:, 0], actions, demand, p)
+    assert x_next.shape == (n, 1) and rewards.shape == (n,)
+    assert x_next.tobytes() == want_x.tobytes()
+    assert rewards.tobytes() == want_r.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state

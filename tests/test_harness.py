@@ -204,7 +204,7 @@ class TestCoverageStudy:
         read.clear()  # construction checks every field
         run = make_method([method], spec, config, ground_truth=50.0)
         run(dataset, 0.2, np.random.default_rng(9))
-        assert read == fields_read(method.partition(":")[0], model)
+        assert read == fields_read(method, model)
 
     def test_cpgen_method_requires_s0(self):
         spec = make_env_spec("finite", discount=0.9)
