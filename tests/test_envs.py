@@ -382,17 +382,8 @@ def traced_peak_mb(fn) -> float:
 
 def test_monte_carlo_memory_is_linear_in_rollouts(inventory_env, inventory_policies):
     """100k inventory rollouts peaked at 78 MB when the ground truth recorded
-    the (rollouts, horizon) batch; the fold keeps a few (rollouts,) arrays."""
-    _, target = inventory_policies
-    peak = traced_peak_mb(
-        lambda: monte_carlo_value(inventory_env, target, 100_000, np.random.default_rng(0))
-    )
-    assert peak < 16.0
-
-
-def test_monte_carlo_value_holds_about_one_step(inventory_env, inventory_policies):
-    """100k inventory rollouts peaked at 10.7 MB while the rollout driver and
-    its consumers held each finished step through the next one, and the
+    the (rollouts, horizon) batch, and at 10.7 MB while the rollout driver and
+    its consumers held each finished step through the next one and the
     dynamics ran on whole 100k-row arrays; the value keeps its bits."""
     _, target = inventory_policies
     got = []
