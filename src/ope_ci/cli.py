@@ -122,7 +122,7 @@ def _cmd_drppi(args) -> int:
 
 def _cmd_baseline(args) -> int:
     """``--bound`` defaults to the method's own bound, which the JSON records."""
-    bound = args.bound or METHODS[args.method].qualifiers[0]
+    bound = args.bound or next(iter(METHODS[args.method].qualifiers))
     if bound not in METHODS[args.method].qualifiers:
         raise OpeCiError(f"--bound {bound} is not available for --method {args.method}")
     result = _run_method(args, f"{args.method}:{bound}")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(dr)
     add_model(dr)
     dr.add_argument("--data", required=True)
-    corrections = METHODS["drppi"].qualifiers
+    corrections = list(METHODS["drppi"].qualifiers)
     dr.add_argument("--correction", default=corrections[0], choices=corrections)
     dr.add_argument("--alpha", type=float, default=0.05)
     add_drppi(dr)

@@ -315,28 +315,28 @@ def _run_cpgen(trial: _Trial, qualifier, rng):
 
 
 class _Method(NamedTuple):
-    qualifiers: tuple[str, ...]  # taken after a colon, the default first
+    # each qualifier, taken after a colon, the default first -> the
+    # StudyConfig fields that ``run`` reads under it alone
+    qualifiers: dict[str, tuple[str, ...]]
     fields: tuple[str, ...]  # the StudyConfig fields that ``run`` reads
     run: Callable  # (trial, qualifier, rng) -> MethodResult; drppi's: see _run_drppi
-    qualified: dict = {}  # qualifier -> the fields ``run`` reads under it alone
 
 
 _MODEL = ("model", "model_degree", "bias_fraction")
-_BOUNDS = ("clt", "bootstrap")
-_BOOTSTRAP = {"bootstrap": ("n_boot",)}
+_BOUNDS = {"clt": (), "bootstrap": ("n_boot",)}
 
 # The method registry: each method's qualifiers (the interval bound of the
 # baselines, drppi's correction; cpgen takes none), settings and runner.
 METHODS = {
-    **{kind.value: _Method(_BOUNDS, ("clip",), partial(_run_is, kind), _BOOTSTRAP)
+    **{kind.value: _Method(_BOUNDS, ("clip",), partial(_run_is, kind))
        for kind in (CorrectionKind.IS, CorrectionKind.WIS, CorrectionKind.PDIS)},
-    "augis": _Method(_BOUNDS, (*_MODEL, "n_synth", "clip"), _run_augis, _BOOTSTRAP),
-    "dm": _Method(("bootstrap",), (*_MODEL, "dm_rollouts", "n_boot"), _run_dm),
-    "dr": _Method(("clt",), ("clip",), _run_dr),
-    "augdr": _Method(("clt",), (*_MODEL, "n_synth", "clip"), partial(_run_dr, augment=True)),
-    "drppi": _Method(("pdis", "is", "wis"), (*_MODEL, "n_model_rollouts",
+    "augis": _Method(_BOUNDS, (*_MODEL, "n_synth", "clip"), _run_augis),
+    "dm": _Method({"bootstrap": ("n_boot",)}, (*_MODEL, "dm_rollouts"), _run_dm),
+    "dr": _Method({"clt": ()}, ("clip",), _run_dr),
+    "augdr": _Method({"clt": ()}, (*_MODEL, "n_synth", "clip"), partial(_run_dr, augment=True)),
+    "drppi": _Method({"pdis": (), "is": (), "wis": ()}, (*_MODEL, "n_model_rollouts",
                      "pairs_per_trajectory", "crossfit", "clip"), _run_drppi),
-    "cpgen": _Method((), (*_MODEL, "cpgen_m", "cpgen_n_gen", "cpgen_rollouts"), _run_cpgen),
+    "cpgen": _Method({}, (*_MODEL, "cpgen_m", "cpgen_n_gen", "cpgen_rollouts"), _run_cpgen),
 }
 
 
@@ -348,7 +348,7 @@ def fields_read(spec: str, model: str) -> set[str]:
     name, _, qualifier = spec.partition(":")
     method = METHODS[name]
     qualifier = qualifier or next(iter(method.qualifiers), None)
-    fields = {*method.fields, *method.qualified.get(qualifier, ())}
+    fields = {*method.fields, *method.qualifiers.get(qualifier, ())}
     return fields - {f for k, f in _MODEL_KINDS.items() if k != model}
 
 
@@ -366,7 +366,7 @@ def parse_method(method: str, env_spec: EnvSpec) -> tuple[str, str | None]:
     if name == "cpgen" and env_spec.s0 is None:
         raise ValueError("cpgen studies need a fixed s0; pass its coordinates with --s0")
     if not colon:
-        return name, allowed[0] if allowed else None
+        return name, next(iter(allowed), None)
     return name, qualifier
 
 

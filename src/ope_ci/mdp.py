@@ -162,7 +162,6 @@ def _roll_out(sim, policy, initial_states, horizon, rng) -> RolloutBatch:
     for t, x, a, r, live in _steps(sim, policy, x, horizon, rng):
         buffers[0][t], buffers[1][t], buffers[2][t] = x, a, r
         lengths += live
-        del x, a, r, live  # before the driver computes the next step
     arrays = [np.ascontiguousarray(buffers.pop(0).swapaxes(0, 1)) for _ in range(len(buffers))]
     if lengths.min(initial=horizon) < horizon:
         pad = np.arange(horizon) >= lengths[:, None]

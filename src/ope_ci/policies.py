@@ -130,7 +130,7 @@ def _row_blocks(n: int, most: int = _TABLE_ROWS) -> list[slice]:
 
 
 def _draw(policy, states, u, drawn_probs):
-    """``policy_sample`` from one table of every row of ``states``."""
+    """``policy_sample``'s draws from one table of every row of ``states``."""
     table = policy.action_probs(states)
     actions = _inverse_cdf(table, u)
     if drawn_probs is not None:
@@ -142,13 +142,10 @@ def policy_sample(
     policy, states: np.ndarray, rng: np.random.Generator, drawn_probs=None
 ) -> np.ndarray:
     """One action per state by inverse CDF, from one ``rng.random(N)`` draw;
-    up to ``_TABLE_ROWS`` rows read one table, and more are drawn in
-    ``_row_blocks``, with the one table's draws.  An ``(N,)`` float array
-    ``drawn_probs`` receives each drawn action's probability, gathered from
-    the same tables."""
+    the table is built and walked in ``_row_blocks``, with the one table's
+    draws.  An ``(N,)`` float array ``drawn_probs`` receives each drawn
+    action's probability, gathered from the same tables."""
     u = rng.random(len(states))
-    if len(states) <= _TABLE_ROWS:
-        return _draw(policy, states, u, drawn_probs)
     actions = np.empty(len(states), dtype=np.int64)
     for rows in _row_blocks(len(states)):  # each block's table is freed before the next
         actions[rows] = _draw(policy, states[rows], u[rows],
