@@ -135,8 +135,8 @@ def _steps(sim, policy, x, horizon, rng, drawn_probs=None):
     then steps, and yields ``(t, states, actions, rewards, live)``.  A row
     ends in an absorbing state but keeps taking its draws unrecorded; the
     loop ends once every row has ended.  A yielded ``live`` never changes.
-    A consumer drops its names of a step, as the driver does, before asking
-    for the next: held through it, they would be dead ``(N,)`` arrays."""
+    A folding consumer drops its names of a step, as the driver does, before
+    asking for the next: held, they would be dead ``(N,)`` arrays."""
     stopped = getattr(sim, "is_absorbing", None)
     live = np.ones(x.shape[0], dtype=bool) if stopped is None else ~stopped(x)
     for t in range(horizon):
@@ -190,8 +190,8 @@ def _fold(sim, behavior, target, initial_states, horizon, discount, rng):
     a recorded batch's returns and ratio-table row products, from a rewards
     buffer and a running product of each step's target over drawn
     probabilities (``policy_sample``'s); with no ``target``, ``ratios`` is
-    None and only the rewards are kept.  It refuses what the dataset and
-    table refuse."""
+    None.  Besides the buffer it holds about one step of arrays.  It refuses
+    what the dataset and table refuse."""
     x = sim._start_states(initial_states)
     n = x.shape[0]
     rewards, lengths = np.empty((n, horizon)), np.zeros(n, dtype=np.int64)

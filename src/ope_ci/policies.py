@@ -129,15 +129,6 @@ def _row_blocks(n: int, most: int = _TABLE_ROWS) -> list[slice]:
     return [slice(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
 
 
-def _draw(policy, states, u, drawn_probs):
-    """``policy_sample``'s draws from one table of every row of ``states``."""
-    table = policy.action_probs(states)
-    actions = _inverse_cdf(table, u)
-    if drawn_probs is not None:
-        drawn_probs[...] = table[np.arange(len(u)), actions]
-    return actions
-
-
 def policy_sample(
     policy, states: np.ndarray, rng: np.random.Generator, drawn_probs=None
 ) -> np.ndarray:
@@ -147,7 +138,10 @@ def policy_sample(
     action's probability, gathered from the same tables."""
     u = rng.random(len(states))
     actions = np.empty(len(states), dtype=np.int64)
-    for rows in _row_blocks(len(states)):  # each block's table is freed before the next
-        actions[rows] = _draw(policy, states[rows], u[rows],
-                              None if drawn_probs is None else drawn_probs[rows])
+    for rows in _row_blocks(len(states)):
+        table = policy.action_probs(states[rows])
+        actions[rows] = _inverse_cdf(table, u[rows])
+        if drawn_probs is not None:
+            drawn_probs[rows] = table[np.arange(rows.stop - rows.start), actions[rows]]
+        del table  # before the next block's table, which then reuses its cached memory
     return actions
